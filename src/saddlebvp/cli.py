@@ -22,13 +22,10 @@ from . import __version__
 from .dependence import (DependenceError, ParameterSequence, run_sequence,
                          upper_limit_check)
 from .expressions import ExprError
-from .expressions import evaluate as expr_evaluate
-from .expressions import parse as expr_parse
-from .expressions import variables as expr_variables
 from .grid import GridError, GridFunction, embedding_constant, embedding_estimate
 from .hypotheses import (HypothesisError, ball_radii, certificate_from_dict,
                          check_concavity_y, check_convexity_x, verify_growth)
-from .problem import ParameterFunction, ProblemError, problem_from_dict
+from .problem import ParameterFunction, ProblemError, node_values, problem_from_dict
 from .solvers import SolverConfig, SolverError, saddle_set, verify_saddle
 
 USER_ERRORS = (ProblemError, ExprError, GridError, HypothesisError,
@@ -246,17 +243,6 @@ def cmd_check(args):
     return 0 if ok else 2
 
 
-def _node_values(text, T):
-    """Evaluate an expression in k at the nodes 1..T (no box constraint)."""
-    ast = expr_parse(text)
-    extra = expr_variables(ast) - {"k"}
-    if extra:
-        raise DependenceError(f"expression may only use k, found {sorted(extra)}")
-    k = np.arange(1, T + 1, dtype=float)
-    vals = expr_evaluate(ast, {"k": k, "x": 0.0, "y": 0.0, "u": 0.0})
-    return np.broadcast_to(np.asarray(vals, dtype=float), (T,)).copy()
-
-
 def _sequence_from_spec(seq_data, spec, u_default):
     if "u0" in seq_data:
         u0_term = seq_data["u0"]
@@ -269,7 +255,7 @@ def _sequence_from_spec(seq_data, spec, u_default):
     if "direction" in seq_data:
         direction = seq_data["direction"]
         if isinstance(direction, str):
-            direction = _node_values(direction, spec.T)
+            direction = node_values(direction, spec.T)
         else:
             direction = np.asarray(direction, dtype=float)
         N = int(seq_data.get("N", 64))

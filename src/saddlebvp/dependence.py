@@ -16,7 +16,8 @@ import numpy as np
 from .expressions import evaluate
 from .grid import GridFunction, h_norm, random_in_ball
 from .problem import ParameterFunction, action_i, make_candidate
-from .solvers import SolverError, product_distance, saddle_set, verify_saddle
+from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
+                      saddle_set, verify_saddle)
 
 
 class DependenceError(ValueError):
@@ -95,12 +96,6 @@ class ParameterSequence:
         return geometric_schedule(self.N)
 
 
-def _ball_radii_pair(box):
-    if isinstance(box, tuple):
-        return box
-    return box.r1, box.r2
-
-
 def uniform_gap(spec, u_a, u_b, box, samples=256, seed=0) -> float:
     """Sampled sup of ``|J_a - J_b|`` over the product ball.
 
@@ -109,7 +104,7 @@ def uniform_gap(spec, u_a, u_b, box, samples=256, seed=0) -> float:
     linear-in-u integrands attain the sup; the estimate grows monotonically
     with the sample count on a common seed.
     """
-    rx, ry = _ball_radii_pair(box)
+    rx, ry = radii_pair(box)
     rng = np.random.default_rng(seed)
     env_a = {"u": u_a.values}
     env_b = {"u": u_b.values}
@@ -133,7 +128,7 @@ def uniform_gap(spec, u_a, u_b, box, samples=256, seed=0) -> float:
 
 def parameter_lipschitz(spec, box, samples=256, seed=0) -> float:
     """Sampled Lipschitz constant of the integrand in its parameter slot."""
-    rx, ry = _ball_radii_pair(box)
+    rx, ry = radii_pair(box)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(max(1, samples)):
@@ -212,7 +207,7 @@ def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4,
     if baseline.all_failed:
         raise SolverError("no saddle found for the limit parameter")
     a0 = _set_value(baseline)
-    box = _ball_radii_pair(radii) if radii is not None else (4.0, 4.0)
+    box = radii_pair(radii, DEFAULT_RADII)
 
     entries = []
     partial = False

@@ -491,10 +491,3 @@ class ScalarField:
     @classmethod
     def from_text(cls, text):
         return cls.from_ast(parse(text), source=text)
-
-    def curvature_depends_on_state(self):
-        """True if any second partial varies with x or y (field not quadratic)."""
-        for node in (self.fxx, self.fxy, self.fyy):
-            if depends_on(node, "x") or depends_on(node, "y"):
-                return True
-        return False

@@ -14,18 +14,20 @@ sampled saddle inequalities, and agreement of the one-sided inner solves
 with the candidate value.
 """
 
-import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import ExprError
 from .grid import GridFunction, h_norm, random_in_ball
 from .problem import (action_i, grad_i, make_candidate, residual,
-                      residual_i, second_partials_i)
+                      residual_from_grad, second_partials_i)
 
 INNER_MAX_ITER = 200
+INNER_TOL_FACTOR = 1e-2     # nested inner solves stop at this fraction of the outer tolerance
 ARMIJO = 1e-4
+DEFAULT_RADII = (4.0, 4.0)  # multistart ball radii when no certificate gives them
 
 
 class SolverError(RuntimeError):
@@ -45,7 +47,6 @@ class SolverConfig:
     seed: int = 0
     cluster_radius: float = 1e-4
     record_trace: bool = False
-    inner_tol_factor: float = 1e-2
 
     def __post_init__(self):
         if self.method not in ("extragradient", "newton", "nested"):
@@ -60,6 +61,18 @@ class SolverConfig:
             raise ValueError("multistart must be >= 1")
         if self.cluster_radius <= 0:
             raise ValueError("cluster_radius must be positive")
+
+
+def radii_pair(radii, default=None):
+    """Ball radii ``(rx, ry)`` from a certificate's ``BallRadii`` or a pair.
+
+    ``None`` gives ``default``.
+    """
+    if radii is None:
+        return default
+    if isinstance(radii, tuple):
+        return radii
+    return radii.r1, radii.r2
 
 
 def product_distance(a, b) -> float:
@@ -107,10 +120,6 @@ def lipschitz_estimate(spec, u, radius_x, radius_y, samples=8, seed=0, power_ite
     return float(best)
 
 
-def _trace_row(spec, u, it, xv, yv, gn):
-    return (it, gn, residual_i(spec, u, xv, yv), action_i(spec, u, xv, yv))
-
-
 def extragradient(spec, u, z0, cfg: SolverConfig):
     """Two-step extragradient on ``G = (grad_x J, -grad_y J)``.
 
@@ -129,12 +138,11 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
     history = deque(maxlen=50)
     best = (np.inf, xv, yv, 0)
     converged = False
-    it = 0
     for it in range(cfg.max_iter):
         gx, gy = grad_i(spec, u, xv, yv)
         gn = float(np.sqrt(gx @ gx + gy @ gy))
         if trace is not None:
-            trace.append(_trace_row(spec, u, it, xv, yv, gn))
+            trace.append((it, gn, residual_from_grad(gx, gy), action_i(spec, u, xv, yv)))
         if gn < best[0]:
             best = (gn, xv, yv, it)
         if gn <= cfg.tol_grad:
@@ -150,6 +158,8 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
         gxh, gyh = grad_i(spec, u, xh, yh)
         xv = xv - gamma * gxh
         yv = yv + gamma * gyh
+    else:
+        it = cfg.max_iter
     if not converged:
         _, xv, yv, _ = best
     return make_candidate(spec, u, GridFunction.from_interior(xv),
@@ -169,13 +179,13 @@ def newton(spec, u, z0, cfg: SolverConfig):
     T = spec.T
     trace = [] if cfg.record_trace else None
     converged = False
-    it = 0
     for it in range(cfg.max_iter):
         gx, gy = grad_i(spec, u, xv, yv)
         R = np.concatenate((gx, -gy))
-        rn_inf = float(np.max(np.abs(R)))
+        rn2 = float(np.linalg.norm(R))
+        rn_inf = residual_from_grad(gx, gy)
         if trace is not None:
-            trace.append(_trace_row(spec, u, it, xv, yv, float(np.linalg.norm(R))))
+            trace.append((it, rn2, rn_inf, action_i(spec, u, xv, yv)))
         if rn_inf <= cfg.tol_res:
             converged = True
             break
@@ -187,7 +197,6 @@ def newton(spec, u, z0, cfg: SolverConfig):
         if d is None or not np.all(np.isfinite(d)):
             raise SolverError(
                 f"singular Jacobian at iteration {it} (cond estimate {np.linalg.cond(M):.3e})")
-        rn2 = float(np.linalg.norm(R))
         t = 1.0
         accepted = False
         while t >= 1e-12:
@@ -201,6 +210,8 @@ def newton(spec, u, z0, cfg: SolverConfig):
             t *= 0.5
         if not accepted:
             break  # line search stall; return flagged
+    else:
+        it = cfg.max_iter
     return make_candidate(spec, u, GridFunction.from_interior(xv),
                           GridFunction.from_interior(yv), "newton",
                           iterations=it, converged=converged, trace=trace)
@@ -215,10 +226,8 @@ def _regularized_solve(H, g, sign):
             d = np.linalg.solve(H + sign * lam * I, -g)
         except np.linalg.LinAlgError:
             d = None
-        if d is not None and np.all(np.isfinite(d)):
-            slope = float(g @ d)
-            if (sign > 0 and slope < 0) or (sign < 0 and slope > 0):
-                return d
+        if d is not None and np.all(np.isfinite(d)) and sign * float(g @ d) < 0:
+            return d
         lam = 1e-10 if lam == 0.0 else lam * 100.0
     return -sign * g  # steepest fallback
 
@@ -246,22 +255,41 @@ def _convex_min(value_fn, grad_fn, hess_fn, v0, tol, max_iter=INNER_MAX_ITER):
     return v
 
 
-def _min_in_x(spec, u, yv, x_start, tol):
-    L = spec.lap.matrix
-    return _convex_min(
-        lambda v: action_i(spec, u, v, yv),
-        lambda v: grad_i(spec, u, v, yv)[0],
-        lambda v: L + np.diag(second_partials_i(spec, u, v, yv)[0]),
-        x_start, tol)
+def _order(outer):
+    """Sign ``s`` of the outer step and slot of the outer variable in ``(x, y)``.
+
+    ``outer="y"`` ascends in ``y`` over ``min_x`` (``s = -1``); ``outer="x"``
+    descends in ``x`` over ``max_y`` (``s = +1``).
+    """
+    if outer == "y":
+        return -1.0, 1
+    if outer == "x":
+        return 1.0, 0
+    raise ValueError(f"outer must be 'y' or 'x', got {outer!r}")
 
 
-def _max_in_y(spec, u, xv, y_start, tol):
+def _pair(slot, w, v):
+    """``(x, y)`` from the outer value ``w`` in ``slot`` and the inner value ``v``."""
+    return (v, w) if slot == 1 else (w, v)
+
+
+def _inner_solve(spec, u, outer, w, v_start, tol):
+    """Convex inner solve at a fixed outer value ``w``.
+
+    ``outer="y"`` gives ``argmin_x J(x, w)``, ``outer="x"`` gives
+    ``argmax_y J(w, y)``: both minimize ``-s J`` over the inner variable.
+    """
+    s, slot = _order(outer)
     L = spec.lap.matrix
+
+    def at(v):
+        return _pair(slot, w, v)
+
     return _convex_min(
-        lambda v: -action_i(spec, u, xv, v),
-        lambda v: -grad_i(spec, u, xv, v)[1],
-        lambda v: L - np.diag(second_partials_i(spec, u, xv, v)[2]),
-        y_start, tol)
+        lambda v: -s * action_i(spec, u, *at(v)),
+        lambda v: -s * grad_i(spec, u, *at(v))[1 - slot],
+        lambda v: L - s * np.diag(second_partials_i(spec, u, *at(v))[2 * (1 - slot)]),
+        v_start, tol)
 
 
 def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
@@ -274,71 +302,50 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
     construction and realizes ``min_x max_y`` (pass the starting ``x`` as
     ``y0``).  Stops once the outer gradient norm reaches ``tol_grad``.
     """
-    if outer not in ("y", "x"):
-        raise ValueError(f"outer must be 'y' or 'x', got {outer!r}")
-    T = spec.T
+    s, slot = _order(outer)
     L = spec.lap.matrix
     tol_outer = cfg.tol_grad
-    tol_inner = max(cfg.inner_tol_factor * tol_outer, 1e-14)
+    tol_inner = max(INNER_TOL_FACTOR * tol_outer, 1e-14)
     wv = y0.interior
-    inner = np.zeros(T)
     trace = [] if cfg.record_trace else None
     converged = False
-    it = 0
 
     def reduced_value(w, inner_start):
-        if outer == "y":
-            v = _min_in_x(spec, u, w, inner_start, tol_inner)
-            return action_i(spec, u, v, w), v
-        v = _max_in_y(spec, u, w, inner_start, tol_inner)
-        return action_i(spec, u, w, v), v
+        v = _inner_solve(spec, u, outer, w, inner_start, tol_inner)
+        return action_i(spec, u, *_pair(slot, w, v)), v
 
-    val, inner = reduced_value(wv, inner)
+    val, inner = reduced_value(wv, np.zeros(spec.T))
     for it in range(cfg.max_iter):
-        if outer == "y":
-            g = grad_i(spec, u, inner, wv)[1]
-        else:
-            g = grad_i(spec, u, wv, inner)[0]
+        xv, yv = _pair(slot, wv, inner)
+        grads = grad_i(spec, u, xv, yv)
+        g = grads[slot]
         gn = float(np.linalg.norm(g))
         if trace is not None:
-            xv, yv = (inner, wv) if outer == "y" else (wv, inner)
-            trace.append(_trace_row(spec, u, it, xv, yv, gn))
+            trace.append((it, gn, residual_from_grad(*grads), val))
         if gn <= tol_outer:
             converged = True
             break
-        if outer == "y":
-            fxx, fxy, fyy = second_partials_i(spec, u, inner, wv)
-            Axx = L + np.diag(fxx)
-            cross = np.linalg.lstsq(Axx, np.diag(fxy), rcond=None)[0]
-            S = (-L + np.diag(fyy)) - np.diag(fxy) @ cross
-            d = _regularized_solve(S, g, sign=-1)  # ascent direction for concave reduced fn
-            slope = float(g @ d)
-            t, accepted = 1.0, False
-            while t >= 1e-14:
-                trial, inner_t = reduced_value(wv + t * d, inner)
-                if trial >= val + ARMIJO * t * slope:
-                    wv, val, inner = wv + t * d, trial, inner_t
-                    accepted = True
-                    break
-                t *= 0.5
+        # Hessian of the reduced function, J_ww - J_wv J_vv^{-1} J_vw, through
+        # the convex inner block -s J_vv = L - s F_vv; the second partials
+        # (F_xx, F_xy, F_yy) hold F_ww at 2 * slot and F_vv at 2 * (1 - slot).
+        partials = second_partials_i(spec, u, xv, yv)
+        fxy = np.diag(partials[1])
+        cross = np.linalg.lstsq(L - s * np.diag(partials[2 * (1 - slot)]), fxy, rcond=None)[0]
+        S = (s * L + np.diag(partials[2 * slot])) + s * (fxy @ cross)
+        d = _regularized_solve(S, g, sign=s)
+        slope = float(g @ d)
+        t = 1.0
+        while t >= 1e-14:
+            trial, inner_t = reduced_value(wv + t * d, inner)
+            if s * trial <= s * val + ARMIJO * t * s * slope:
+                wv, val, inner = wv + t * d, trial, inner_t
+                break
+            t *= 0.5
         else:
-            fxx, fxy, fyy = second_partials_i(spec, u, wv, inner)
-            Ayy_neg = L - np.diag(fyy)  # = -(d^2 J / dy^2)
-            cross = np.linalg.lstsq(Ayy_neg, np.diag(fxy), rcond=None)[0]
-            S = (L + np.diag(fxx)) + np.diag(fxy) @ cross  # Hessian of the reduced max-fn
-            d = _regularized_solve(S, g, sign=+1)
-            slope = float(g @ d)
-            t, accepted = 1.0, False
-            while t >= 1e-14:
-                trial, inner_t = reduced_value(wv + t * d, inner)
-                if trial <= val + ARMIJO * t * slope:
-                    wv, val, inner = wv + t * d, trial, inner_t
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
-            break
-    xv, yv = (inner, wv) if outer == "y" else (wv, inner)
+            break  # line search stall; return flagged
+    else:
+        it = cfg.max_iter
+    xv, yv = _pair(slot, wv, inner)
     method = "nested" if outer == "y" else "nested-xfirst"
     return make_candidate(spec, u, GridFunction.from_interior(xv),
                           GridFunction.from_interior(yv), method,
@@ -383,13 +390,7 @@ def verify_saddle(spec, u, cand, probes=64, eps=1e-8, radii=None, seed=0, tol_re
     """
     if tol_res is None:
         tol_res = 1e-8 * (1.0 + spec.lap.norm_inf)
-    if radii is None:
-        rx = 2.0 * (1.0 + h_norm(cand.x))
-        ry = 2.0 * (1.0 + h_norm(cand.y))
-    elif isinstance(radii, tuple):
-        rx, ry = radii
-    else:
-        rx, ry = radii.r1, radii.r2
+    rx, ry = radii_pair(radii, (2.0 * (1.0 + h_norm(cand.x)), 2.0 * (1.0 + h_norm(cand.y))))
     rn = residual(spec, u, cand.x, cand.y)
     residual_ok = rn <= tol_res
 
@@ -407,8 +408,8 @@ def verify_saddle(spec, u, cand, probes=64, eps=1e-8, radii=None, seed=0, tol_re
     inequalities_ok = worst_y <= eps and worst_x <= eps
 
     tol_inner = max(1e-2 * eps, 1e-13)
-    x_min = _min_in_x(spec, u, yv, xv, tol_inner)
-    y_max = _max_in_y(spec, u, xv, yv, tol_inner)
+    x_min = _inner_solve(spec, u, "y", yv, xv, tol_inner)
+    y_max = _inner_solve(spec, u, "x", xv, yv, tol_inner)
     min_over_x = action_i(spec, u, x_min, yv)
     max_over_y = action_i(spec, u, xv, y_max)
     minimax_ok = abs(min_over_x - value) <= eps and abs(max_over_y - value) <= eps
@@ -446,28 +447,16 @@ class SaddleSet:
         return not self.points
 
 
-def _thread_count():
-    raw = os.environ.get("SADDLEBVP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     """Multistart solve and clustering of the distinct saddle points found.
 
     Starts are uniform in the product ball (radii from a certificate when
     available); converged candidates closer than ``cluster_radius`` in the
-    product norm collapse to the best-resolved representative.  Results are
-    deterministic for a fixed seed and independent of execution order.
+    product norm collapse to the best-resolved representative.  A start that
+    raises :class:`SolverError` or leaves the expression domain (``ExprError``)
+    counts as failed.  Results are deterministic for a fixed seed.
     """
-    if radii is None:
-        rx = ry = 4.0
-    elif isinstance(radii, tuple):
-        rx, ry = radii
-    else:
-        rx, ry = radii.r1, radii.r2
+    rx, ry = radii_pair(radii, DEFAULT_RADII)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.multistart)
     starts = []
     for child in seeds:
@@ -477,16 +466,10 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     def run(z0):
         try:
             return solve(spec, u, z0, cfg)
-        except SolverError:
+        except (SolverError, ExprError):
             return None
 
-    threads = _thread_count()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(z0) for z0 in starts]
+    results = [run(z0) for z0 in starts]
 
     converged = [c for c in results if c is not None and c.converged]
     failures = len(results) - len(converged)

@@ -24,6 +24,11 @@ def zero_problem(T=3):
     return ProblemSpec.create(T, 1.0, "0*x"), ParameterFunction.constant(0.0, T, 1.0)
 
 
+def log_problem(T=3):
+    return (ProblemSpec.create(T, 1.0, "x^2 - y^2 + log(x + 1.5)"),
+            ParameterFunction.constant(0.0, T, 1.0))
+
+
 # --- extragradient ------------------------------------------------------------
 
 def test_extragradient_zero_field():
@@ -277,18 +282,13 @@ def test_all_three_methods_agree_pairwise():
                 assert abs(a.value - b.value) <= 1e-8
 
 
-def test_saddle_set_thread_count_does_not_change_results(monkeypatch):
-    spec = ProblemSpec.create(3, 1.0, "x^2 - y^2 + 0.3*x*y + u*x")
-    u = ParameterFunction.constant(0.5, 3, 1.0)
-    cfg = SolverConfig(method="newton", multistart=8, seed=21)
-    monkeypatch.delenv("SADDLEBVP_THREADS", raising=False)
-    serial = saddle_set(spec, u, cfg, radii=(3.0, 3.0))
-    monkeypatch.setenv("SADDLEBVP_THREADS", "4")
-    threaded = saddle_set(spec, u, cfg, radii=(3.0, 3.0))
-    assert len(serial.points) == len(threaded.points)
-    for a, b in zip(serial.points, threaded.points):
-        assert np.array_equal(a.x.values, b.x.values)
-        assert np.array_equal(a.y.values, b.y.values)
+def test_saddle_set_domain_error_counts_as_failed_start():
+    # starts that step into x + 1.5 <= 0 raise DomainError inside the solver
+    spec, u = log_problem()
+    sset = saddle_set(spec, u, SolverConfig(method="extragradient"), radii=(4.0, 4.0))
+    assert sset.attempts == 8
+    assert 1 <= sset.failures < 8
+    assert len(sset.points) == 1 and sset.points[0].converged
 
 
 # --- misc ------------------------------------------------------------------------------
@@ -300,6 +300,33 @@ def test_lipschitz_estimate_quadratic_exact():
     expected = (2.0 + np.sqrt(2.0)) + 2.0
     assert lipschitz_estimate(spec, u, 2.0, 2.0, samples=3) == pytest.approx(
         expected, rel=1e-6)
+
+
+def test_exhausted_runs_report_max_iter_iterations():
+    spec, u = log_problem()
+    z0 = (GridFunction.zeros(3), GridFunction.zeros(3))
+    eg = extragradient(spec, u, z0, SolverConfig(max_iter=50, step=0.01))
+    assert not eg.converged and eg.iterations == 50
+    nt = newton(spec, u, z0, SolverConfig(max_iter=1))
+    assert not nt.converged and nt.iterations == 1
+    for outer in ("y", "x"):
+        w0 = GridFunction.from_interior([0.5, -0.3, 0.2])
+        ns = nested_minimax(spec, u, w0, SolverConfig(max_iter=1), outer=outer)
+        assert not ns.converged and ns.iterations == 1
+
+
+def test_last_trace_row_matches_candidate():
+    spec = ProblemSpec.create(3, 1.0, "x*y + exp(x/2) - exp(y/2) + u*x")
+    u = ParameterFunction.constant(0.4, 3, 1.0)
+    cfg = SolverConfig(tol_grad=1e-11, tol_res=1e-11, record_trace=True)
+    z0 = start([0.3, -0.1, 0.2], [0.1, 0.4, -0.2])
+    for cand in (extragradient(spec, u, z0, cfg), newton(spec, u, z0, cfg),
+                 nested_minimax(spec, u, z0[1], cfg)):
+        assert cand.converged
+        it, _, res, value = cand.trace[-1]
+        assert it == cand.iterations
+        assert res == cand.residual_norm
+        assert value == cand.value
 
 
 def test_solver_config_validation():
