@@ -15,7 +15,7 @@ import numpy as np
 
 from .expressions import evaluate
 from .grid import GridFunction, h_norm, random_in_ball
-from .problem import ParameterFunction, action_i, make_candidate
+from .problem import ParameterFunction, integrand_sum_i, make_candidate
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
                       saddle_set, verify_saddle)
 
@@ -106,9 +106,6 @@ def uniform_gap(spec, u_a, u_b, box, samples=256, seed=0) -> float:
     """
     rx, ry = radii_pair(box)
     rng = np.random.default_rng(seed)
-    env_a = {"u": u_a.values}
-    env_b = {"u": u_b.values}
-    k = spec.nodes()
     worst = 0.0
     for i in range(max(1, samples)):
         x = random_in_ball(spec.T, rx, rng)
@@ -120,8 +117,8 @@ def uniform_gap(spec, u_a, u_b, box, samples=256, seed=0) -> float:
                 xv = xv * (rx / nx)
             if ny > 0:
                 yv = yv * (ry / ny)
-        fa = action_i(spec, u_a, xv, yv)
-        fb = action_i(spec, u_b, xv, yv)
+        fa = integrand_sum_i(spec, u_a, xv, yv)
+        fb = integrand_sum_i(spec, u_b, xv, yv)
         worst = max(worst, abs(fa - fb))
     return float(worst)
 

@@ -6,9 +6,10 @@ whose quadratic form is realized by the tridiagonal matrix with 2 on the
 diagonal and -1 off it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal, lapack, solve_banded
 from scipy.optimize import minimize
 
 
@@ -111,13 +112,17 @@ class DirichletLaplacian:
 
     Acts on interior values ``1..T``.  Positive definite; its quadratic form
     reproduces the squared difference norm: ``x_int @ L @ x_int == h_norm(x)**2``.
+    Only the dimension is stored.  The solves and the eigenvalue below work on
+    the band of ``L`` shifted by a diagonal, in ``O(T)`` time and memory.
     """
 
     dimension: int
-    matrix: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense ``T x T`` copy, built on each access (for small ``T``)."""
+        T = self.dimension
+        return _freeze(2.0 * np.eye(T) - np.eye(T, k=1) - np.eye(T, k=-1))
 
     def apply(self, interior):
         """Matrix-vector product on interior values."""
@@ -143,16 +148,76 @@ class DirichletLaplacian:
 
     @property
     def norm_inf(self) -> float:
-        """Maximum absolute row sum."""
-        return float(np.max(np.sum(np.abs(self.matrix), axis=1)))
+        """Maximum absolute row sum: 2 for ``T = 1``, 3 for ``T = 2``, else 4."""
+        return float(min(self.dimension + 1, 4))
+
+    def solve_shifted(self, shift, rhs):
+        """Solve ``(L + diag(shift)) v = rhs`` by tridiagonal LU.
+
+        Raises ``LinAlgError`` on an exactly singular matrix; may return a
+        non-finite ``v`` for a singular or non-finite one.
+        """
+        T = self.dimension
+        ab = np.empty((3, T))
+        ab[0] = ab[2] = -1.0
+        ab[1] = 2.0 + np.asarray(shift, dtype=float)
+        # for T = 1 scipy divides by the diagonal, so a zero pivot gives inf, not an error
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return solve_banded((1, 1), ab, rhs, check_finite=False)
+
+    def smallest_eigenvalue_shifted(self, shift) -> float:
+        """Smallest eigenvalue of ``L + diag(shift)`` by tridiagonal bisection."""
+        d = 2.0 + np.asarray(shift, dtype=float)
+        e = np.full(self.dimension - 1, -1.0)
+        return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0])
+
+    def _coupled_band(self, shift_x, coupling, shift_y):
+        """Band storage of the coupled matrix of :meth:`solve_coupled`.
+
+        Unknowns are interleaved as ``(x_1, y_1, x_2, y_2, ...)``, which puts
+        the ``2T x 2T`` matrix in a band of two diagonals on each side;
+        row ``2 + i - j`` of the result holds entry ``(i, j)``, the layout of
+        ``scipy.linalg.solve_banded((2, 2), ...)``.
+        """
+        ab = np.zeros((5, 2 * self.dimension))
+        ab[0, 2:] = ab[4, :-2] = -1.0
+        ab[1, 1::2] = coupling
+        ab[2, 0::2] = 2.0 + np.asarray(shift_x, dtype=float)
+        ab[2, 1::2] = 2.0 + np.asarray(shift_y, dtype=float)
+        ab[3, 0::2] = -np.asarray(coupling, dtype=float)
+        return ab
+
+    def solve_coupled(self, shift_x, coupling, shift_y, rhs_x, rhs_y):
+        """Solve ``[[L + diag(shift_x), diag(c)], [-diag(c), L + diag(shift_y)]] v = rhs``.
+
+        Returns ``(v_x, v_y)``.  Banded LU with partial pivoting on the
+        interleaved unknowns.  Raises ``LinAlgError`` on an exactly singular
+        matrix; may return non-finite values for a singular or non-finite one.
+        """
+        rhs = np.empty(2 * self.dimension)
+        rhs[0::2] = rhs_x
+        rhs[1::2] = rhs_y
+        v = solve_banded((2, 2), self._coupled_band(shift_x, coupling, shift_y), rhs,
+                         check_finite=False)
+        return v[0::2], v[1::2]
+
+    def coupled_condition(self, shift_x, coupling, shift_y) -> float:
+        """1-norm condition estimate of the coupled matrix (LAPACK ``gbtrf``/``gbcon``)."""
+        band = self._coupled_band(shift_x, coupling, shift_y)
+        ab = np.zeros((7, band.shape[1]))  # two extra rows for the fill-in of pivoting
+        ab[2:] = band
+        lu, piv, info = lapack.dgbtrf(ab, 2, 2)
+        if info > 0:
+            return np.inf  # a zero pivot: exactly singular
+        rcond, _ = lapack.dgbcon(2, 2, lu, piv, float(np.max(np.sum(np.abs(band), axis=0))))
+        return np.inf if rcond == 0.0 else 1.0 / rcond
 
 
 def laplacian(T: int) -> DirichletLaplacian:
-    """Dirichlet second-difference matrix of size ``T x T``."""
+    """Dirichlet second-difference operator of size ``T x T``."""
     if T < 1:
         raise GridError(f"T must be >= 1, got {T}")
-    L = 2.0 * np.eye(T) - np.eye(T, k=1) - np.eye(T, k=-1)
-    return DirichletLaplacian(dimension=T, matrix=L)
+    return DirichletLaplacian(dimension=T)
 
 
 def random_in_ball(T, radius, rng):

@@ -144,18 +144,15 @@ def _check_curvature(spec, u, fixed, box, samples, seed, tol, convex):
     T = spec.T
     curvature_node = spec.field.fxx if convex else spec.field.fyy
     state_dependent = depends_on(curvature_node, "x") or depends_on(curvature_node, "y")
-    L = spec.lap.matrix
     worst_eig = np.inf
 
     def hessian_margin(point):
         # smallest eigenvalue of L + diag(F_xx), or of -(-L + diag(F_yy))
         if convex:
-            diag = field_values(spec, u, point, fixed, curvature_node)
-            M = L + np.diag(diag)
+            shift = field_values(spec, u, point, fixed, curvature_node)
         else:
-            diag = field_values(spec, u, fixed, point, curvature_node)
-            M = L - np.diag(diag)
-        return float(np.linalg.eigvalsh(M)[0])
+            shift = -field_values(spec, u, fixed, point, curvature_node)
+        return spec.lap.smallest_eigenvalue_shifted(shift)
 
     n_points = 1 if not state_dependent else max(1, samples)
     for _ in range(n_points):

@@ -128,11 +128,15 @@ def field_values(spec, u, x: GridFunction, y: GridFunction, node):
     return _eval(spec, node, _env(spec, u, x.values[1:-1], y.values[1:-1]))
 
 
+def integrand_sum_i(spec, u, xv, yv) -> float:
+    """``sum_k F(k, x(k), y(k), u(k))``: the action without its quadratic terms."""
+    return float(np.sum(_eval(spec, spec.field.f, _env(spec, u, xv, yv))))
+
+
 def action_i(spec, u, xv, yv) -> float:
     dx = np.diff(np.concatenate(([0.0], xv, [0.0])))
     dy = np.diff(np.concatenate(([0.0], yv, [0.0])))
-    fsum = np.sum(_eval(spec, spec.field.f, _env(spec, u, xv, yv)))
-    return float(0.5 * (dx @ dx - dy @ dy) + fsum)
+    return float(0.5 * (dx @ dx - dy @ dy) + integrand_sum_i(spec, u, xv, yv))
 
 
 def grad_i(spec, u, xv, yv):
@@ -181,7 +185,10 @@ def residual(spec: ProblemSpec, u: ParameterFunction, x: GridFunction, y: GridFu
 
 
 def hessian_blocks(spec: ProblemSpec, u: ParameterFunction, x: GridFunction, y: GridFunction):
-    """Second-derivative blocks ``(L + diag(F_xx), diag(F_xy), -L + diag(F_yy))``."""
+    """Second-derivative blocks ``(L + diag(F_xx), diag(F_xy), -L + diag(F_yy))``.
+
+    Dense ``T x T`` arrays, for small ``T``; the solvers work on the band.
+    """
     _check_dims(spec, u, x, y)
     fxx, fxy, fyy = second_partials_i(spec, u, x.values[1:-1], y.values[1:-1])
     L = spec.lap.matrix

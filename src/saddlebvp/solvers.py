@@ -80,30 +80,22 @@ def product_distance(a, b) -> float:
     return float(np.hypot(h_norm(a.x - b.x), h_norm(a.y - b.y)))
 
 
-def _assemble_jacobian(spec, u, xv, yv):
-    fxx, fxy, fyy = second_partials_i(spec, u, xv, yv)
-    L = spec.lap.matrix
-    T = spec.T
-    M = np.zeros((2 * T, 2 * T))
-    M[:T, :T] = L + np.diag(fxx)
-    M[:T, T:] = np.diag(fxy)
-    M[T:, :T] = -np.diag(fxy)
-    M[T:, T:] = L - np.diag(fyy)
-    return M
-
-
 def lipschitz_estimate(spec, u, radius_x, radius_y, samples=8, seed=0, power_iters=60):
     """Largest Jacobian 2-norm of the monotone operator over sampled points.
 
     Power iteration at each sample; the maximum over samples estimates the
-    Lipschitz constant of the operator on the product ball.
+    Lipschitz constant of the operator on the product ball.  The Jacobian is
+    assembled dense in ``(x, y)`` block order, ``O(T^2)`` memory per sample.
     """
     rng = np.random.default_rng(seed)
+    L = spec.lap.matrix
     best = 0.0
     for _ in range(max(1, samples)):
         x = random_in_ball(spec.T, radius_x, rng)
         y = random_in_ball(spec.T, radius_y, rng)
-        M = _assemble_jacobian(spec, u, x.interior, y.interior)
+        fxx, fxy, fyy = second_partials_i(spec, u, x.interior, y.interior)
+        M = np.block([[L + np.diag(fxx), np.diag(fxy)],
+                      [-np.diag(fxy), L - np.diag(fyy)]])
         v = rng.standard_normal(2 * spec.T)
         v /= np.linalg.norm(v)
         sigma = 0.0
@@ -171,12 +163,13 @@ def newton(spec, u, z0, cfg: SolverConfig):
     """Damped Newton on the first-order system ``(L x + F_x, L y - F_y)``.
 
     Armijo backtracking on the system norm; stops when the max-norm defect
-    falls below ``tol_res``.  Raises :class:`SolverError` on a singular
-    Jacobian (with a condition estimate); stalls return the iterate flagged.
+    falls below ``tol_res``.  The Jacobian ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]``
+    is solved as a band (:meth:`~saddlebvp.grid.DirichletLaplacian.solve_coupled`).
+    Raises :class:`SolverError` on a singular Jacobian (with a condition
+    estimate); stalls return the iterate flagged.
     """
     x0, y0 = z0
     xv, yv = x0.interior, y0.interior
-    T = spec.T
     trace = [] if cfg.record_trace else None
     converged = False
     for it in range(cfg.max_iter):
@@ -189,19 +182,19 @@ def newton(spec, u, z0, cfg: SolverConfig):
         if rn_inf <= cfg.tol_res:
             converged = True
             break
-        M = _assemble_jacobian(spec, u, xv, yv)
+        fxx, fxy, fyy = second_partials_i(spec, u, xv, yv)
         try:
-            d = np.linalg.solve(M, -R)
+            dx, dy = spec.lap.solve_coupled(fxx, fxy, -fyy, -gx, gy)
         except np.linalg.LinAlgError:
-            d = None
-        if d is None or not np.all(np.isfinite(d)):
-            raise SolverError(
-                f"singular Jacobian at iteration {it} (cond estimate {np.linalg.cond(M):.3e})")
+            dx = dy = None
+        if dx is None or not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
+            cond = spec.lap.coupled_condition(fxx, fxy, -fyy)
+            raise SolverError(f"singular Jacobian at iteration {it} (cond estimate {cond:.3e})")
         t = 1.0
         accepted = False
         while t >= 1e-12:
-            xt = xv + t * d[:T]
-            yt = yv + t * d[T:]
+            xt = xv + t * dx
+            yt = yv + t * dy
             gxt, gyt = grad_i(spec, u, xt, yt)
             if np.linalg.norm(np.concatenate((gxt, -gyt))) <= (1.0 - ARMIJO * t) * rn2:
                 xv, yv = xt, yt
@@ -217,13 +210,16 @@ def newton(spec, u, z0, cfg: SolverConfig):
                           iterations=it, converged=converged, trace=trace)
 
 
-def _regularized_solve(H, g, sign):
-    """Direction ``d`` with ``H d = -g`` nudged toward descent (sign=+1) or ascent (-1)."""
+def _regularized_solve(solve_shifted, g, sign):
+    """Direction ``d`` with ``H d = -g`` nudged toward descent (sign=+1) or ascent (-1).
+
+    ``solve_shifted(lam)`` solves ``(H + sign * lam * I) d = -g``; ``lam`` grows
+    from 0 until ``d`` points the right way.
+    """
     lam = 0.0
-    I = np.eye(H.shape[0])
     while lam <= 1e8:
         try:
-            d = np.linalg.solve(H + sign * lam * I, -g)
+            d = solve_shifted(lam)
         except np.linalg.LinAlgError:
             d = None
         if d is not None and np.all(np.isfinite(d)) and sign * float(g @ d) < 0:
@@ -232,20 +228,28 @@ def _regularized_solve(H, g, sign):
     return -sign * g  # steepest fallback
 
 
-def _convex_min(value_fn, grad_fn, hess_fn, v0, tol, max_iter=INNER_MAX_ITER):
-    """Newton descent with Armijo backtracking for a convex objective."""
+def _convex_min(value_fn, grad_fn, shift_fn, lap, v0, tol, max_iter=INNER_MAX_ITER):
+    """Newton descent with Armijo backtracking for a convex objective.
+
+    The Hessian at ``v`` is ``L + diag(shift_fn(v))``, solved as a tridiagonal
+    band.  A trial point outside the integrand's domain is a rejected step.
+    """
     v = np.array(v0, dtype=float)
     val = value_fn(v)
     for _ in range(max_iter):
         g = grad_fn(v)
         if np.linalg.norm(g) <= tol:
             return v
-        d = _regularized_solve(hess_fn(v), g, sign=+1)
+        shift = shift_fn(v)
+        d = _regularized_solve(lambda lam: lap.solve_shifted(shift + lam, -g), g, sign=+1)
         slope = float(g @ d)
         t = 1.0
         while t >= 1e-14:
             vt = v + t * d
-            valt = value_fn(vt)
+            try:
+                valt = value_fn(vt)
+            except ExprError:
+                valt = np.inf
             if valt <= val + ARMIJO * t * slope:
                 v, val = vt, valt
                 break
@@ -280,7 +284,6 @@ def _inner_solve(spec, u, outer, w, v_start, tol):
     ``argmax_y J(w, y)``: both minimize ``-s J`` over the inner variable.
     """
     s, slot = _order(outer)
-    L = spec.lap.matrix
 
     def at(v):
         return _pair(slot, w, v)
@@ -288,8 +291,25 @@ def _inner_solve(spec, u, outer, w, v_start, tol):
     return _convex_min(
         lambda v: -s * action_i(spec, u, *at(v)),
         lambda v: -s * grad_i(spec, u, *at(v))[1 - slot],
-        lambda v: L - s * np.diag(second_partials_i(spec, u, *at(v))[2 * (1 - slot)]),
-        v_start, tol)
+        lambda v: -s * second_partials_i(spec, u, *at(v))[2 * (1 - slot)],
+        spec.lap, v_start, tol)
+
+
+def _schur_solve(lap, partials, slot, s, g, lam):
+    """Outer direction ``d`` with ``(S + s lam I) d = -g``, ``S`` the reduced Hessian.
+
+    ``S = J_ww - J_wv J_vv^{-1} J_vw`` is the Schur complement of the convex
+    inner block ``-s J_vv = L - s F_vv``.  Rather than forming it, solve the
+    Jacobian band ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]`` with ``lam`` added
+    on the outer diagonal, ``-s g`` in the outer slots and 0 in the inner
+    ones: eliminating the inner unknowns leaves ``(s S + lam I) d = -s g``.
+    """
+    fxx, fxy, fyy = partials
+    shifts = [fxx, -fyy]
+    shifts[slot] = shifts[slot] + lam
+    rhs = [np.zeros_like(g), np.zeros_like(g)]
+    rhs[slot] = -s * g
+    return lap.solve_coupled(shifts[0], fxy, shifts[1], *rhs)[slot]
 
 
 def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
@@ -298,12 +318,12 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
     With ``outer="y"`` (the default) the inner problem minimizes the convex
     ``x``-section and the outer loop ascends the concave reduced function,
     realizing ``max_y min_x``; the outer direction comes from the Schur
-    complement of the second-derivative blocks.  ``outer="x"`` mirrors the
-    construction and realizes ``min_x max_y`` (pass the starting ``x`` as
-    ``y0``).  Stops once the outer gradient norm reaches ``tol_grad``.
+    complement of the second-derivative blocks (:func:`_schur_solve`).
+    ``outer="x"`` mirrors the construction and realizes ``min_x max_y`` (pass
+    the starting ``x`` as ``y0``).  Stops once the outer gradient norm
+    reaches ``tol_grad``.
     """
     s, slot = _order(outer)
-    L = spec.lap.matrix
     tol_outer = cfg.tol_grad
     tol_inner = max(INNER_TOL_FACTOR * tol_outer, 1e-14)
     wv = y0.interior
@@ -325,14 +345,9 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
         if gn <= tol_outer:
             converged = True
             break
-        # Hessian of the reduced function, J_ww - J_wv J_vv^{-1} J_vw, through
-        # the convex inner block -s J_vv = L - s F_vv; the second partials
-        # (F_xx, F_xy, F_yy) hold F_ww at 2 * slot and F_vv at 2 * (1 - slot).
         partials = second_partials_i(spec, u, xv, yv)
-        fxy = np.diag(partials[1])
-        cross = np.linalg.lstsq(L - s * np.diag(partials[2 * (1 - slot)]), fxy, rcond=None)[0]
-        S = (s * L + np.diag(partials[2 * slot])) + s * (fxy @ cross)
-        d = _regularized_solve(S, g, sign=s)
+        d = _regularized_solve(lambda lam: _schur_solve(spec.lap, partials, slot, s, g, lam),
+                               g, sign=s)
         slope = float(g @ d)
         t = 1.0
         while t >= 1e-14:
@@ -384,7 +399,8 @@ def verify_saddle(spec, u, cand, probes=64, eps=1e-8, radii=None, seed=0, tol_re
 
     (a) system defect below ``tol_res`` (default ``1e-8 * (1 + max row sum
     of the difference matrix)``); (b) sampled saddle inequalities against
-    ``probes`` random points of the product ball; (c) the inner solves
+    ``probes`` random points of the product ball, skipping any outside the
+    integrand's domain; (c) the inner solves
     ``min_x J(x, y*)`` and ``max_y J(x*, y)`` both reproduce the candidate
     value within ``eps``.
     """
@@ -400,11 +416,18 @@ def verify_saddle(spec, u, cand, probes=64, eps=1e-8, radii=None, seed=0, tol_re
     value = action_i(spec, u, xv, yv)
     worst_y = -np.inf
     worst_x = -np.inf
+
+    def gap(sign, xs, ys):
+        try:
+            return sign * (action_i(spec, u, xs, ys) - value)
+        except ExprError:
+            return -np.inf  # a probe outside the integrand's domain is skipped
+
     for _ in range(max(1, probes)):
         py = random_in_ball(spec.T, ry, rng)
         px = random_in_ball(spec.T, rx, rng)
-        worst_y = max(worst_y, action_i(spec, u, xv, py.interior) - value)
-        worst_x = max(worst_x, value - action_i(spec, u, px.interior, yv))
+        worst_y = max(worst_y, gap(1.0, xv, py.interior))
+        worst_x = max(worst_x, gap(-1.0, px.interior, yv))
     inequalities_ok = worst_y <= eps and worst_x <= eps
 
     tol_inner = max(1e-2 * eps, 1e-13)

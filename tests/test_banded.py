@@ -1,0 +1,109 @@
+"""Banded operator core against dense oracles built from ``conftest.dirichlet_matrix``."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import dirichlet_matrix, nonlinear_instance
+from saddlebvp import GridFunction, ParameterFunction, ProblemSpec, laplacian
+from saddlebvp.hypotheses import check_concavity_y, check_convexity_x
+from saddlebvp.problem import grad_i, second_partials_i
+from saddlebvp.solvers import _schur_solve
+
+SIZES = (1, 2, 3, 17)
+
+
+def random_point(T, seed):
+    rng = np.random.default_rng(seed)
+    spec, u = nonlinear_instance(rng, T)
+    return spec, u, rng.uniform(-2, 2, T), rng.uniform(-2, 2, T)
+
+
+def test_norm_inf_matches_row_sums():
+    for T in range(1, 7):
+        expected = np.max(np.sum(np.abs(dirichlet_matrix(T)), axis=1))
+        assert laplacian(T).norm_inf == expected
+
+
+@pytest.mark.parametrize("T", SIZES)
+def test_shifted_solve_matches_dense(T):
+    rng = np.random.default_rng(T)
+    shift = rng.uniform(-1, 1, T)
+    rhs = rng.standard_normal(T)
+    v = laplacian(T).solve_shifted(shift, rhs)
+    expected = np.linalg.solve(dirichlet_matrix(T) + np.diag(shift), rhs)
+    assert np.allclose(v, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("T", SIZES)
+def test_newton_direction_matches_dense_solve(T):
+    spec, u, xv, yv = random_point(T, 100 + T)
+    gx, gy = grad_i(spec, u, xv, yv)
+    fxx, fxy, fyy = second_partials_i(spec, u, xv, yv)
+    dx, dy = spec.lap.solve_coupled(fxx, fxy, -fyy, -gx, gy)
+    L = dirichlet_matrix(T)
+    M = np.block([[L + np.diag(fxx), np.diag(fxy)],
+                  [-np.diag(fxy), L - np.diag(fyy)]])
+    d = np.linalg.solve(M, np.concatenate((-gx, gy)))
+    assert np.allclose(np.concatenate((dx, dy)), d, rtol=1e-12, atol=1e-12)
+    cond = spec.lap.coupled_condition(fxx, fxy, -fyy)
+    assert cond == pytest.approx(np.linalg.cond(M, 1), rel=0.5)
+
+
+@pytest.mark.parametrize("T", SIZES)
+@pytest.mark.parametrize("outer", ["y", "x"])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_schur_direction_matches_lstsq_formula(T, outer, lam):
+    s, slot = (-1.0, 1) if outer == "y" else (1.0, 0)
+    spec, u, xv, yv = random_point(T, 200 + T)
+    g = grad_i(spec, u, xv, yv)[slot]
+    partials = second_partials_i(spec, u, xv, yv)
+    d = _schur_solve(spec.lap, partials, slot, s, g, lam)
+    # reduced Hessian J_ww - J_wv J_vv^{-1} J_vw through the inner block L - s F_vv
+    L = dirichlet_matrix(T)
+    fxy = np.diag(partials[1])
+    cross = np.linalg.lstsq(L - s * np.diag(partials[2 * (1 - slot)]), fxy, rcond=None)[0]
+    S = (s * L + np.diag(partials[2 * slot])) + s * (fxy @ cross)
+    expected = np.linalg.solve(S + s * lam * np.eye(T), -g)
+    assert np.allclose(d, expected, rtol=1e-11, atol=1e-12)
+
+
+@pytest.mark.parametrize("T", SIZES)
+def test_smallest_shifted_eigenvalue_matches_eigvalsh(T):
+    shift = np.random.default_rng(300 + T).uniform(-3, 3, T)
+    lam = laplacian(T).smallest_eigenvalue_shifted(shift)
+    expected = np.linalg.eigvalsh(dirichlet_matrix(T) + np.diag(shift))[0]
+    assert lam == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("T", SIZES)
+def test_curvature_margins_match_eigvalsh(T):
+    # curvature free of the state: one point decides and the margin is the eigenvalue
+    spec = ProblemSpec.create(T, 1.0, "1.3*sin(3*k)*x^2 - 1.1*cos(2*k)*y^2")
+    u = ParameterFunction.constant(0.0, T, 1.0)
+    k = np.arange(1, T + 1)
+    L = dirichlet_matrix(T)
+    fixed = GridFunction.zeros(T)
+    rep = check_convexity_x(spec, u, fixed, box=1.0, samples=4)
+    assert rep.exact
+    expected = np.linalg.eigvalsh(L + np.diag(2.6 * np.sin(3 * k)))[0]
+    assert rep.worst_margin == pytest.approx(expected, abs=1e-12)
+    rep = check_concavity_y(spec, u, fixed, box=1.0, samples=4)
+    expected = np.linalg.eigvalsh(L - np.diag(-2.2 * np.cos(2 * k)))[0]
+    assert rep.worst_margin == pytest.approx(expected, abs=1e-12)
+
+
+def test_large_problem_memory_is_linear():
+    # a dense Laplacian at T = 10^5 would need 80 GB
+    T = 10 ** 5
+    tracemalloc.start()
+    try:
+        spec = ProblemSpec.create(T, 1.0, "x*y")
+        u = ParameterFunction.constant(0.5, T, 1.0)
+        grad_i(spec, u, np.full(T, 0.1), np.full(T, -0.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+

@@ -69,6 +69,17 @@ def test_solve_unconverged_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("method", ["extragradient", "nested"])
+def test_solve_verification_skips_points_outside_domain(tmp_path, method):
+    # verification probes and inner line searches reach x <= -1.5, where log is undefined
+    problem = write_json(tmp_path / "log.json",
+                         {"T": 3, "D": 1, "F": "x^2 - y^2 + log(x + 1.5)", "u": "0"})
+    code = main(["solve", problem, "--out", str(tmp_path / "log"), "--method", method])
+    assert code == 0
+    points = json.loads((tmp_path / "log.saddle.json").read_text())["saddle_points"]
+    assert points and all(p["verified"] for p in points)
+
+
 # --- check -----------------------------------------------------------------------
 
 def test_check_embedded_certificate(tmp_path):

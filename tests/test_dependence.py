@@ -5,9 +5,10 @@ import pytest
 
 from conftest import dirichlet_matrix, nonlinear_instance
 from saddlebvp import (GridFunction, ParameterFunction, ParameterSequence,
-                       ProblemSpec, SolverConfig, parameter_lipschitz, run_sequence,
-                       uniform_gap, upper_limit_check)
+                       ProblemSpec, SolverConfig, action, h_norm, parameter_lipschitz,
+                       run_sequence, uniform_gap, upper_limit_check)
 from saddlebvp.dependence import DependenceError, geometric_schedule
+from saddlebvp.grid import random_in_ball
 from saddlebvp.solvers import SolverError
 
 CFG = SolverConfig(method="newton", tol_grad=1e-12, tol_res=1e-12, multistart=4)
@@ -111,6 +112,24 @@ def test_uniform_gap_triangle_inequality_on_shared_samples():
         ac = uniform_gap(spec, ua, uc, (3.0, 3.0), **kw)
         cb = uniform_gap(spec, uc, ub, (3.0, 3.0), **kw)
         assert ab <= ac + cb + 1e-12
+
+
+def test_uniform_gap_equals_full_action_difference():
+    # the quadratic terms cancel: the gap of the integrand sums is the gap of the actions
+    rng = np.random.default_rng(23)
+    spec, u0 = nonlinear_instance(rng, 5)
+    u1 = ParameterFunction(rng.uniform(-1, 1, 5), 1.0)
+    r = 3.0
+    gap = uniform_gap(spec, u0, u1, (r, r), samples=16, seed=6)
+    draws = np.random.default_rng(6)
+    worst = 0.0
+    for i in range(16):
+        x = random_in_ball(spec.T, r, draws)
+        y = random_in_ball(spec.T, r, draws)
+        if i % 2 == 0:
+            x, y = (r / h_norm(x)) * x, (r / h_norm(y)) * y
+        worst = max(worst, abs(action(spec, u0, x, y) - action(spec, u1, x, y)))
+    assert gap == pytest.approx(worst, rel=1e-12)
 
 
 def test_uniform_gap_bounded_by_parameter_lipschitz():
