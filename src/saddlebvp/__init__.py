@@ -11,9 +11,8 @@ from .hypotheses import (BallRadii, GrowthCertificate, ball_radii, check_concavi
                          check_convexity_x, fit_growth_certificate, verify_growth)
 from .problem import (ParameterFunction, ProblemSpec, SaddleCandidate, action, grad,
                       hessian_blocks, load_problem, make_candidate, residual)
-from .solvers import (SaddleSet, SolverConfig, extragradient, lipschitz_estimate,
-                      nested_minimax, newton, product_distance, saddle_set,
-                      verify_saddle)
+from .solvers import (SaddleSet, SolverConfig, extragradient, nested_minimax, newton,
+                      product_distance, saddle_set, verify_saddle)
 
 __all__ = [
     "BallRadii", "DependenceReport", "DirichletLaplacian", "GridFunction",
@@ -22,7 +21,7 @@ __all__ = [
     "action", "ball_radii", "check_concavity_y", "check_convexity_x", "delta",
     "differentiate", "embedding_constant", "embedding_estimate", "evaluate",
     "extragradient", "fit_growth_certificate", "grad", "h_norm", "hessian_blocks",
-    "laplacian", "lipschitz_estimate", "load_problem", "make_candidate",
+    "laplacian", "load_problem", "make_candidate",
     "nested_minimax", "newton", "parameter_lipschitz", "parse", "product_distance",
     "residual", "run_sequence", "saddle_set", "second_difference", "to_string",
     "uniform_gap", "upper_limit_check", "verify_growth", "verify_saddle",

@@ -12,6 +12,7 @@ Exit codes: 0 verified/passed, 2 unverified or counterexample found,
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -37,7 +38,7 @@ USER_ERRORS = (ProblemError, ExprError, GridError, HypothesisError,
 def _fmt(v) -> str:
     if isinstance(v, (np.floating, float)):
         v = float(v)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             return "null"
         return format(v, ".17g")
     raise TypeError(f"not a float: {v!r}")
@@ -56,7 +57,10 @@ def _json_text(obj, indent=0):
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [_json_text(v, indent + 1) for v in obj]
+        if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+            items = [_fmt(v) for v in obj.tolist()]  # no per-element dispatch
+        else:
+            items = [_json_text(v, indent + 1) for v in obj]
         if not items:
             return "[]"
         inner = ",\n".join("  " * (indent + 1) + s for s in items)
@@ -116,8 +120,8 @@ def _out_prefix(args):
 
 def _candidate_payload(cand, report=None):
     payload = {
-        "x": list(cand.x.values),
-        "y": list(cand.y.values),
+        "x": cand.x.values,
+        "y": cand.y.values,
         "value": cand.value,
         "grad_norm": cand.grad_norm,
         "residual_norm": cand.residual_norm,
@@ -131,10 +135,10 @@ def _candidate_payload(cand, report=None):
     return payload
 
 
-def _solver_config(args):
+def _solver_config(args, record_trace):
     return SolverConfig(method=args.method, tol_grad=args.tol, tol_res=args.tol,
                         max_iter=args.max_iter, multistart=args.multistart,
-                        seed=args.seed, record_trace=True)
+                        seed=args.seed, record_trace=record_trace)
 
 
 def _radii_from_args(args, spec, data):
@@ -156,7 +160,7 @@ def cmd_solve(args):
     start = time.perf_counter()
     data = _load_json(args.problem)
     spec, u = problem_from_dict(data)
-    cfg = _solver_config(args)
+    cfg = _solver_config(args, record_trace=True)
     _, radii = _radii_from_args(args, spec, data)
     sset = saddle_set(spec, u, cfg, radii=radii)
     reports = [verify_saddle(spec, u, cand, radii=radii, seed=args.seed)
@@ -275,7 +279,7 @@ def cmd_sweep(args):
     if seq_data is None:
         raise DependenceError("no sequence: pass --sequence or embed one in the problem file")
     seq = _sequence_from_spec(seq_data, spec, u)
-    cfg = _solver_config(args)
+    cfg = _solver_config(args, record_trace=False)  # sweep writes no traces
     _, radii = _radii_from_args(args, spec, data)
     report = run_sequence(spec, seq, cfg, radii=radii, tol_dep=args.tol_dep)
     check = upper_limit_check(report, args.tol_dep)

@@ -226,13 +226,14 @@ def random_in_ball(T, radius, rng):
     Direction is isotropic in the difference norm; the radial law
     ``r = radius * U**(1/T)`` makes the draw uniform over the T-dimensional ball.
     """
-    g = rng.standard_normal(T)
-    x = GridFunction.from_interior(g)
-    n = h_norm(x)
+    padded = np.zeros(T + 2)
+    padded[1:-1] = rng.standard_normal(T)
+    d = np.diff(padded)
+    n = float(np.sqrt(d @ d))
     if n == 0.0:
         return GridFunction.zeros(T)
     r = radius * rng.uniform() ** (1.0 / T)
-    return (r / n) * x
+    return GridFunction(padded * (r / n))
 
 
 @dataclass(frozen=True)

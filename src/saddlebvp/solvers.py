@@ -2,8 +2,9 @@
 
 Three routes to a saddle point of the action:
 
-* ``extragradient`` -- the classical two-step scheme for the monotone
-  operator ``(grad_x J, -grad_y J)``; needs only first derivatives.
+* ``extragradient`` -- the two-step scheme for the monotone operator
+  ``(grad_x J, -grad_y J)`` with a locally backtracked step; needs only
+  first derivatives.
 * ``newton`` -- damped Newton with Armijo backtracking on the first-order
   system; quadratic convergence near a solution.
 * ``nested`` -- the constructive route of the existence argument: minimize
@@ -27,6 +28,9 @@ from .problem import (action_i, grad_i, make_candidate, residual,
 INNER_MAX_ITER = 200
 INNER_TOL_FACTOR = 1e-2     # nested inner solves stop at this fraction of the outer tolerance
 ARMIJO = 1e-4
+EG_NU = 0.9                 # extragradient predictor test: |G(z_hat) - G(z)| <= EG_NU |G(z)|
+EG_GROWTH = 1.1             # extragradient step growth after an accepted step
+EG_MIN_STEP = 1e-12         # extragradient halving floor; below it the start stops
 DEFAULT_RADII = (4.0, 4.0)  # multistart ball radii when no certificate gives them
 
 
@@ -39,7 +43,6 @@ class SolverConfig:
     """Knobs shared by all solvers; tolerances are absolute."""
 
     method: str = "newton"
-    step: float = None          # extragradient step; None -> 0.9 / Lipschitz estimate
     tol_grad: float = 1e-10
     tol_res: float = 1e-10
     max_iter: int = 20000
@@ -55,8 +58,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
         if self.multistart < 1:
             raise ValueError("multistart must be >= 1")
         if self.cluster_radius <= 0:
@@ -80,52 +81,22 @@ def product_distance(a, b) -> float:
     return float(np.hypot(h_norm(a.x - b.x), h_norm(a.y - b.y)))
 
 
-def lipschitz_estimate(spec, u, radius_x, radius_y, samples=8, seed=0, power_iters=60):
-    """Largest Jacobian 2-norm of the monotone operator over sampled points.
-
-    Power iteration at each sample; the maximum over samples estimates the
-    Lipschitz constant of the operator on the product ball.  The Jacobian is
-    assembled dense in ``(x, y)`` block order, ``O(T^2)`` memory per sample.
-    """
-    rng = np.random.default_rng(seed)
-    L = spec.lap.matrix
-    best = 0.0
-    for _ in range(max(1, samples)):
-        x = random_in_ball(spec.T, radius_x, rng)
-        y = random_in_ball(spec.T, radius_y, rng)
-        fxx, fxy, fyy = second_partials_i(spec, u, x.interior, y.interior)
-        M = np.block([[L + np.diag(fxx), np.diag(fxy)],
-                      [-np.diag(fxy), L - np.diag(fyy)]])
-        v = rng.standard_normal(2 * spec.T)
-        v /= np.linalg.norm(v)
-        sigma = 0.0
-        for _ in range(power_iters):
-            w = M.T @ (M @ v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            sigma = np.sqrt(nw)
-            v = w / nw
-        best = max(best, sigma)
-    if best == 0.0:
-        best = spec.lap.norm_inf
-    return float(best)
-
-
 def extragradient(spec, u, z0, cfg: SolverConfig):
-    """Two-step extragradient on ``G = (grad_x J, -grad_y J)``.
+    """Extragradient on ``G = (grad_x J, -grad_y J)`` with a local step rule.
 
-    Stops when the Euclidean norm of ``G`` drops below ``tol_grad``.
-    Divergence (norm growing tenfold over 50 iterations) and iteration
+    The step ``gamma`` starts at ``1 / |L|_inf`` and is halved until the
+    predictor ``z_hat = z - gamma G(z)`` passes Khobotov's test
+    ``|G(z_hat) - G(z)| <= EG_NU |G(z)|``, i.e.
+    ``gamma |G(z_hat) - G(z)| <= EG_NU |z_hat - z|``; a predictor outside the
+    integrand's domain is rejected.  The corrector is ``z - gamma G(z_hat)``,
+    after which ``gamma`` grows by ``EG_GROWTH``.  Stops when the Euclidean
+    norm of ``G`` drops below ``tol_grad``.  Divergence (norm growing tenfold
+    over 50 iterations), a step below ``EG_MIN_STEP`` and iteration
     exhaustion return the best iterate flagged as not converged.
     """
     x0, y0 = z0
     xv, yv = x0.interior, y0.interior
-    if cfg.step is not None:
-        gamma = cfg.step
-    else:
-        gamma = 0.9 / lipschitz_estimate(
-            spec, u, 2.0 * (1.0 + h_norm(x0)), 2.0 * (1.0 + h_norm(y0)), seed=cfg.seed)
+    gamma = 1.0 / spec.lap.norm_inf
     trace = [] if cfg.record_trace else None
     history = deque(maxlen=50)
     best = (np.inf, xv, yv, 0)
@@ -143,13 +114,23 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
         if not np.isfinite(gn):
             break
         if len(history) == 50 and gn > 10.0 * history[0]:
-            break  # step too large for this problem
+            break  # iterates run away: not a monotone problem
         history.append(gn)
-        xh = xv - gamma * gx
-        yh = yv + gamma * gy
-        gxh, gyh = grad_i(spec, u, xh, yh)
+        while gamma >= EG_MIN_STEP:
+            try:
+                gxh, gyh = grad_i(spec, u, xv - gamma * gx, yv + gamma * gy)
+            except ExprError:
+                gamma *= 0.5  # predictor outside the domain: rejected
+                continue
+            dx, dy = gxh - gx, gyh - gy
+            if np.sqrt(dx @ dx + dy @ dy) <= EG_NU * gn:
+                break
+            gamma *= 0.5
+        else:
+            break  # step floor reached; return flagged
         xv = xv - gamma * gxh
         yv = yv + gamma * gyh
+        gamma *= EG_GROWTH
     else:
         it = cfg.max_iter
     if not converged:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from saddlebvp.cli import main
+from saddlebvp.cli import _json_text, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BILINEAR = os.path.join(REPO, "demos", "problems", "bilinear_t1.json")
@@ -215,6 +215,13 @@ def test_identical_seeds_byte_identical_outputs(tmp_path):
                      "--method", "extragradient", "--seed", "9"]) == 0
     for name in ("r.saddle.json", "r.trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_float_array_serializes_like_its_list():
+    values = np.array([0.0, -0.1, 1.0 / 3.0, 1e-300, np.inf, 2.5e17, 0.0])
+    doc = {"x": values, "n": [1, 2]}
+    assert _json_text(doc) == _json_text({"x": list(values), "n": [1, 2]})
+    assert _json_text(np.array([])) == "[]"
 
 
 def test_different_seeds_differ(tmp_path):

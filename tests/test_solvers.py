@@ -1,13 +1,18 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import direct_quadratic_solve, nonlinear_instance, quadratic_instance
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, SolverConfig,
-                       h_norm, make_candidate, product_distance)
-from saddlebvp.solvers import (SolverError, extragradient, lipschitz_estimate,
-                               nested_minimax, newton, saddle_set, verify_saddle)
+                       h_norm, load_problem, make_candidate, product_distance)
+from saddlebvp.solvers import (SolverError, extragradient, nested_minimax, newton, saddle_set,
+                               verify_saddle)
 
 TIGHT = SolverConfig(tol_grad=1e-12, tol_res=1e-12)
+EXP_T5 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "demos", "problems", "exp_t5.json")
 
 
 def bilinear_spec(u_value=1.0):
@@ -65,11 +70,47 @@ def test_extragradient_nonconvergence_flagged():
 
 
 def test_extragradient_divergence_detector():
-    spec, u = bilinear_spec(1.0)
-    cfg = SolverConfig(method="extragradient", step=10.0, max_iter=5000, tol_grad=1e-12)
+    # G(z) = -4 z is not monotone: every accepted step moves away from 0
+    spec = ProblemSpec.create(1, 1.0, "-3*x^2 + 3*y^2")
+    u = ParameterFunction.constant(0.0, 1, 1.0)
+    cfg = SolverConfig(method="extragradient", max_iter=5000, tol_grad=1e-12)
     cand = extragradient(spec, u, start(0.5, 0.5), cfg)
     assert not cand.converged
     assert cand.iterations < 5000 - 1  # stopped early, not exhausted
+
+
+def test_extragradient_step_floor_on_domain_edge():
+    # G_x is about 5e14 at x = 1e-30, so every predictor with a step above the
+    # floor lands at x < 0, outside the domain of sqrt
+    spec = ProblemSpec.create(1, 1.0, "x*y + sqrt(x) - y^2")
+    u = ParameterFunction.constant(0.0, 1, 1.0)
+    cand = extragradient(spec, u, start(1e-30, 0.0), SolverConfig(method="extragradient"))
+    assert not cand.converged and cand.iterations == 0
+
+
+def test_extragradient_exp_t5_all_starts_converge():
+    # exp dominates a global Lipschitz bound on the start ball; the local step
+    # converges from every start in about 150 iterations
+    spec, u = load_problem(EXP_T5)
+    cfg = SolverConfig(method="extragradient", max_iter=300)
+    sset = saddle_set(spec, u, cfg)
+    assert sset.attempts == 8 and sset.failures == 0
+    assert len(sset.points) == 1
+    assert all(verify_saddle(spec, u, cand).passed for cand in sset.points)
+
+
+def test_extragradient_memory_is_linear():
+    T = 2000
+    spec = ProblemSpec.create(T, 1.0, "x*y + exp(x/2) - exp(y/2)")
+    u = ParameterFunction.constant(0.5, T, 1.0)
+    z0 = start(np.full(T, 0.1), np.full(T, -0.2))
+    tracemalloc.start()
+    try:
+        extragradient(spec, u, z0, SolverConfig(max_iter=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_extragradient_gradient_norm_monotone_after_warmup():
@@ -293,20 +334,11 @@ def test_saddle_set_domain_error_counts_as_failed_start():
 
 # --- misc ------------------------------------------------------------------------------
 
-def test_lipschitz_estimate_quadratic_exact():
-    # constant Jacobian [[L+2I, 0], [0, L+2I]]: norm = largest eigenvalue + 2
-    spec = ProblemSpec.create(3, 1.0, "x^2 - y^2")
-    u = ParameterFunction.constant(0.0, 3, 1.0)
-    expected = (2.0 + np.sqrt(2.0)) + 2.0
-    assert lipschitz_estimate(spec, u, 2.0, 2.0, samples=3) == pytest.approx(
-        expected, rel=1e-6)
-
-
 def test_exhausted_runs_report_max_iter_iterations():
     spec, u = log_problem()
     z0 = (GridFunction.zeros(3), GridFunction.zeros(3))
-    eg = extragradient(spec, u, z0, SolverConfig(max_iter=50, step=0.01))
-    assert not eg.converged and eg.iterations == 50
+    eg = extragradient(spec, u, z0, SolverConfig(max_iter=3))
+    assert not eg.converged and eg.iterations == 3
     nt = newton(spec, u, z0, SolverConfig(max_iter=1))
     assert not nt.converged and nt.iterations == 1
     for outer in ("y", "x"):
@@ -336,8 +368,6 @@ def test_solver_config_validation():
         SolverConfig(tol_grad=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(step=-1.0)
 
 
 def test_candidate_value_consistency_invariant():
