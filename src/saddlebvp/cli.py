@@ -205,14 +205,13 @@ def cmd_check(args):
     growth = verify_growth(spec, cert, grid_density=args.density)
     anchor_y = cert.anchor_y if cert.anchor_y is not None else GridFunction.zeros(spec.T)
     anchor_x = cert.anchor_x if cert.anchor_x is not None else GridFunction.zeros(spec.T)
-    convex = check_convexity_x(spec, u, anchor_y, cert.box_radius, args.samples, seed=args.seed)
-    concave = check_concavity_y(spec, u, anchor_x, cert.box_radius, args.samples, seed=args.seed)
+    convex = check_convexity_x(spec, u, anchor_y, cert.box_radius, args.density)
+    concave = check_concavity_y(spec, u, anchor_x, cert.box_radius, args.density)
     radii = None
     if growth.alpha_ok:
         radii = ball_radii(cert, embedding_constant(2, spec.T), spec.T)
 
-    manifest = _manifest("check", args.problem, args.seed,
-                         {"density": args.density, "samples": args.samples})
+    manifest = _manifest("check", args.problem, args.seed, {"density": args.density})
     payload = {
         "manifest": manifest,
         "growth": {
@@ -358,9 +357,9 @@ def build_parser():
     p_check.add_argument("problem")
     p_check.add_argument("--certificate", default=None)
     p_check.add_argument("--density", type=int, default=201,
-                         help="sampling density for the growth bounds")
+                         help="grid density for the growth bounds and the curvature checks")
     p_check.add_argument("--samples", type=int, default=64,
-                         help="sample count for the convexity checks")
+                         help="ignored; accepted so that older invocations still run")
     add_common(p_check, with_solver=False)
     p_check.set_defaults(func=cmd_check)
 

@@ -12,8 +12,12 @@ with ``alpha1, alpha2 < 1/(2 c2)`` where ``c2`` is the quadratic embedding
 constant of the grid.  The growth constants yield a priori radii ``r1, r2``
 such that every saddle point lies in the product of the corresponding balls.
 
-Sampled checks cannot prove the bounds globally; reports carry the box and
-densities used, and quadratic integrands are decided exactly.
+The growth bounds are sampled on grids, which cannot prove them globally;
+reports carry the box and densities used.  Curvature is decided per node:
+the Hessian blocks are the tridiagonal ``L`` plus a diagonal, so the worst
+case over the box is one tridiagonal eigenvalue at the per-node grid minima
+(padded for the gaps between grid points), and exact when the curvature
+does not depend on the free slot.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,6 @@ import numpy as np
 
 from .expressions import depends_on, evaluate
 from .grid import GridFunction, embedding_constant, h_norm
-from .problem import action, field_values
 
 DEFAULT_TOL = 1e-9
 
@@ -113,78 +116,52 @@ def certificate_to_dict(cert: GrowthCertificate) -> dict:
 
 @dataclass(frozen=True)
 class ConvexityReport:
+    """``worst_margin`` bounds the smallest Hessian eigenvalue over the box from below."""
+
     passed: bool
     exact: bool
     worst_margin: float
     counterexample: dict = None
 
 
-def _sample_interior(rng, T, radius):
-    return GridFunction.from_interior(rng.uniform(-radius, radius, size=T))
+def check_convexity_x(spec, u, fixed, box, density=201, tol=DEFAULT_TOL) -> ConvexityReport:
+    """Check convexity of ``x -> action(spec, u, x, fixed)`` on the box ``|x_k| <= box``.
 
-
-def check_convexity_x(spec, u, y, box, samples, seed=0, tol=DEFAULT_TOL) -> ConvexityReport:
-    """Check convexity of ``x -> action(spec, u, x, y)`` on the box.
-
-    Midpoint convexity on random pairs, plus positive semidefiniteness of
-    ``L + diag(F_xx)`` at sampled points when curvature varies with the
-    state.  Quadratic-in-state integrands are decided exactly from a single
-    matrix.  Returns the first violation found.
+    The x-Hessian is ``L + diag(F_xx)`` and its smallest eigenvalue does not
+    decrease when a diagonal entry grows (Weyl), so its minimum over the box
+    is ``lambda_min(L + diag(m))`` with ``m_k`` the minimum of ``F_xx`` over
+    ``x_k``.  ``m_k`` is taken on ``density`` grid points of ``[-box, box]``
+    and lowered by half the largest second difference of that node's column,
+    which bounds how far the true minimum can sit between grid points.  The
+    check is ``exact`` when ``F_xx`` does not depend on ``x``.
     """
-    return _check_curvature(spec, u, y, box, samples, seed, tol, convex=True)
+    return _check_curvature(spec, u, fixed, box, density, tol, convex=True)
 
 
-def check_concavity_y(spec, u, x, box, samples, seed=0, tol=DEFAULT_TOL) -> ConvexityReport:
+def check_concavity_y(spec, u, fixed, box, density=201, tol=DEFAULT_TOL) -> ConvexityReport:
     """Mirror image of :func:`check_convexity_x`: ``-L + diag(F_yy)`` must be negative semidefinite."""
-    return _check_curvature(spec, u, x, box, samples, seed, tol, convex=False)
+    return _check_curvature(spec, u, fixed, box, density, tol, convex=False)
 
 
-def _check_curvature(spec, u, fixed, box, samples, seed, tol, convex):
-    rng = np.random.default_rng(seed)
-    T = spec.T
-    curvature_node = spec.field.fxx if convex else spec.field.fyy
-    state_dependent = depends_on(curvature_node, "x") or depends_on(curvature_node, "y")
-    worst_eig = np.inf
-
-    def hessian_margin(point):
-        # smallest eigenvalue of L + diag(F_xx), or of -(-L + diag(F_yy))
-        if convex:
-            shift = field_values(spec, u, point, fixed, curvature_node)
-        else:
-            shift = -field_values(spec, u, fixed, point, curvature_node)
-        return spec.lap.smallest_eigenvalue_shifted(shift)
-
-    n_points = 1 if not state_dependent else max(1, samples)
-    for _ in range(n_points):
-        point = _sample_interior(rng, T, box)
-        eig = hessian_margin(point)
-        worst_eig = min(worst_eig, eig)
-        if eig < -tol:
-            return ConvexityReport(
-                passed=False, exact=not state_dependent, worst_margin=eig,
-                counterexample={"kind": "hessian", "point": list(point.interior),
-                                "eigenvalue": eig})
-    if not state_dependent:
-        return ConvexityReport(passed=True, exact=True, worst_margin=worst_eig)
-
-    worst_mid = -np.inf
-    for _ in range(max(1, samples)):
-        p1 = _sample_interior(rng, T, box)
-        p2 = _sample_interior(rng, T, box)
-        mid = 0.5 * (p1 + p2)
-        if convex:
-            gap = action(spec, u, mid, fixed) - 0.5 * (
-                action(spec, u, p1, fixed) + action(spec, u, p2, fixed))
-        else:
-            gap = 0.5 * (action(spec, u, fixed, p1) + action(spec, u, fixed, p2)) - \
-                action(spec, u, fixed, mid)
-        worst_mid = max(worst_mid, gap)
-        if gap > tol:
-            return ConvexityReport(
-                passed=False, exact=False, worst_margin=-gap,
-                counterexample={"kind": "midpoint", "first": list(p1.interior),
-                                "second": list(p2.interior), "gap": gap})
-    return ConvexityReport(passed=True, exact=False, worst_margin=min(worst_eig, -worst_mid))
+def _check_curvature(spec, u, fixed, box, density, tol, convex):
+    node, free, other = ((spec.field.fxx, "x", "y") if convex
+                         else (spec.field.fyy, "y", "x"))
+    exact = not depends_on(node, free)
+    s = np.linspace(-box, box, max(3, int(density)))
+    env = {"k": spec.nodes(), "u": u.values, free: s[:, None], other: fixed.interior}
+    curv = np.broadcast_to(np.asarray(evaluate(node, env), dtype=float), (s.size, spec.T))
+    if not convex:
+        curv = -curv  # -(-L + diag(F_yy)) = L + diag(-F_yy)
+    idx = np.argmin(curv, axis=0)
+    low = curv[idx, np.arange(spec.T)]
+    pad = 0.0 if exact else 0.5 * np.max(np.abs(np.diff(curv, n=2, axis=0)), axis=0)
+    margin = spec.lap.smallest_eigenvalue_shifted(low - pad)
+    if margin >= -tol:
+        return ConvexityReport(passed=True, exact=exact, worst_margin=margin)
+    return ConvexityReport(
+        passed=False, exact=exact, worst_margin=margin,
+        counterexample={"kind": "hessian", "point": s[idx].tolist(),
+                        "eigenvalue": spec.lap.smallest_eigenvalue_shifted(low)})
 
 
 @dataclass(frozen=True)

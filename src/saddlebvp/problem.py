@@ -123,11 +123,6 @@ def _eval(spec, node, env):
     return np.broadcast_to(np.asarray(out, dtype=float), (spec.T,))
 
 
-def field_values(spec, u, x: GridFunction, y: GridFunction, node):
-    """Evaluate one expression of the integrand at all interior nodes."""
-    return _eval(spec, node, _env(spec, u, x.values[1:-1], y.values[1:-1]))
-
-
 def integrand_sum_i(spec, u, xv, yv) -> float:
     """``sum_k F(k, x(k), y(k), u(k))``: the action without its quadratic terms."""
     return float(np.sum(_eval(spec, spec.field.f, _env(spec, u, xv, yv))))

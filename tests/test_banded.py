@@ -85,11 +85,11 @@ def test_curvature_margins_match_eigvalsh(T):
     k = np.arange(1, T + 1)
     L = dirichlet_matrix(T)
     fixed = GridFunction.zeros(T)
-    rep = check_convexity_x(spec, u, fixed, box=1.0, samples=4)
+    rep = check_convexity_x(spec, u, fixed, box=1.0, density=4)
     assert rep.exact
     expected = np.linalg.eigvalsh(L + np.diag(2.6 * np.sin(3 * k)))[0]
     assert rep.worst_margin == pytest.approx(expected, abs=1e-12)
-    rep = check_concavity_y(spec, u, fixed, box=1.0, samples=4)
+    rep = check_concavity_y(spec, u, fixed, box=1.0, density=4)
     expected = np.linalg.eigvalsh(L - np.diag(-2.2 * np.cos(2 * k)))[0]
     assert rep.worst_margin == pytest.approx(expected, abs=1e-12)
 

@@ -80,6 +80,19 @@ def test_solve_verification_skips_points_outside_domain(tmp_path, method):
     assert points and all(p["verified"] for p in points)
 
 
+def test_solve_flags_stationary_non_saddle(tmp_path):
+    # newton converges at every start, once to a stationary point where
+    # x -> J(x, y*) has a descent direction; the second-order test rejects it
+    problem = write_json(tmp_path / "log.json",
+                         {"T": 3, "D": 1, "F": "x^2 - y^2 + log(x + 1.5)", "u": "0"})
+    code = main(["solve", problem, "--out", str(tmp_path / "log"), "--method", "newton"])
+    assert code == 2
+    data = json.loads((tmp_path / "log.saddle.json").read_text())
+    assert data["failed_starts"] == 0
+    failures = [f for p in data["saddle_points"] for f in p["verification_failures"]]
+    assert "x-Hessian eigenvalue -1.044e+01 is negative" in failures
+
+
 # --- check -----------------------------------------------------------------------
 
 def test_check_embedded_certificate(tmp_path):
@@ -114,6 +127,27 @@ def test_check_convexity_counterexample(tmp_path):
     data = json.loads((tmp_path / "p.check.json").read_text())
     assert not data["convexity_in_x"]["passed"]
     assert data["convexity_in_x"]["counterexample"]["kind"] == "hessian"
+
+
+def test_check_output_independent_of_seed(tmp_path):
+    # state-dependent curvature: the grid decides, no draw depends on --seed;
+    # --samples is accepted and ignored
+    problem = write_json(tmp_path / "p.json", {
+        "T": 4, "D": 1.0, "u": "0.3*sin(k)",
+        "F": "0.4*x^2 - 0.4*y^2 + 0.2*x*y + 0.25*sin(x) + 0.25*cos(y) + u*(x - y)",
+        "certificate": {"alpha1": 0.0, "beta1": 0, "gamma1": -1.3,
+                        "alpha2": 0.0, "beta2": 0, "gamma2": 0.9, "box": 6.0,
+                        "anchor_y": [0.0] * 4, "anchor_x": [0.0] * 4},
+    })
+    runs = []
+    for seed, extra in (("1", []), ("2", ["--samples", "256"])):
+        out = tmp_path / f"s{seed}"
+        assert main(["check", problem, "--seed", seed, "--out", str(out)] + extra) == 0
+        data = json.loads((tmp_path / f"s{seed}.check.json").read_text())
+        assert data["manifest"]["config"] == {"density": 201}
+        assert not data["convexity_in_x"]["exact"]
+        runs.append({k: v for k, v in data.items() if k != "manifest"})
+    assert runs[0] == runs[1]
 
 
 def test_check_without_certificate_errors(tmp_path, capsys):

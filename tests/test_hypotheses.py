@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import nonlinear_instance
+from conftest import dirichlet_matrix, nonlinear_instance
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, ball_radii,
                        check_concavity_y, check_convexity_x, embedding_constant,
                        fit_growth_certificate, verify_growth)
-from saddlebvp.hypotheses import (GrowthCertificate, HypothesisError,
+from saddlebvp.hypotheses import (DEFAULT_TOL, GrowthCertificate, HypothesisError,
                                   certificate_from_dict, certificate_to_dict)
 
 
@@ -17,24 +19,24 @@ def zero_u(T, D=1.0):
 
 def test_convexity_zero_field():
     spec = ProblemSpec.create(3, 1.0, "0*x")
-    rep = check_convexity_x(spec, zero_u(3), GridFunction.zeros(3), box=2.0, samples=16)
+    rep = check_convexity_x(spec, zero_u(3), GridFunction.zeros(3), box=2.0, density=16)
     assert rep.passed and rep.exact
 
 
 def test_convexity_linear_in_x():
     spec = ProblemSpec.create(2, 1.0, "x*y + x - y")
-    rep = check_convexity_x(spec, zero_u(2), GridFunction.zeros(2), box=2.0, samples=16)
+    rep = check_convexity_x(spec, zero_u(2), GridFunction.zeros(2), box=2.0, density=16)
     assert rep.passed and rep.exact
 
 
 def test_convexity_boundary_and_violation():
     # T=1: curvature 2 - 2 = 0 sits on the boundary, 2 - 4 < 0 is violated
     spec = ProblemSpec.create(1, 1.0, "-x^2")
-    rep = check_convexity_x(spec, zero_u(1), GridFunction.zeros(1), box=2.0, samples=16)
+    rep = check_convexity_x(spec, zero_u(1), GridFunction.zeros(1), box=2.0, density=16)
     assert rep.passed and rep.worst_margin == pytest.approx(0.0, abs=1e-12)
 
     spec = ProblemSpec.create(1, 1.0, "-2*x^2")
-    rep = check_convexity_x(spec, zero_u(1), GridFunction.zeros(1), box=2.0, samples=16)
+    rep = check_convexity_x(spec, zero_u(1), GridFunction.zeros(1), box=2.0, density=16)
     assert not rep.passed and rep.exact
     assert rep.counterexample["kind"] == "hessian"
     assert rep.counterexample["eigenvalue"] == pytest.approx(-2.0, abs=1e-12)
@@ -75,6 +77,79 @@ def test_convexity_decided_exactly_for_quadratics():
     spec = ProblemSpec.create(4, 1.0, "0.3*x^2 - 0.1*y^2 + u*x*y")
     rep = check_convexity_x(spec, zero_u(4), GridFunction.zeros(4), 50.0, 1)
     assert rep.passed and rep.exact
+
+
+STUDY_F = "0.4*x^2 - 0.4*y^2 + 0.2*x*y + 0.25*sin(x) + 0.25*cos(y) + u*(x - y)"
+
+
+def test_curvature_margin_is_the_box_minimum():
+    # F_xx = 0.8 - 0.25 sin(x) and -F_yy = 0.8 + 0.25 cos(y) both reach 0.55 in
+    # the box on every node, so the margin is lambda_min(L) + 0.55; the grid
+    # check may undershoot it by its pad, never overshoot it
+    T = 100
+    spec = ProblemSpec.create(T, 1.0, STUDY_F)
+    u = ParameterFunction(np.linspace(-0.5, 0.5, T), 1.0)
+    true = 0.55 + np.linalg.eigvalsh(dirichlet_matrix(T))[0]
+    assert true == pytest.approx(0.55097, abs=1e-5)
+    for check in (check_convexity_x, check_concavity_y):
+        rep = check(spec, u, GridFunction.zeros(T), 6.0)
+        assert rep.passed and not rep.exact
+        assert 0.5500 <= rep.worst_margin <= true
+
+
+def test_curvature_pad_is_per_node():
+    # node 1 has no curvature and node 2 a rough F_xx = 40 - 25 cos(5x) >= 15,
+    # whose grid pad is 0.125: node 1 must keep a pad of 0
+    spec = ProblemSpec.create(2, 1.0, "(k - 1)*(20*x^2 + cos(5*x))")
+    rep = check_convexity_x(spec, zero_u(2), GridFunction.zeros(2), 2.0)
+    true = np.linalg.eigvalsh(dirichlet_matrix(2) + np.diag([0.0, 15.0]))[0]
+    assert rep.passed and not rep.exact
+    assert true - 0.05 <= rep.worst_margin <= true
+
+
+def test_curvature_counterexample_matches_eigvalsh():
+    # F_xx = 0.2 + 2 cos(x + k) and -F_yy = 0.2 + 2 cos(y + k) reach -1.8 on every node
+    T = 3
+    spec = ProblemSpec.create(T, 1.0, "0.1*x^2 - 2*cos(x + k) - 0.1*y^2 + 2*cos(y + k)")
+    k = np.arange(1, T + 1)
+    for check in (check_convexity_x, check_concavity_y):
+        rep = check(spec, zero_u(T), GridFunction.zeros(T), 4.0)
+        assert not rep.passed and not rep.exact
+        assert rep.counterexample["kind"] == "hessian"
+        point = np.array(rep.counterexample["point"])
+        assert point.shape == (T,) and np.all(np.abs(point) <= 4.0)
+        dense = np.linalg.eigvalsh(dirichlet_matrix(T) + np.diag(0.2 + 2 * np.cos(point + k)))[0]
+        assert rep.counterexample["eigenvalue"] == pytest.approx(dense, abs=1e-12)
+        assert rep.worst_margin <= dense < -1.0
+
+
+_coef = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 6), a=st.floats(-0.5, 1.0), p=_coef, w=st.floats(0.2, 3.0),
+       c=_coef, q=_coef, box=st.floats(0.5, 3.0), anchor=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_curvature_check_against_sampled_eigvalsh(T, a, p, w, c, q, box, anchor, seed):
+    # F_xx = 2a - p w^2 sin(w x + c k) + 2q y^2 and -F_yy = 2a + p w^2 sin(w y + c k) - 2q x^2,
+    # with the other slot at the anchor: neither check may report a margin above
+    # a dense eigenvalue at a box point, and a passing check leaves no box point
+    # below -tol
+    F = (f"{a!r}*x^2 + {p!r}*sin({w!r}*x + {c!r}*k) - {a!r}*y^2"
+         f" + {p!r}*sin({w!r}*y + {c!r}*k) + {q!r}*x^2*y^2")
+    spec = ProblemSpec.create(T, 1.0, F)
+    k = np.arange(1, T + 1)
+    L = dirichlet_matrix(T)
+    fixed = GridFunction.from_interior(np.full(T, anchor))
+    points = np.random.default_rng(seed).uniform(-box, box, (64, T))
+    for check, curvature in (
+            (check_convexity_x, lambda s: 2 * a - p * w ** 2 * np.sin(w * s + c * k) + 2 * q * anchor ** 2),
+            (check_concavity_y, lambda s: 2 * a + p * w ** 2 * np.sin(w * s + c * k) - 2 * q * anchor ** 2)):
+        rep = check(spec, zero_u(T), fixed, box)
+        sampled = min(np.linalg.eigvalsh(L + np.diag(curvature(s)))[0] for s in points)
+        assert rep.worst_margin <= sampled + 1e-12
+        if rep.passed:
+            assert sampled >= -DEFAULT_TOL - 1e-12
 
 
 # --- growth bounds --------------------------------------------------------------

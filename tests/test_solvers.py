@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import direct_quadratic_solve, nonlinear_instance, quadratic_instance
+from conftest import (dirichlet_matrix, direct_quadratic_solve, nonlinear_instance,
+                      quadratic_instance)
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, SolverConfig,
                        h_norm, load_problem, make_candidate, product_distance)
 from saddlebvp.solvers import (SolverError, extragradient, nested_minimax, newton, saddle_set,
@@ -77,6 +78,17 @@ def test_extragradient_divergence_detector():
     cand = extragradient(spec, u, start(0.5, 0.5), cfg)
     assert not cand.converged
     assert cand.iterations < 5000 - 1  # stopped early, not exhausted
+
+
+def test_extragradient_stops_at_rounding_floor():
+    # tol_grad below what double precision reaches: |G| stalls near 2.5e-16,
+    # so no new best norm appears for EG_PATIENCE iterations
+    spec, u = bilinear_spec(1.0)
+    cfg = SolverConfig(method="extragradient", tol_grad=1e-16, max_iter=100000)
+    cand = extragradient(spec, u, start(0.8, -1.1), cfg)
+    assert not cand.converged
+    assert cand.iterations < 500
+    assert cand.grad_norm < 1e-14
 
 
 def test_extragradient_step_floor_on_domain_edge():
@@ -227,7 +239,7 @@ def test_verify_saddle_zero_field():
                           "manual", 0)
     rep = verify_saddle(spec, u, cand, probes=64, eps=1e-9)
     assert rep.passed
-    assert rep.residual_ok and rep.inequalities_ok and rep.minimax_ok
+    assert rep.residual_ok and rep.inequalities_ok
 
 
 def test_verify_saddle_accepts_true_and_rejects_perturbed():
@@ -242,7 +254,44 @@ def test_verify_saddle_accepts_true_and_rejects_perturbed():
     rep = verify_saddle(spec, u, bad, probes=512, eps=1e-9, seed=0)
     assert not rep.passed
     assert rep.inequality_gap_y > 1e-9  # probe found the saddle inequality breach
-    assert not rep.minimax_ok
+
+
+def log_problem():
+    # newton iterates pass through x < -1.5, where log, and so the action, is
+    # undefined while the gradient 2x + 1/(x + 1.5) is not
+    return (ProblemSpec.create(3, 1.0, "x^2 - y^2 + log(x + 1.5)"),
+            ParameterFunction.constant(0.0, 3, 1.0))
+
+
+def test_verify_saddle_rejects_stationary_non_saddle():
+    spec, u = log_problem()
+    sset = saddle_set(spec, u, SolverConfig(method="newton"))
+    cand = next(c for c in sset.points if abs(c.value - 1.4687) < 1e-3)
+    rep = verify_saddle(spec, u, cand)
+    # stationary, and the default probes miss the descent direction in x
+    assert rep.residual_ok and rep.inequalities_ok
+    xv = cand.x.interior
+    expected = np.linalg.eigvalsh(dirichlet_matrix(3) + np.diag(2.0 - 1.0 / (xv + 1.5) ** 2))[0]
+    assert rep.curvature_x == pytest.approx(expected, abs=1e-12)
+    assert expected < -10.0
+    assert not rep.passed
+    assert rep.failures == ("x-Hessian eigenvalue -1.044e+01 is negative",)
+
+
+def test_saddle_set_independent_of_trace():
+    spec, u = log_problem()
+    on = saddle_set(spec, u, SolverConfig(method="newton", record_trace=True))
+    off = saddle_set(spec, u, SolverConfig(method="newton"))
+    assert on.failures == off.failures == 0
+    assert len(on.points) == len(off.points) == 4
+    for a, b in zip(on.points, off.points):
+        assert np.array_equal(a.x.values, b.x.values)
+        assert np.array_equal(a.y.values, b.y.values)
+    # trace rows outside the domain hold nan instead of failing the start
+    far = newton(spec, u, start([-1.6, -1.6, -1.6], [0.0, 0.0, 0.0]),
+                 SolverConfig(record_trace=True))
+    assert far.converged and np.isnan(far.trace[0][3])
+    assert far.trace[-1][3] == far.value
 
 
 def test_verify_saddle_residual_tolerance_scaling():
