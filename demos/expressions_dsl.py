@@ -1,8 +1,8 @@
-"""The expression language: parsing, evaluation, symbolic derivatives."""
+"""The expression language: parsing, evaluation, symbolic derivatives, compiled kernels."""
 
 import numpy as np
 
-from saddlebvp import ScalarField, differentiate, evaluate, parse, to_string
+from saddlebvp import ScalarField, compile_trees, differentiate, evaluate, parse, to_string
 
 text = "sin(k*x)*y + u*exp(-x^2) + tanh(y)/2"
 ast = parse(text)
@@ -31,3 +31,12 @@ for name in ("fx", "fy", "fxx", "fxy", "fyy"):
 k = np.arange(1, 6, dtype=float)
 vals = evaluate(parse("sin(3.141592653589793*k/6)*x"), {"k": k, "x": 2.0, "y": 0.0, "u": 0.0})
 print("node-dependent integrand at x=2:", np.round(vals, 6))
+
+# one compiled kernel computes several trees, each shared subtree once, and
+# gives the interpreter's values bit for bit
+kernel = compile_trees((field.fx, field.fy))
+x, y = np.linspace(-1.0, 1.0, 5), np.linspace(1.0, -1.0, 5)
+gx, gy = kernel(k, x, y, 0.0)
+env = {"k": k, "x": x, "y": y, "u": 0.0}
+print("kernel equals evaluate:", np.array_equal(gx, evaluate(field.fx, env))
+      and np.array_equal(gy, evaluate(field.fy, env)))

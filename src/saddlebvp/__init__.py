@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .dependence import (DependenceReport, ParameterSequence, parameter_lipschitz,
                          run_sequence, uniform_gap, upper_limit_check)
-from .expressions import ScalarField, differentiate, evaluate, parse, to_string
+from .expressions import ScalarField, compile_trees, differentiate, evaluate, parse, to_string
 from .grid import (DirichletLaplacian, GridFunction, delta, embedding_constant,
                    embedding_estimate, h_norm, laplacian, second_difference)
 from .hypotheses import (BallRadii, GrowthCertificate, ball_radii, check_concavity_y,
@@ -18,7 +18,7 @@ __all__ = [
     "BallRadii", "DependenceReport", "DirichletLaplacian", "GridFunction",
     "GrowthCertificate", "ParameterFunction", "ParameterSequence", "ProblemSpec",
     "SaddleCandidate", "SaddleSet", "ScalarField", "SolverConfig",
-    "action", "ball_radii", "check_concavity_y", "check_convexity_x", "delta",
+    "action", "ball_radii", "check_concavity_y", "check_convexity_x", "compile_trees", "delta",
     "differentiate", "embedding_constant", "embedding_estimate", "evaluate",
     "extragradient", "fit_growth_certificate", "grad", "h_norm", "hessian_blocks",
     "laplacian", "load_problem", "make_candidate",

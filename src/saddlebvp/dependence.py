@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import evaluate
 from .grid import GridFunction, h_norm, random_in_ball
 from .problem import ParameterFunction, integrand_sum_i, make_candidate
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
@@ -134,9 +133,10 @@ def parameter_lipschitz(spec, box, samples=256, seed=0) -> float:
         u1, u2 = rng.uniform(-spec.D, spec.D, size=2)
         if u1 == u2:
             continue
-        env = {"k": spec.nodes(), "x": x.interior, "y": y.interior}
-        f1 = np.broadcast_to(np.asarray(evaluate(spec.field.f, {**env, "u": u1}), float), (spec.T,))
-        f2 = np.broadcast_to(np.asarray(evaluate(spec.field.f, {**env, "u": u2}), float), (spec.T,))
+        (f1,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u1)
+        (f2,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u2)
+        f1 = np.broadcast_to(np.asarray(f1, float), (spec.T,))
+        f2 = np.broadcast_to(np.asarray(f2, float), (spec.T,))
         worst = max(worst, float(np.max(np.abs(f1 - f2)) / abs(u1 - u2)))
     return worst
 

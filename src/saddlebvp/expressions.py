@@ -3,12 +3,15 @@
 Supports the four variables ``k, x, y, u``, arithmetic ``+ - * / ^``
 (``^`` right-associative), unary minus, and the functions
 ``sin cos exp log sqrt abs tanh``.  Expressions are parsed into immutable
-ASTs that can be evaluated (scalars or numpy arrays) and differentiated
-symbolically with respect to ``x`` or ``y``.
+ASTs that can be evaluated (scalars or numpy arrays), differentiated
+symbolically with respect to ``x`` or ``y``, and compiled into numpy
+kernels that share common subexpressions and reproduce the evaluator bit
+for bit.
 """
 
 import re
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -268,13 +271,50 @@ def _print(node, context):
 
 # --- evaluation ------------------------------------------------------------
 
+# The domain guards, shared by the interpreter and the compiled kernels so
+# that the conditions and messages cannot drift apart.
+
+def _div(num, den, node):
+    if np.any(den == 0):
+        raise DomainError("division by zero", node)
+    return num / den
+
+
+def _pow(base, expo, node):
+    neg = np.asarray(base) < 0
+    if np.any(neg) and np.any(neg & (np.asarray(expo) != np.floor(expo))):
+        raise DomainError("fractional power of negative base", node)
+    if np.any((np.asarray(base) == 0) & (np.asarray(expo) < 0)):
+        raise DomainError("zero raised to a negative power", node)
+    out = np.power(base, expo)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _log(v, node):
+    if np.any(np.asarray(v) <= 0):
+        raise DomainError("log of nonpositive value", node)
+    return np.log(v) if np.ndim(v) else float(np.log(v))
+
+
+def _sqrt(v, node):
+    if np.any(np.asarray(v) < 0):
+        raise DomainError("sqrt of negative value", node)
+    return np.sqrt(v) if np.ndim(v) else float(np.sqrt(v))
+
+
+_GUARDED = {"log": _log, "sqrt": _sqrt}
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "tanh": np.tanh}
+_OPERATORS = {Add: "+", Sub: "-", Mul: "*"}
+
+
 def evaluate(node, env):
     """Evaluate an AST in IEEE double precision.
 
     ``env`` maps each of ``k, x, y, u`` to a float or numpy array
     (arrays broadcast elementwise).  Raises :class:`DomainError` on
     log of a nonpositive value, sqrt of a negative, division by zero,
-    or a fractional power of a negative base.
+    or a fractional power of a negative base.  This tree walk is the
+    reference that :func:`compile_trees` must reproduce bit for bit.
     """
     if isinstance(node, Num):
         return node.value
@@ -289,38 +329,83 @@ def evaluate(node, env):
     if isinstance(node, Mul):
         return evaluate(node.left, env) * evaluate(node.right, env)
     if isinstance(node, Div):
-        num = evaluate(node.left, env)
-        den = evaluate(node.right, env)
-        if np.any(den == 0):
-            raise DomainError("division by zero", node)
-        return num / den
+        return _div(evaluate(node.left, env), evaluate(node.right, env), node)
     if isinstance(node, Pow):
-        base = evaluate(node.base, env)
-        expo = evaluate(node.exponent, env)
-        neg = np.asarray(base) < 0
-        if np.any(neg):
-            frac = np.asarray(expo) != np.floor(expo)
-            if np.any(np.broadcast_arrays(neg, frac)[0] & np.broadcast_arrays(neg, frac)[1]):
-                raise DomainError("fractional power of negative base", node)
-        if np.any((np.asarray(base) == 0) & (np.asarray(expo) < 0)):
-            raise DomainError("zero raised to a negative power", node)
-        out = np.power(base, expo)
-        return float(out) if np.ndim(out) == 0 else out
+        return _pow(evaluate(node.base, env), evaluate(node.exponent, env), node)
     if isinstance(node, Call):
         v = evaluate(node.arg, env)
-        if node.func == "log":
-            if np.any(np.asarray(v) <= 0):
-                raise DomainError("log of nonpositive value", node)
-            return np.log(v) if np.ndim(v) else float(np.log(v))
-        if node.func == "sqrt":
-            if np.any(np.asarray(v) < 0):
-                raise DomainError("sqrt of negative value", node)
-            return np.sqrt(v) if np.ndim(v) else float(np.sqrt(v))
-        fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-              "abs": np.abs, "tanh": np.tanh}[node.func]
-        out = fn(v)
+        if node.func in _GUARDED:
+            return _GUARDED[node.func](v, node)
+        out = _UFUNCS[node.func](v)
         return float(out) if np.ndim(out) == 0 else out
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def compile_trees(trees):
+    """Compile ASTs into one function ``kernel(k, x, y, u) -> tuple`` of their values.
+
+    The generated code performs one numpy operation per structurally
+    distinct subtree, in the post-order :func:`evaluate` walks, with the same
+    operators, ufuncs and domain guards, so every value (nan and the sign of
+    zero included) and every :class:`DomainError` equal the interpreter's.
+    Constants are keyed by their bits, so ``0.0`` and ``-0.0`` stay apart.
+    A tree that is a bare variable returns that argument itself.
+    """
+    namespace = {"_div": _div, "_pow": _pow,
+                 **{f"_{name}": fn for name, fn in {**_GUARDED, **_UFUNCS}.items()}}
+    names = {}  # structural key -> name of its value in the generated code
+    lines = []
+
+    def bind(value):
+        name = f"c{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def visit(node):
+        # Returns (name, key); keys nest the children's keys, so equal keys
+        # mean equal trees with bit-equal constants.
+        if isinstance(node, Var):
+            if node.name not in VARIABLES:
+                raise ExprError(f"unknown variable {node.name!r}")
+            return node.name, node.name
+        if isinstance(node, Num):
+            key = (Num, struct.pack("<d", node.value))
+            if key not in names:
+                names[key] = bind(node.value)
+            return names[key], key
+        if isinstance(node, (Neg, Call)):
+            if isinstance(node, Call) and node.func not in FUNCTIONS:
+                raise ExprError(f"unknown function {node.func!r}")
+            children = [visit(node.arg)]
+        elif isinstance(node, Pow):
+            children = [visit(node.base), visit(node.exponent)]
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            children = [visit(node.left), visit(node.right)]
+        else:
+            raise TypeError(f"not an AST node: {node!r}")
+        func = node.func if isinstance(node, Call) else type(node).__name__.lower()
+        key = (func, *(k for _, k in children))
+        if key in names:
+            return names[key], key
+        args = [name for name, _ in children]
+        if isinstance(node, Neg):
+            expr = f"-{args[0]}"
+        elif type(node) in _OPERATORS:
+            expr = f"{args[0]} {_OPERATORS[type(node)]} {args[1]}"
+        elif func in _UFUNCS:
+            expr = f"_{func}({args[0]})"
+        else:  # division, power, log and sqrt carry their node for the error message
+            expr = f"_{func}({', '.join(args)}, {bind(node)})"
+        names[key] = f"t{len(lines)}"
+        lines.append(f"    {names[key]} = {expr}")
+        return names[key], key
+
+    results = "".join(visit(tree)[0] + ", " for tree in trees)
+    source = "\n".join(["def kernel(k, x, y, u):", *lines, f"    return ({results})"])
+    # The trees in the file name tell kernels apart in tracebacks and profiles.
+    filename = f"<kernel {', '.join(map(to_string, trees))}>"
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["kernel"]
 
 
 # --- differentiation -------------------------------------------------------
@@ -348,7 +433,7 @@ def _is(node, c):
     return isinstance(node, Num) and node.value == c
 
 
-def _neg(a):
+def _fold_neg(a):
     if isinstance(a, Num):
         return Num(-a.value)
     if isinstance(a, Neg):
@@ -356,7 +441,7 @@ def _neg(a):
     return Neg(a)
 
 
-def _add(a, b):
+def _fold_add(a, b):
     if _is(a, 0):
         return b
     if _is(b, 0):
@@ -364,15 +449,15 @@ def _add(a, b):
     return Add(a, b)
 
 
-def _sub(a, b):
+def _fold_sub(a, b):
     if _is(b, 0):
         return a
     if _is(a, 0):
-        return _neg(b)
+        return _fold_neg(b)
     return Sub(a, b)
 
 
-def _mul(a, b):
+def _fold_mul(a, b):
     if _is(a, 0) or _is(b, 0):
         return Num(0.0)
     if _is(a, 1):
@@ -382,7 +467,7 @@ def _mul(a, b):
     return Mul(a, b)
 
 
-def _div(a, b):
+def _fold_div(a, b):
     if _is(a, 0):
         return Num(0.0)
     if _is(b, 1):
@@ -390,7 +475,7 @@ def _div(a, b):
     return Div(a, b)
 
 
-def _pow(a, b):
+def _fold_pow(a, b):
     if _is(b, 0):
         return Num(1.0)
     if _is(b, 1):
@@ -416,45 +501,47 @@ def _diff(node, var):
     if isinstance(node, Var):
         return Num(1.0)
     if isinstance(node, Neg):
-        return _neg(_diff(node.arg, var))
+        return _fold_neg(_diff(node.arg, var))
     if isinstance(node, Add):
-        return _add(_diff(node.left, var), _diff(node.right, var))
+        return _fold_add(_diff(node.left, var), _diff(node.right, var))
     if isinstance(node, Sub):
-        return _sub(_diff(node.left, var), _diff(node.right, var))
+        return _fold_sub(_diff(node.left, var), _diff(node.right, var))
     if isinstance(node, Mul):
-        return _add(_mul(_diff(node.left, var), node.right),
-                    _mul(node.left, _diff(node.right, var)))
+        return _fold_add(_fold_mul(_diff(node.left, var), node.right),
+                         _fold_mul(node.left, _diff(node.right, var)))
     if isinstance(node, Div):
         if not depends_on(node.right, var):
-            return _div(_diff(node.left, var), node.right)
-        num = _sub(_mul(_diff(node.left, var), node.right),
-                   _mul(node.left, _diff(node.right, var)))
-        return _div(num, _pow(node.right, Num(2.0)))
+            return _fold_div(_diff(node.left, var), node.right)
+        num = _fold_sub(_fold_mul(_diff(node.left, var), node.right),
+                        _fold_mul(node.left, _diff(node.right, var)))
+        return _fold_div(num, _fold_pow(node.right, Num(2.0)))
     if isinstance(node, Pow):
         base, expo = node.base, node.exponent
         if isinstance(expo, Num):
-            return _mul(_mul(expo, _pow(base, Num(expo.value - 1.0))), _diff(base, var))
+            return _fold_mul(_fold_mul(expo, _fold_pow(base, Num(expo.value - 1.0))),
+                             _diff(base, var))
         if not depends_on(expo, var):
-            return _mul(_mul(expo, _pow(base, _sub(expo, Num(1.0)))), _diff(base, var))
+            return _fold_mul(_fold_mul(expo, _fold_pow(base, _fold_sub(expo, Num(1.0)))),
+                             _diff(base, var))
         # general case via the logarithmic derivative
-        inner = _add(_mul(_diff(expo, var), Call("log", base)),
-                     _div(_mul(expo, _diff(base, var)), base))
-        return _mul(node, inner)
+        inner = _fold_add(_fold_mul(_diff(expo, var), Call("log", base)),
+                          _fold_div(_fold_mul(expo, _diff(base, var)), base))
+        return _fold_mul(node, inner)
     if isinstance(node, Call):
         a = node.arg
         da = _diff(a, var)
         if node.func == "sin":
-            return _mul(Call("cos", a), da)
+            return _fold_mul(Call("cos", a), da)
         if node.func == "cos":
-            return _neg(_mul(Call("sin", a), da))
+            return _fold_neg(_fold_mul(Call("sin", a), da))
         if node.func == "exp":
-            return _mul(Call("exp", a), da)
+            return _fold_mul(Call("exp", a), da)
         if node.func == "log":
-            return _div(da, a)
+            return _fold_div(da, a)
         if node.func == "sqrt":
-            return _div(da, _mul(Num(2.0), Call("sqrt", a)))
+            return _fold_div(da, _fold_mul(Num(2.0), Call("sqrt", a)))
         if node.func == "tanh":
-            return _mul(_sub(Num(1.0), Pow(Call("tanh", a), Num(2.0))), da)
+            return _fold_mul(_fold_sub(Num(1.0), Pow(Call("tanh", a), Num(2.0))), da)
         raise DerivativeError(f"abs({to_string(a)}) is not differentiable in {var}")
     raise TypeError(f"not an AST node: {node!r}")
 
@@ -468,6 +555,13 @@ class ScalarField:
     ``fx, fy`` are the first partials; ``fxx, fxy, fyy`` the second
     (``fxy`` taken as d/dy of ``fx``).  Construction fails if ``abs``
     appears where a derivative is required.
+
+    Construction also compiles three kernels ``(k, x, y, u) -> tuple``
+    (see :func:`compile_trees`): ``value_kernel`` gives ``(f,)``,
+    ``gradient_kernel`` ``(fx, fy)`` and ``hessian_kernel``
+    ``(fxx, fxy, fyy)``.  They stay separate because a partial can be
+    defined where ``f`` is not (``log(x + 1.5)`` has the partial
+    ``1/(x + 1.5)``).  Equality and hashing ignore them.
     """
 
     f: object
@@ -477,6 +571,19 @@ class ScalarField:
     fxy: object
     fyy: object
     source: str
+    value_kernel: object = field(init=False, repr=False, compare=False)
+    gradient_kernel: object = field(init=False, repr=False, compare=False)
+    hessian_kernel: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "value_kernel", compile_trees((self.f,)))
+        object.__setattr__(self, "gradient_kernel", compile_trees((self.fx, self.fy)))
+        object.__setattr__(self, "hessian_kernel",
+                           compile_trees((self.fxx, self.fxy, self.fyy)))
+
+    def __reduce__(self):
+        # Generated functions do not pickle; unpickling compiles them again.
+        return type(self), (self.f, self.fx, self.fy, self.fxx, self.fxy, self.fyy, self.source)
 
     @classmethod
     def from_ast(cls, ast, source=None):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import depends_on, evaluate
+from .expressions import compile_trees, depends_on
 from .grid import GridFunction, embedding_constant, h_norm
 
 DEFAULT_TOL = 1e-9
@@ -149,7 +149,10 @@ def _check_curvature(spec, u, fixed, box, density, tol, convex):
     exact = not depends_on(node, free)
     s = np.linspace(-box, box, max(3, int(density)))
     env = {"k": spec.nodes(), "u": u.values, free: s[:, None], other: fixed.interior}
-    curv = np.broadcast_to(np.asarray(evaluate(node, env), dtype=float), (s.size, spec.T))
+    # One tree only: the field's Hessian kernel would also evaluate the other
+    # two partials, which can leave their domain where this one does not.
+    (curv,) = compile_trees((node,))(**env)
+    curv = np.broadcast_to(np.asarray(curv, dtype=float), (s.size, spec.T))
     if not convex:
         curv = -curv  # -(-L + diag(F_yy)) = L + diag(-F_yy)
     idx = np.argmin(curv, axis=0)
@@ -220,9 +223,8 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201, tol=DEFAULT_T
             uu = us[None, :, None]
             anchored = (np.float64(anchor(k)) if anchor is not None
                         else other[None, None, :])
-            env = ({"k": float(k), "x": free, "y": anchored, "u": uu} if lower
-                   else {"k": float(k), "x": anchored, "y": free, "u": uu})
-            F = evaluate(spec.field.f, env)
+            xy = (free, anchored) if lower else (anchored, free)
+            (F,) = spec.field.value_kernel(float(k), *xy, uu)
             bound = (-alpha if lower else alpha) * free ** 2 + beta * free + gamma[k - 1]
             margin = np.asarray(F - bound if lower else bound - F, dtype=float)
             margin = np.broadcast_to(margin, (n_free, n_u, 1 if anchor is not None else n_other))
@@ -353,11 +355,11 @@ def fit_growth_certificate(spec, box_radius, alpha1=None, alpha2=None,
         free = s[:, None, None]
         uu = us[None, :, None]
         y_slot = np.float64(anchor_y(k)) if anchor_y is not None else other[None, None, :]
-        F = evaluate(spec.field.f, {"k": float(k), "x": free, "y": y_slot, "u": uu})
+        (F,) = spec.field.value_kernel(float(k), free, y_slot, uu)
         vals = np.asarray(F + alpha1 * free ** 2, dtype=float)
         gamma1[k - 1] = float(np.min(vals)) - _grid_gap_pad(vals) - slack
         x_slot = np.float64(anchor_x(k)) if anchor_x is not None else other[None, None, :]
-        F = evaluate(spec.field.f, {"k": float(k), "x": x_slot, "y": free, "u": uu})
+        (F,) = spec.field.value_kernel(float(k), x_slot, free, uu)
         vals = np.asarray(F - alpha2 * free ** 2, dtype=float)
         gamma2[k - 1] = float(np.max(vals)) + _grid_gap_pad(vals) + slack
     return GrowthCertificate(alpha1=alpha1, beta1=0.0, gamma1=gamma1,

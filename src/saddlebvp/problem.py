@@ -85,6 +85,7 @@ class ProblemSpec:
     D: float
     field: ScalarField
     lap: DirichletLaplacian
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T < 1:
@@ -94,6 +95,9 @@ class ProblemSpec:
         if self.lap.dimension != self.T:
             raise ProblemError(
                 f"difference matrix dimension {self.lap.dimension} does not match T={self.T}")
+        k = np.arange(1, self.T + 1, dtype=float)
+        k.flags.writeable = False
+        object.__setattr__(self, "_nodes", k)
 
     @classmethod
     def create(cls, T, D, F):
@@ -103,7 +107,8 @@ class ProblemSpec:
         return cls(T=int(T), D=float(D), field=F, lap=laplacian(int(T)))
 
     def nodes(self):
-        return np.arange(1, self.T + 1, dtype=float)
+        """The node indices ``1..T`` as one shared read-only float array."""
+        return self._nodes
 
 
 def _check_dims(spec, u, x, y):
@@ -114,31 +119,43 @@ def _check_dims(spec, u, x, y):
         raise ProblemError(f"parameter must have length T={spec.T}, got {u.T}")
 
 
-def _env(spec, u, xv, yv):
-    return {"k": spec.nodes(), "x": xv, "y": yv, "u": u.values}
+def _nodal(spec, out, xv, yv):
+    """A field kernel result as values at the ``T`` nodes.
 
-
-def _eval(spec, node, env):
-    out = evaluate(node, env)
+    Constant trees give scalars and bare ``x``/``y`` trees give ``xv``/``yv``
+    back; both come out as read-only broadcast views, so no caller can write
+    through them into its own iterate.
+    """
+    if isinstance(out, np.ndarray) and out.shape == (spec.T,) and out is not xv and out is not yv:
+        return out
     return np.broadcast_to(np.asarray(out, dtype=float), (spec.T,))
 
 
 def integrand_sum_i(spec, u, xv, yv) -> float:
     """``sum_k F(k, x(k), y(k), u(k))``: the action without its quadratic terms."""
-    return float(np.sum(_eval(spec, spec.field.f, _env(spec, u, xv, yv))))
+    (f,) = spec.field.value_kernel(spec.nodes(), xv, yv, u.values)
+    return float(_nodal(spec, f, xv, yv).sum())
+
+
+def _differences(v):
+    # np.diff of v padded with the zero boundary values, without the padding copy.
+    d = np.empty(v.size + 1)
+    d[0] = v[0]
+    np.subtract(v[1:], v[:-1], out=d[1:-1])
+    d[-1] = 0.0 - v[-1]
+    return d
 
 
 def action_i(spec, u, xv, yv) -> float:
-    dx = np.diff(np.concatenate(([0.0], xv, [0.0])))
-    dy = np.diff(np.concatenate(([0.0], yv, [0.0])))
+    dx = _differences(xv)
+    dy = _differences(yv)
     return float(0.5 * (dx @ dx - dy @ dy) + integrand_sum_i(spec, u, xv, yv))
 
 
 def grad_i(spec, u, xv, yv):
-    env = _env(spec, u, xv, yv)
-    gx = spec.lap.apply(xv) + _eval(spec, spec.field.fx, env)
-    gy = -spec.lap.apply(yv) + _eval(spec, spec.field.fy, env)
-    return gx, gy
+    fx, fy = spec.field.gradient_kernel(spec.nodes(), xv, yv, u.values)
+    return (spec.lap.apply(xv) + _nodal(spec, fx, xv, yv),
+            -spec.lap.apply(yv) + _nodal(spec, fy, xv, yv))
 
 
 def residual_from_grad(gx, gy) -> float:
@@ -147,15 +164,13 @@ def residual_from_grad(gx, gy) -> float:
     ``gx = L x + F_x`` and ``gy = -L y + F_y`` are, up to sign, the defects
     ``d2x - F_x`` and ``d2y + F_y`` of the two equations.
     """
-    return float(max(np.max(np.abs(gx)), np.max(np.abs(gy))))
+    return float(max(abs(gx).max(), abs(gy).max()))
 
 
 def second_partials_i(spec, u, xv, yv):
     """Diagonals ``(F_xx, F_xy, F_yy)`` at the interior nodes."""
-    env = _env(spec, u, xv, yv)
-    return (_eval(spec, spec.field.fxx, env),
-            _eval(spec, spec.field.fxy, env),
-            _eval(spec, spec.field.fyy, env))
+    return tuple(_nodal(spec, out, xv, yv)
+                 for out in spec.field.hessian_kernel(spec.nodes(), xv, yv, u.values))
 
 
 def action(spec: ProblemSpec, u: ParameterFunction, x: GridFunction, y: GridFunction) -> float:

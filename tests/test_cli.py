@@ -4,10 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from saddlebvp import expressions, hypotheses
 from saddlebvp.cli import _json_text, main
+from saddlebvp.expressions import evaluate
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BILINEAR = os.path.join(REPO, "demos", "problems", "bilinear_t1.json")
+EXP_T5 = os.path.join(REPO, "demos", "problems", "exp_t5.json")
 
 
 def write_json(path, data):
@@ -249,6 +252,35 @@ def test_identical_seeds_byte_identical_outputs(tmp_path):
                      "--method", "extragradient", "--seed", "9"]) == 0
     for name in ("r.saddle.json", "r.trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_compiled_kernels_write_the_interpreters_bytes(tmp_path, monkeypatch):
+    runs = {"eg": ["solve", EXP_T5, "--method", "extragradient"],
+            "newton": ["solve", EXP_T5, "--method", "newton"],
+            "nested": ["solve", BILINEAR, "--method", "nested"],
+            "check": ["check", BILINEAR],
+            "sweep": ["sweep", BILINEAR]}
+
+    def outputs(side):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        codes = {name: main([*argv, "--out", name]) for name, argv in runs.items()}
+        return codes, {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
+
+    def interpreted(trees):
+        def kernel(k, x, y, u):
+            env = {"k": k, "x": x, "y": y, "u": u}
+            return tuple(evaluate(tree, env) for tree in trees)
+        return kernel
+
+    compiled = outputs("compiled")
+    monkeypatch.setattr(expressions, "compile_trees", interpreted)
+    monkeypatch.setattr(hypotheses, "compile_trees", interpreted)
+    reference = outputs("interpreted")
+    assert compiled[0] == reference[0]
+    assert sorted(compiled[1]) == sorted(reference[1]) and len(reference[1]) >= 9
+    for name, data in reference[1].items():
+        assert compiled[1][name] == data, name
 
 
 def test_float_array_serializes_like_its_list():

@@ -1,12 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlebvp.expressions import (Add, Call, DerivativeError, DomainError, Mul, Neg,
-                                   Num, Pow, ScalarField, Sub, SyntaxErrorAt, Var,
-                                   differentiate, evaluate, parse, to_string,
-                                   variables)
+from saddlebvp.expressions import (Add, Call, DerivativeError, Div, DomainError, ExprError,
+                                   Mul, Neg, Num, Pow, ScalarField, Sub, SyntaxErrorAt,
+                                   Var, compile_trees, differentiate, evaluate, parse,
+                                   to_string, variables)
 
 
 def env(k=1.0, x=0.0, y=0.0, u=0.0):
@@ -237,7 +239,7 @@ def _ast_strategy():
     leaves = st.one_of(
         st.builds(Num, st.floats(allow_nan=False, allow_infinity=False,
                                  min_value=-1e6, max_value=1e6)),
-        st.sampled_from([Var("k"), Var("x"), Var("y"), Var("u")]),
+        st.sampled_from([Var("k"), Var("x"), Var("y"), Var("u"), Num(0.0), Num(-0.0)]),
     )
 
     def extend(children):
@@ -247,6 +249,7 @@ def _ast_strategy():
             st.builds(lambda a, b: Add(a, b), children, children),
             st.builds(lambda a, b: Sub(a, b), children, children),
             st.builds(lambda a, b: Mul(a, b), children, children),
+            st.builds(lambda a, b: Div(a, b), children, children),
             st.builds(lambda a, b: Pow(a, b), children, children),
             st.builds(neg, children),
             st.builds(lambda f, a: Call(f, a), st.sampled_from(
@@ -266,3 +269,97 @@ def test_round_trip_spot_checks():
                  "sin(k*x)/cos(y)", "2^3^2", "x/(y*u)", "-(x + y)^2"):
         ast = parse(text)
         assert parse(to_string(ast)) == ast
+
+
+# --- compiled kernels -------------------------------------------------------------
+
+def _outcome(fn):
+    """``("ok", shape, value bits)`` or ``("raised", class, message)`` for one evaluation."""
+    with np.errstate(all="ignore"):
+        try:
+            value = np.asarray(fn(), dtype=float)
+        except Exception as exc:
+            return ("raised", type(exc), str(exc))
+    return ("ok", value.shape, value.tobytes())
+
+
+_SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 700.0])
+
+
+def _env_values(seed, shapes):
+    # Random values mixed with zeros of both signs, integers and halves, so
+    # that the domain guards and signed-zero results are exercised.
+    rng = np.random.default_rng(seed)
+    env = {}
+    for name, shape in zip("kxyu", shapes):
+        values = np.where(rng.random(shape) < 0.5, rng.normal(scale=3.0, size=shape),
+                          rng.choice(_SPECIAL, size=shape))
+        env[name] = float(values) if shape == () else values
+    return env
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ast_strategy(), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["scalar", "nodes", "samples"]))
+def test_compiled_kernel_matches_interpreter(trees, seed, layout):
+    # Signed-zero partners of the first tree: merging the two constants
+    # would give both results the same sign.
+    trees = (*trees, Mul(trees[0], Num(0.0)), Mul(trees[0], Num(-0.0)))
+    shapes = {"scalar": [()] * 4, "nodes": [(5,)] * 4,
+              "samples": [(5,), (3, 1), (5,), (3, 1)]}[layout]
+    env = _env_values(seed, shapes)
+    expected = []
+    for tree in trees:
+        expected.append(_outcome(lambda: evaluate(tree, env)))
+        if expected[-1][0] == "raised":
+            break
+    kernel = compile_trees(trees)
+    if expected[-1][0] == "raised":
+        # The trees run in order, so the kernel raises where the first
+        # rejected tree does, with the same class and message.
+        assert _outcome(lambda: kernel(**env)) == expected[-1]
+    else:
+        with np.errstate(all="ignore"):
+            values = kernel(**env)
+        assert [_outcome(lambda: v) for v in values] == expected
+
+
+def test_compiled_kernel_keeps_signed_zeros_apart():
+    x = Var("x")
+    kernel = compile_trees((Mul(x, Num(0.0)), Mul(x, Num(-0.0)), Add(Num(-0.0), Num(-0.0))))
+    pos, neg, zero_sum = kernel(1.0, 2.0, 3.0, 4.0)
+    assert (np.signbit(pos), np.signbit(neg), np.signbit(zero_sum)) == (False, True, True)
+
+
+def test_compiled_kernel_computes_each_shared_subtree_once():
+    class CountingFloat(float):
+        adds = 0
+
+        def __add__(self, other):
+            CountingFloat.adds += 1
+            return float(self) + other
+
+    tree = parse("log(x + 1.5)/(x + 1.5) + log(x + 1.5)")
+    kernel = compile_trees((tree, parse("log(x + 1.5)")))
+    x = CountingFloat(0.5)
+    value, log_value = kernel(0.0, x, 0.0, 0.0)
+    assert CountingFloat.adds == 1
+    assert value == evaluate(tree, {"k": 0.0, "x": x, "y": 0.0, "u": 0.0})
+    assert CountingFloat.adds == 4 and log_value == np.log(2.0)
+    with pytest.raises(DomainError, match=r"log of nonpositive value in 'log\(x \+ 1.5\)'"):
+        kernel(0.0, np.array([0.5, -2.0]), 0.0, 0.0)
+
+
+def test_compiled_kernel_rejects_names_outside_the_grammar():
+    with pytest.raises(ExprError):
+        compile_trees((Var("z"),))
+    with pytest.raises(ExprError):
+        compile_trees((Call("exec", Var("x")),))
+
+
+def test_scalar_field_kernels_ignored_by_equality_and_rebuilt_by_pickle():
+    a, b = ScalarField.from_text("x*y + exp(x)"), ScalarField.from_text("x*y + exp(x)")
+    assert a.gradient_kernel is not b.gradient_kernel
+    assert a == b and hash(a) == hash(b)
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and c.gradient_kernel(1.0, 0.5, 2.0, 0.0) == a.gradient_kernel(1.0, 0.5, 2.0, 0.0)

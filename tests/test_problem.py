@@ -6,8 +6,11 @@ import pytest
 from conftest import central_fd_gradient, dirichlet_matrix, quadratic_instance
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, action, grad,
                        hessian_blocks, load_problem, make_candidate, residual)
-from saddlebvp.expressions import Call, Neg, Num, Pow, Var
-from saddlebvp.problem import ProblemError, problem_from_dict
+from saddlebvp.expressions import (Call, DomainError, Neg, Num, Pow, ScalarField, Var,
+                                   evaluate, parse)
+from saddlebvp.grid import laplacian
+from saddlebvp.problem import (ProblemError, action_i, grad_i, problem_from_dict,
+                               second_partials_i)
 
 
 def closed_form_instance():
@@ -209,6 +212,39 @@ def test_hessian_blocks_match_directional_second_differences():
         second_fd = (val(h) - 2.0 * val(0.0) + val(-h)) / h ** 2
         quad = v @ Axx @ v + 2.0 * v @ Axy @ w + w @ Ayy @ w
         assert second_fd == pytest.approx(quad, abs=1e-5 * (1 + abs(quad)))
+
+
+# --- kernels ----------------------------------------------------------------------
+
+def test_each_quantity_keeps_its_own_domain():
+    # F_x = 2x + 1/(x + 1.5) is defined at x = -2, where log(x + 1.5) is not.
+    spec = ProblemSpec.create(3, 1.0, "x^2 - y^2 + log(x + 1.5)")
+    u = ParameterFunction.constant(0.0, 3, 1.0)
+    xv, yv = np.full(3, -2.0), np.array([0.5, 0.0, -0.5])
+    gx, gy = grad_i(spec, u, xv, yv)
+    env = {"k": spec.nodes(), "x": xv, "y": yv, "u": u.values}
+    assert np.isfinite(gx).all() and np.isfinite(gy).all()
+    assert gx.tobytes() == (spec.lap.apply(xv) + evaluate(spec.field.fx, env)).tobytes()
+    assert gy.tobytes() == (-spec.lap.apply(yv) + evaluate(spec.field.fy, env)).tobytes()
+    with pytest.raises(DomainError, match="log of nonpositive value"):
+        action_i(spec, u, xv, yv)
+
+
+def test_field_results_never_write_through_to_inputs():
+    # Partials that are bare variables come back as the kernel's own arguments.
+    field = ScalarField(f=parse("x*y"), fx=Var("y"), fy=Var("x"), fxx=Var("k"),
+                        fxy=Var("x"), fyy=Var("y"), source="x*y")
+    specs = [ProblemSpec(T=4, D=1.0, field=field, lap=laplacian(4)),
+             ProblemSpec.create(4, 1.0, "x*y")]
+    u = ParameterFunction.constant(0.5, 4, 1.0)
+    for spec in specs:
+        assert spec.nodes() is spec.nodes() and not spec.nodes().flags.writeable
+        xv, yv = np.array([1.0, -2.0, 3.0, 0.5]), np.array([0.25, 4.0, -1.0, 2.0])
+        before = (xv.copy(), yv.copy(), spec.nodes().copy())
+        for out in (*grad_i(spec, u, xv, yv), *second_partials_i(spec, u, xv, yv)):
+            if out.flags.writeable:
+                out[:] = 99.0
+        assert all(np.array_equal(a, b) for a, b in zip((xv, yv, spec.nodes()), before))
 
 
 # --- candidates ------------------------------------------------------------------
