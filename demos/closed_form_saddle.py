@@ -10,7 +10,7 @@ from saddlebvp.solvers import extragradient, nested_minimax, newton, verify_sadd
 
 spec = ProblemSpec.create(1, 2.0, "x*y + u*(x - y)")
 u = ParameterFunction.constant(1.0, 1, 2.0)
-cfg = SolverConfig(tol_grad=1e-12, tol_res=1e-12)
+cfg = SolverConfig(tol=1e-12)
 z0 = (GridFunction.from_interior([0.9]), GridFunction.from_interior([-1.4]))
 
 print("expected saddle: x(1) = -0.2, y(1) = -0.6, value 0.2\n")

@@ -15,7 +15,7 @@ from saddlebvp import (ParameterFunction, ParameterSequence, ProblemSpec,
 spec = ProblemSpec.create(1, 2.0, "x*y + u*(x - y)")
 u0 = ParameterFunction.constant(1.0, 1, 2.0)
 seq = ParameterSequence.rule(u0, direction=np.array([1.0]), N=64)
-cfg = SolverConfig(method="newton", tol_grad=1e-12, tol_res=1e-12, multistart=4)
+cfg = SolverConfig(method="newton", tol=1e-12, multistart=4)
 
 report = run_sequence(spec, seq, cfg, radii=(4.0, 4.0), tol_dep=1e-4)
 print(f"limit value a0 = {report.a0:.12f} (closed form 0.2)\n")

@@ -136,7 +136,7 @@ def _candidate_payload(cand, report=None):
 
 
 def _solver_config(args, record_trace):
-    return SolverConfig(method=args.method, tol_grad=args.tol, tol_res=args.tol,
+    return SolverConfig(method=args.method, tol=args.tol,
                         max_iter=args.max_iter, multistart=args.multistart,
                         seed=args.seed, record_trace=record_trace)
 

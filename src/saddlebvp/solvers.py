@@ -5,10 +5,15 @@ Three routes to a saddle point of the action:
 * ``extragradient`` -- the two-step scheme for the monotone operator
   ``(grad_x J, -grad_y J)`` with a locally backtracked step; needs only
   first derivatives.
-* ``newton`` -- damped Newton with Armijo backtracking on the first-order
-  system; quadratic convergence near a solution.
-* ``nested`` -- the constructive route of the existence argument: minimize
-  in ``x`` at fixed ``y``, then ascend the concave reduced function of ``y``.
+* ``newton`` -- damped Newton on the first-order system; quadratic
+  convergence near a solution.
+* ``nested`` -- the constructive route of the existence argument: an exact
+  minimization in ``x`` at fixed ``y``, then Newton steps on the gradient of
+  the concave reduced function of ``y``.
+
+``newton`` and both levels of ``nested`` share one damped-Newton loop
+(:func:`_damped_newton`), which backtracks until the Euclidean norm of its
+residual falls by the Armijo fraction.
 
 ``verify_saddle`` checks a candidate a posteriori: small system defect,
 sampled saddle inequalities, and the second-order test that ``x -> J(x, y*)``
@@ -40,11 +45,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by all solvers; tolerances are absolute."""
+    """Knobs shared by all solvers; ``tol`` is an absolute stopping tolerance."""
 
     method: str = "newton"
-    tol_grad: float = 1e-10
-    tol_res: float = 1e-10
+    tol: float = 1e-10
     max_iter: int = 20000
     multistart: int = 8
     seed: int = 0
@@ -54,8 +58,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("extragradient", "newton", "nested"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tol_grad <= 0 or self.tol_res <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.multistart < 1:
@@ -101,7 +105,7 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
     ``gamma |G(z_hat) - G(z)| <= EG_NU |z_hat - z|``; a predictor outside the
     integrand's domain is rejected.  The corrector is ``z - gamma G(z_hat)``,
     after which ``gamma`` grows by ``EG_GROWTH``.  Stops when the Euclidean
-    norm of ``G`` drops below ``tol_grad``.  ``EG_PATIENCE`` iterations
+    norm of ``G`` drops below ``tol``.  ``EG_PATIENCE`` iterations
     without a new smallest norm (iterates that run away, or a norm stuck at
     its rounding level), a step below ``EG_MIN_STEP`` and iteration
     exhaustion return the best iterate flagged as not converged.
@@ -119,7 +123,7 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
             trace.append((it, gn, residual_from_grad(gx, gy), _trace_value(spec, u, xv, yv)))
         if gn < best[0]:
             best = (gn, xv, yv, it)
-        if gn <= cfg.tol_grad:
+        if gn <= cfg.tol:
             converged = True
             break
         if not np.isfinite(gn) or it - best[3] >= EG_PATIENCE:
@@ -148,104 +152,83 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
                           iterations=it, converged=converged, trace=trace)
 
 
-def newton(spec, u, z0, cfg: SolverConfig):
-    """Damped Newton on the first-order system ``(L x + F_x, L y - F_y)``.
+def _damped_newton(residual, direction, v, tol, max_iter, on_iterate=None, condition=None):
+    """Damped Newton on ``residual(v) = 0``; returns ``(v, iterations, converged)``.
 
-    Armijo backtracking on the system norm; stops when the max-norm defect
-    falls below ``tol_res``.  The Jacobian ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]``
-    is solved as a band (:meth:`~saddlebvp.grid.DirichletLaplacian.solve_coupled`).
-    Raises :class:`SolverError` on a singular Jacobian (with a condition
-    estimate); stalls return the iterate flagged.
+    ``direction(v, r)`` solves ``J d = -r`` with ``J`` the residual's Jacobian
+    at ``v``.  Each iteration calls ``on_iterate(it, v, r, |r|_2)``, then
+    stops if the max-norm of ``r`` is at most ``tol``.  The step ``t`` halves
+    from 1 down to ``1e-12`` until ``|r(v + t d)|_2 <= (1 - ARMIJO t) |r(v)|_2``;
+    a trial point outside the integrand's domain is a rejected step.  A line
+    search that finds no step returns the iterate flagged as not converged.
+    A singular or non-finite direction raises :class:`SolverError`, with the
+    estimate ``condition(v)`` in the message when given.
     """
-    x0, y0 = z0
-    xv, yv = x0.interior, y0.interior
-    trace = [] if cfg.record_trace else None
-    converged = False
-    for it in range(cfg.max_iter):
-        gx, gy = grad_i(spec, u, xv, yv)
-        R = np.concatenate((gx, -gy))
-        rn2 = float(np.linalg.norm(R))
-        rn_inf = residual_from_grad(gx, gy)
-        if trace is not None:
-            trace.append((it, rn2, rn_inf, _trace_value(spec, u, xv, yv)))
-        if rn_inf <= cfg.tol_res:
-            converged = True
-            break
-        fxx, fxy, fyy = second_partials_i(spec, u, xv, yv)
+    r = residual(v)
+    for it in range(max_iter):
+        rn = float(np.linalg.norm(r))
+        if on_iterate is not None:
+            on_iterate(it, v, r, rn)
+        if np.abs(r).max() <= tol:
+            return v, it, True
         try:
-            dx, dy = spec.lap.solve_coupled(fxx, fxy, -fyy, -gx, gy)
-        except np.linalg.LinAlgError:
-            dx = dy = None
-        if dx is None or not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
-            cond = spec.lap.coupled_condition(fxx, fxy, -fyy)
-            raise SolverError(f"singular Jacobian at iteration {it} (cond estimate {cond:.3e})")
-        t = 1.0
-        accepted = False
-        while t >= 1e-12:
-            xt = xv + t * dx
-            yt = yv + t * dy
-            gxt, gyt = grad_i(spec, u, xt, yt)
-            if np.linalg.norm(np.concatenate((gxt, -gyt))) <= (1.0 - ARMIJO * t) * rn2:
-                xv, yv = xt, yt
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break  # line search stall; return flagged
-    else:
-        it = cfg.max_iter
-    return make_candidate(spec, u, GridFunction.from_interior(xv),
-                          GridFunction.from_interior(yv), "newton",
-                          iterations=it, converged=converged, trace=trace)
-
-
-def _regularized_solve(solve_shifted, g, sign):
-    """Direction ``d`` with ``H d = -g`` nudged toward descent (sign=+1) or ascent (-1).
-
-    ``solve_shifted(lam)`` solves ``(H + sign * lam * I) d = -g``; ``lam`` grows
-    from 0 until ``d`` points the right way.
-    """
-    lam = 0.0
-    while lam <= 1e8:
-        try:
-            d = solve_shifted(lam)
+            d = direction(v, r)
         except np.linalg.LinAlgError:
             d = None
-        if d is not None and np.all(np.isfinite(d)) and sign * float(g @ d) < 0:
-            return d
-        lam = 1e-10 if lam == 0.0 else lam * 100.0
-    return -sign * g  # steepest fallback
-
-
-def _convex_min(value_fn, grad_fn, shift_fn, lap, v0, tol, max_iter=INNER_MAX_ITER):
-    """Newton descent with Armijo backtracking for a convex objective.
-
-    The Hessian at ``v`` is ``L + diag(shift_fn(v))``, solved as a tridiagonal
-    band.  A trial point outside the integrand's domain is a rejected step.
-    """
-    v = np.array(v0, dtype=float)
-    val = value_fn(v)
-    for _ in range(max_iter):
-        g = grad_fn(v)
-        if np.linalg.norm(g) <= tol:
-            return v
-        shift = shift_fn(v)
-        d = _regularized_solve(lambda lam: lap.solve_shifted(shift + lam, -g), g, sign=+1)
-        slope = float(g @ d)
+        if d is None or not np.all(np.isfinite(d)):
+            detail = "" if condition is None else f" (cond estimate {condition(v):.3e})"
+            raise SolverError(f"singular Jacobian at iteration {it}{detail}")
         t = 1.0
-        while t >= 1e-14:
+        while t >= 1e-12:
             vt = v + t * d
             try:
-                valt = value_fn(vt)
+                rt = residual(vt)
             except ExprError:
-                valt = np.inf
-            if valt <= val + ARMIJO * t * slope:
-                v, val = vt, valt
+                rt = None  # trial point outside the domain: rejected
+            if rt is not None and np.linalg.norm(rt) <= (1.0 - ARMIJO * t) * rn:
+                v, r = vt, rt
                 break
             t *= 0.5
         else:
-            return v  # no further progress at machine scale
-    return v
+            return v, it, False  # line search stall
+    return v, max_iter, False
+
+
+def newton(spec, u, z0, cfg: SolverConfig):
+    """Damped Newton on the first-order system ``(L x + F_x, L y - F_y)``.
+
+    Runs :func:`_damped_newton` on the residual ``(grad_x J, -grad_y J)``,
+    whose Jacobian ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]`` is solved as a
+    band (:meth:`~saddlebvp.grid.DirichletLaplacian.solve_coupled`); stops
+    when the max-norm defect falls below ``tol``.  Raises
+    :class:`SolverError` on a singular Jacobian (with a condition estimate);
+    stalls return the iterate flagged.
+    """
+    T = spec.T
+    trace = [] if cfg.record_trace else None
+
+    def system(v):
+        gx, gy = grad_i(spec, u, v[:T], v[T:])
+        return np.concatenate((gx, -gy))
+
+    def jacobian(v):
+        fxx, fxy, fyy = second_partials_i(spec, u, v[:T], v[T:])
+        return fxx, fxy, -fyy
+
+    def step(v, r):
+        return np.concatenate(spec.lap.solve_coupled(*jacobian(v), -r[:T], -r[T:]))
+
+    def record(it, v, r, rn):
+        trace.append((it, rn, residual_from_grad(r[:T], r[T:]),
+                      _trace_value(spec, u, v[:T], v[T:])))
+
+    v, it, converged = _damped_newton(
+        system, step, np.concatenate((z0[0].interior, z0[1].interior)), cfg.tol,
+        cfg.max_iter, record if trace is not None else None,
+        condition=lambda v: spec.lap.coupled_condition(*jacobian(v)))
+    return make_candidate(spec, u, GridFunction.from_interior(v[:T]),
+                          GridFunction.from_interior(v[T:]), "newton",
+                          iterations=it, converged=converged, trace=trace)
 
 
 def _order(outer):
@@ -266,90 +249,73 @@ def _pair(slot, w, v):
     return (v, w) if slot == 1 else (w, v)
 
 
-def _inner_solve(spec, u, outer, w, v_start, tol):
-    """Convex inner solve at a fixed outer value ``w``.
-
-    ``outer="y"`` gives ``argmin_x J(x, w)``, ``outer="x"`` gives
-    ``argmax_y J(w, y)``: both minimize ``-s J`` over the inner variable.
-    """
-    s, slot = _order(outer)
-
-    def at(v):
-        return _pair(slot, w, v)
-
-    return _convex_min(
-        lambda v: -s * action_i(spec, u, *at(v)),
-        lambda v: -s * grad_i(spec, u, *at(v))[1 - slot],
-        lambda v: -s * second_partials_i(spec, u, *at(v))[2 * (1 - slot)],
-        spec.lap, v_start, tol)
-
-
-def _schur_solve(lap, partials, slot, s, g, lam):
-    """Outer direction ``d`` with ``(S + s lam I) d = -g``, ``S`` the reduced Hessian.
+def _schur_solve(lap, partials, slot, s, g):
+    """Outer direction ``d`` with ``S d = -g``, ``S`` the reduced Hessian.
 
     ``S = J_ww - J_wv J_vv^{-1} J_vw`` is the Schur complement of the convex
-    inner block ``-s J_vv = L - s F_vv``.  Rather than forming it, solve the
-    Jacobian band ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]`` with ``lam`` added
-    on the outer diagonal, ``-s g`` in the outer slots and 0 in the inner
-    ones: eliminating the inner unknowns leaves ``(s S + lam I) d = -s g``.
+    inner block ``-s J_vv = L - s F_vv``, the Jacobian of the reduced gradient
+    ``w -> grad_w J(w, v*(w))``.  Rather than forming it, solve the Jacobian
+    band ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]`` with ``-s g`` in the outer
+    slots and 0 in the inner ones: eliminating the inner unknowns leaves
+    ``s S d = -s g``.
     """
     fxx, fxy, fyy = partials
-    shifts = [fxx, -fyy]
-    shifts[slot] = shifts[slot] + lam
     rhs = [np.zeros_like(g), np.zeros_like(g)]
     rhs[slot] = -s * g
-    return lap.solve_coupled(shifts[0], fxy, shifts[1], *rhs)[slot]
+    return lap.solve_coupled(fxx, fxy, -fyy, *rhs)[slot]
 
 
 def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
-    """Nested solve: optimize the reduced function of the outer variable.
+    """Nested solve: Newton steps on the gradient of the reduced function.
 
     With ``outer="y"`` (the default) the inner problem minimizes the convex
-    ``x``-section and the outer loop ascends the concave reduced function,
-    realizing ``max_y min_x``; the outer direction comes from the Schur
-    complement of the second-derivative blocks (:func:`_schur_solve`).
-    ``outer="x"`` mirrors the construction and realizes ``min_x max_y`` (pass
-    the starting ``x`` as ``y0``).  Stops once the outer gradient norm
-    reaches ``tol_grad``.
+    ``x``-section exactly and the outer loop finds the stationary point of
+    the concave reduced function ``y -> min_x J(x, y)``, realizing
+    ``max_y min_x``; ``outer="x"`` mirrors the construction and realizes
+    ``min_x max_y`` (pass the starting ``x`` as ``y0``).  Both levels run
+    :func:`_damped_newton`: the inner one on ``-s grad_v J(v, w)`` with the
+    tridiagonal Hessian ``L - s F_vv`` to ``INNER_TOL_FACTOR * tol``, warm
+    from the last accepted inner point; the outer one on the reduced gradient
+    ``grad_w J(w, v*(w))`` with the Schur complement direction
+    (:func:`_schur_solve`) to ``tol``.  Only trace rows evaluate the action.
     """
     s, slot = _order(outer)
-    tol_outer = cfg.tol_grad
-    tol_inner = max(INNER_TOL_FACTOR * tol_outer, 1e-14)
-    wv = y0.interior
+    T = spec.T
+    tol_inner = max(INNER_TOL_FACTOR * cfg.tol, 1e-14)
     trace = [] if cfg.record_trace else None
-    converged = False
 
-    def reduced_value(w, inner_start):
-        v = _inner_solve(spec, u, outer, w, inner_start, tol_inner)
-        return action_i(spec, u, *_pair(slot, w, v)), v
+    def at(z):
+        return _pair(slot, z[:T], z[T:])
 
-    val, inner = reduced_value(wv, np.zeros(spec.T))
-    for it in range(cfg.max_iter):
-        xv, yv = _pair(slot, wv, inner)
-        grads = grad_i(spec, u, xv, yv)
-        g = grads[slot]
-        gn = float(np.linalg.norm(g))
-        if trace is not None:
-            trace.append((it, gn, residual_from_grad(*grads), val))
-        if gn <= tol_outer:
-            converged = True
-            break
-        partials = second_partials_i(spec, u, xv, yv)
-        d = _regularized_solve(lambda lam: _schur_solve(spec.lap, partials, slot, s, g, lam),
-                               g, sign=s)
-        slope = float(g @ d)
-        t = 1.0
-        while t >= 1e-14:
-            trial, inner_t = reduced_value(wv + t * d, inner)
-            if s * trial <= s * val + ARMIJO * t * s * slope:
-                wv, val, inner = wv + t * d, trial, inner_t
-                break
-            t *= 0.5
-        else:
-            break  # line search stall; return flagged
-    else:
-        it = cfg.max_iter
-    xv, yv = _pair(slot, wv, inner)
+    def inner_min(w, v0):
+        def gradient(v):
+            return -s * grad_i(spec, u, *_pair(slot, w, v))[1 - slot]
+
+        def step(v, g):
+            shift = -s * second_partials_i(spec, u, *_pair(slot, w, v))[2 * (1 - slot)]
+            return spec.lap.solve_shifted(shift, -g)
+
+        return _damped_newton(gradient, step, v0, tol_inner, INNER_MAX_ITER)[0]
+
+    # The outer iterate is z = (w, v).  A trial keeps the accepted v as the
+    # inner warm start, and the residual overwrites it with the inner
+    # minimizer, so every accepted z holds (w, v*(w)).
+    def reduced_gradient(z):
+        z[T:] = inner_min(z[:T], z[T:])
+        return grad_i(spec, u, *at(z))[slot]
+
+    def step(z, g):
+        d = _schur_solve(spec.lap, second_partials_i(spec, u, *at(z)), slot, s, g)
+        return np.concatenate((d, np.zeros(T)))
+
+    def record(it, z, g, gn):
+        trace.append((it, gn, residual_from_grad(*grad_i(spec, u, *at(z))),
+                      _trace_value(spec, u, *at(z))))
+
+    z, it, converged = _damped_newton(
+        reduced_gradient, step, np.concatenate((y0.interior, np.zeros(T))), cfg.tol,
+        cfg.max_iter, record if trace is not None else None)
+    xv, yv = at(z)
     method = "nested" if outer == "y" else "nested-xfirst"
     return make_candidate(spec, u, GridFunction.from_interior(xv),
                           GridFunction.from_interior(yv), method,

@@ -23,7 +23,7 @@ from saddlebvp.hypotheses import GrowthCertificate
 from saddlebvp.solvers import (extragradient, nested_minimax, newton, saddle_set,
                                verify_saddle)
 
-TIGHT = SolverConfig(tol_grad=1e-12, tol_res=1e-12)
+TIGHT = SolverConfig(tol=1e-12)
 
 
 def _report(num, label, failures):
@@ -93,7 +93,7 @@ def test_criterion_3_critical_point_equivalence():
         spec, u = nonlinear_instance(rng, T)
         z0 = (GridFunction.from_interior(rng.standard_normal(T)),
               GridFunction.from_interior(rng.standard_normal(T)))
-        cand = newton(spec, u, z0, SolverConfig(tol_res=1e-13, tol_grad=1e-13))
+        cand = newton(spec, u, z0, SolverConfig(tol=1e-13))
         report = verify_saddle(spec, u, cand, probes=32, seed=trial)
         bound = 1e-8 * (1.0 + spec.lap.norm_inf)
         if report.passed and cand.residual_norm > bound:
@@ -149,7 +149,7 @@ def test_criterion_5_linear_quadratic_oracle():
         if err_nt > 1e-8:
             failures.append(f"trial {trial}: newton {err_nt:.2e} > 1e-8")
 
-        eg = extragradient(spec, u, z0, SolverConfig(tol_grad=1e-9, max_iter=200000))
+        eg = extragradient(spec, u, z0, SolverConfig(tol=1e-9, max_iter=200000))
         err_eg = np.hypot(h_norm(eg.x - ref_x), h_norm(eg.y - ref_y))
         if err_eg > 1e-6:
             failures.append(f"trial {trial}: extragradient {err_eg:.2e} > 1e-6")
@@ -184,7 +184,7 @@ def test_criterion_6_minimax_equality():
 def test_criterion_7_ball_containment():
     failures = []
     rng = np.random.default_rng(104)
-    cfg = SolverConfig(method="newton", multistart=6, tol_res=1e-12)
+    cfg = SolverConfig(method="newton", multistart=6, tol=1e-12)
     for trial in range(6):
         T = int(rng.integers(1, 7))
         spec, u = nonlinear_instance(rng, T)
@@ -224,11 +224,11 @@ def test_criterion_8_dependence():
     spec = ProblemSpec.create(1, 2.0, "x*y + u*(x - y)")
     u0 = ParameterFunction.constant(1.0, 1, 2.0)
     seq = ParameterSequence.rule(u0, np.array([1.0]), N=64)
-    cfg = SolverConfig(method="newton", tol_grad=1e-12, tol_res=1e-12, multistart=4)
+    cfg = SolverConfig(method="newton", tol=1e-12, multistart=4)
     report = run_sequence(spec, seq, cfg, radii=(4.0, 4.0), tol_dep=1e-4)
     for entry in report.entries:
         want_dist = np.sqrt(0.8) / entry.n
-        if abs(entry.dist - want_dist) > 1e-6 + cfg.tol_res:
+        if abs(entry.dist - want_dist) > 1e-6 + cfg.tol:
             failures.append(f"dist at n={entry.n}: {entry.dist} vs {want_dist}")
         want_gap = (2.0 / entry.n + 1.0 / entry.n ** 2) / 5.0
         if abs(abs(entry.value - report.a0) - want_gap) > 1e-8:
@@ -247,7 +247,7 @@ def test_criterion_8_dependence():
         if rep.final_dist > 1e-4:
             failures.append(f"trial {trial}: dist_N {rep.final_dist:.2e} > 1e-4")
         for entry in rep.entries:
-            if abs(entry.value - rep.a0) > entry.gap + 2 * cfg.tol_grad:
+            if abs(entry.value - rep.a0) > entry.gap + 2 * cfg.tol:
                 failures.append(f"trial {trial}: a_n not Cauchy at n={entry.n}")
     elapsed = time.perf_counter() - start
     if elapsed >= 60.0:

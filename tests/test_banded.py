@@ -59,7 +59,10 @@ def test_schur_direction_matches_lstsq_formula(T, outer, lam):
     spec, u, xv, yv = random_point(T, 200 + T)
     g = grad_i(spec, u, xv, yv)[slot]
     partials = second_partials_i(spec, u, xv, yv)
-    d = _schur_solve(spec.lap, partials, slot, s, g, lam)
+    # lam shifts the outer curvature F_ww by s * lam, which shifts S by s * lam * I
+    shifted = list(partials)
+    shifted[2 * slot] = shifted[2 * slot] + s * lam
+    d = _schur_solve(spec.lap, shifted, slot, s, g)
     # reduced Hessian J_ww - J_wv J_vv^{-1} J_vw through the inner block L - s F_vv
     L = dirichlet_matrix(T)
     fxy = np.diag(partials[1])

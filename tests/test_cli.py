@@ -64,6 +64,15 @@ def test_solve_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_solve_rejects_tolerance_that_is_not_positive_and_finite(tmp_path, capsys, tol):
+    code = main(["solve", zero_problem(tmp_path), "--out", str(tmp_path / "run"),
+                 "--tol", tol])
+    assert code == 1
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "run.saddle.json").exists()
+
+
 def test_solve_unconverged_exits_2(tmp_path):
     problem = write_json(tmp_path / "p.json",
                          {"T": 2, "D": 1.0, "F": "x*y + x - y", "u": "0"})

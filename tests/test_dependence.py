@@ -11,7 +11,7 @@ from saddlebvp.dependence import DependenceError, geometric_schedule
 from saddlebvp.grid import random_in_ball
 from saddlebvp.solvers import SolverError
 
-CFG = SolverConfig(method="newton", tol_grad=1e-12, tol_res=1e-12, multistart=4)
+CFG = SolverConfig(method="newton", tol=1e-12, multistart=4)
 
 
 def bilinear_family():
@@ -187,7 +187,7 @@ def test_value_gap_bounded_by_uniform_gap():
     seq = ParameterSequence.rule(u0, np.array([1.0]), N=16)
     report = run_sequence(spec, seq, CFG, radii=(4.0, 4.0))
     for entry in report.entries:
-        assert abs(entry.value - report.a0) <= entry.gap + 2 * CFG.tol_grad
+        assert abs(entry.value - report.a0) <= entry.gap + 2 * CFG.tol
 
 
 def test_upper_limit_check_constant_sequence():

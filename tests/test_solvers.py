@@ -1,4 +1,5 @@
 import os
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 from conftest import (dirichlet_matrix, direct_quadratic_solve, nonlinear_instance,
                       quadratic_instance)
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, SolverConfig,
-                       h_norm, load_problem, make_candidate, product_distance)
+                       embedding_constant, h_norm, load_problem, make_candidate,
+                       product_distance, solvers)
+from saddlebvp.hypotheses import ball_radii, certificate_from_dict
 from saddlebvp.solvers import (SolverError, extragradient, nested_minimax, newton, saddle_set,
                                verify_saddle)
 
-TIGHT = SolverConfig(tol_grad=1e-12, tol_res=1e-12)
+TIGHT = SolverConfig(tol=1e-12)
 EXP_T5 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "demos", "problems", "exp_t5.json")
 
@@ -65,7 +68,7 @@ def test_extragradient_linear_solve_example():
 
 def test_extragradient_nonconvergence_flagged():
     spec, u = bilinear_spec(1.0)
-    cfg = SolverConfig(method="extragradient", max_iter=3, tol_grad=1e-14)
+    cfg = SolverConfig(method="extragradient", max_iter=3, tol=1e-14)
     cand = extragradient(spec, u, start(0.8, -1.1), cfg)
     assert not cand.converged
 
@@ -74,7 +77,7 @@ def test_extragradient_divergence_detector():
     # G(z) = -4 z is not monotone: every accepted step moves away from 0
     spec = ProblemSpec.create(1, 1.0, "-3*x^2 + 3*y^2")
     u = ParameterFunction.constant(0.0, 1, 1.0)
-    cfg = SolverConfig(method="extragradient", max_iter=5000, tol_grad=1e-12)
+    cfg = SolverConfig(method="extragradient", max_iter=5000, tol=1e-12)
     cand = extragradient(spec, u, start(0.5, 0.5), cfg)
     assert not cand.converged
     assert cand.iterations < 5000 - 1  # stopped early, not exhausted
@@ -84,7 +87,7 @@ def test_extragradient_stops_at_rounding_floor():
     # tol_grad below what double precision reaches: |G| stalls near 2.5e-16,
     # so no new best norm appears for EG_PATIENCE iterations
     spec, u = bilinear_spec(1.0)
-    cfg = SolverConfig(method="extragradient", tol_grad=1e-16, max_iter=100000)
+    cfg = SolverConfig(method="extragradient", tol=1e-16, max_iter=100000)
     cand = extragradient(spec, u, start(0.8, -1.1), cfg)
     assert not cand.converged
     assert cand.iterations < 500
@@ -128,7 +131,7 @@ def test_extragradient_memory_is_linear():
 def test_extragradient_gradient_norm_monotone_after_warmup():
     spec = ProblemSpec.create(4, 1.0, "x^2 - y^2 + 0.5*x*y")
     u = ParameterFunction.constant(0.0, 4, 1.0)
-    cfg = SolverConfig(method="extragradient", tol_grad=1e-11, record_trace=True)
+    cfg = SolverConfig(method="extragradient", tol=1e-11, record_trace=True)
     z0 = start([1.0, 2.0, -1.0, 0.5], [-2.0, 1.0, 1.0, -0.5])
     cand = extragradient(spec, u, z0, cfg)
     norms = [row[1] for row in cand.trace]
@@ -176,7 +179,7 @@ def test_newton_exponential_instance():
     assert cand.residual_norm <= 1e-12
     assert cand.iterations <= 20
     other = extragradient(spec, u, start(0.5, -0.5),
-                          SolverConfig(tol_grad=1e-11, max_iter=100000))
+                          SolverConfig(tol=1e-11, max_iter=100000))
     assert product_distance(cand, other) <= 1e-8
 
 
@@ -215,7 +218,7 @@ def test_nested_agrees_with_extragradient():
         y0 = GridFunction.from_interior(rng.standard_normal(T))
         nested = nested_minimax(spec, u, y0, TIGHT)
         eg = extragradient(spec, u, (GridFunction.zeros(T), y0),
-                           SolverConfig(tol_grad=1e-11, max_iter=200000))
+                           SolverConfig(tol=1e-11, max_iter=200000))
         assert nested.converged and eg.converged
         assert abs(nested.value - eg.value) <= 1e-8
 
@@ -230,6 +233,55 @@ def test_nested_both_orders_match():
     assert abs(maxmin.value - minmax.value) <= 1e-10
     assert product_distance(maxmin, minmax) <= 1e-8
 
+
+def study_instance_91():
+    """Instance 91 of the benchmark's ``study`` workload at seed 601, rebuilt.
+
+    Same stream and draws as the workload generator: the CLI seed first, then
+    ``u`` on 100 nodes; the certificate is the workload's closed form.
+    """
+    rng = random.Random("study:601:91")
+    seed = rng.randrange(2 ** 31)
+    T, a, p = 100, 0.4, 0.25
+    u = [rng.uniform(-0.5, 0.5) for _ in range(T)]
+    spec = ProblemSpec.create(
+        T, 1.0, f"{a}*x^2 - {a}*y^2 + 0.2*x*y + {p}*sin(x) + {p}*cos(y) + u*(x - y)")
+    cert = certificate_from_dict({
+        "alpha1": 0.0, "beta1": 0.0, "gamma1": -(p + 1.0) ** 2 / (4 * a) - p,
+        "alpha2": 0.0, "beta2": 0.0, "gamma2": 1.0 / (4 * a) + p,
+        "box": 6.0, "anchor_y": [0.0] * T, "anchor_x": [0.0] * T}, T)
+    radii = ball_radii(cert, embedding_constant(2, T), T)
+    return spec, ParameterFunction(np.array(u), 1.0), radii, seed
+
+
+def test_nested_converges_where_value_line_searches_stalled(monkeypatch):
+    # Armijo tests on action values cannot see progress near the rounding
+    # floor on this start; backtracking on the gradient norm can.
+    spec, u, radii, seed = study_instance_91()
+    counts = {"grad_i": 0, "action_i": 0}
+    for name in counts:
+        original = getattr(solvers, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+    cfg = SolverConfig(method="nested", multistart=1, max_iter=50, seed=seed)
+    sset = saddle_set(spec, u, cfg, radii=radii)
+    assert sset.failures == 0 and len(sset.points) == 1
+    assert sset.points[0].converged
+    assert 0 < counts["grad_i"] <= 200
+    assert counts["action_i"] == 0  # no trace: only make_candidate, outside this module
+
+
+def test_nested_singular_inner_hessian_fails_every_start():
+    # F_xx = -1, so the inner Hessian L - I is singular at every point for T = 2
+    spec = ProblemSpec.create(2, 1.0, "-0.5*x^2 + x*y - y^2")
+    u = ParameterFunction.constant(0.0, 2, 1.0)
+    sset = saddle_set(spec, u, SolverConfig(method="nested"))
+    assert sset.attempts == 8 and sset.failures == 8
+    assert sset.all_failed
 
 # --- verification --------------------------------------------------------------------
 
@@ -310,7 +362,7 @@ def test_saddle_set_unique_under_strict_convexity():
     spec = ProblemSpec.create(4, 1.0, "x^2 - y^2 + 0.5*x*y")
     u = ParameterFunction.constant(0.0, 4, 1.0)
     cfg = SolverConfig(method="newton", multistart=32, cluster_radius=1e-6,
-                       tol_res=1e-12)
+                       tol=1e-12)
     sset = saddle_set(spec, u, cfg, radii=(3.0, 3.0))
     assert len(sset.points) == 1
     assert sset.failures == 0
@@ -362,7 +414,7 @@ def test_all_three_methods_agree_pairwise():
         z0 = start(rng.standard_normal(T), rng.standard_normal(T))
         cands = [
             newton(spec, u, z0, TIGHT),
-            extragradient(spec, u, z0, SolverConfig(tol_grad=1e-10, max_iter=200000)),
+            extragradient(spec, u, z0, SolverConfig(tol=1e-10, max_iter=200000)),
             nested_minimax(spec, u, z0[1], TIGHT),
         ]
         for i, a in enumerate(cands):
@@ -399,7 +451,7 @@ def test_exhausted_runs_report_max_iter_iterations():
 def test_last_trace_row_matches_candidate():
     spec = ProblemSpec.create(3, 1.0, "x*y + exp(x/2) - exp(y/2) + u*x")
     u = ParameterFunction.constant(0.4, 3, 1.0)
-    cfg = SolverConfig(tol_grad=1e-11, tol_res=1e-11, record_trace=True)
+    cfg = SolverConfig(tol=1e-11, record_trace=True)
     z0 = start([0.3, -0.1, 0.2], [0.1, 0.4, -0.2])
     for cand in (extragradient(spec, u, z0, cfg), newton(spec, u, z0, cfg),
                  nested_minimax(spec, u, z0[1], cfg)):
@@ -414,9 +466,15 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method="sgd")
     with pytest.raises(ValueError):
-        SolverConfig(tol_grad=0.0)
+        SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+
+
+def test_solver_config_rejects_nonfinite_tol():
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=tol)
 
 
 def test_candidate_value_consistency_invariant():
