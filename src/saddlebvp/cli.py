@@ -7,7 +7,9 @@ flows from the single ``--seed`` flag, so identical invocations produce
 byte-identical files.  Wall time is reported on stdout only.
 
 Exit codes: 0 verified/passed, 2 unverified or counterexample found,
-1 usage or input error.
+1 usage or input error.  Input files are read by ``problem.read_json`` and
+parsed beside their types, which reject non-finite numbers; the CLI only
+routes arguments and writes outputs.
 """
 
 import argparse
@@ -20,17 +22,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .dependence import (DependenceError, ParameterSequence, run_sequence,
-                         upper_limit_check)
-from .expressions import ExprError
+from .dependence import DependenceError, run_sequence, sequence_from_dict, upper_limit_check
 from .grid import GridError, GridFunction, embedding_constant, embedding_estimate
 from .hypotheses import (HypothesisError, ball_radii, certificate_from_dict,
                          check_concavity_y, check_convexity_x, verify_growth)
-from .problem import ParameterFunction, ProblemError, node_values, problem_from_dict
+from .problem import problem_from_dict, read_json
 from .solvers import SolverConfig, SolverError, saddle_set, verify_saddle
 
-USER_ERRORS = (ProblemError, ExprError, GridError, HypothesisError,
-               DependenceError, SolverError, OSError, ValueError)
+# Every input error of the library is a ValueError.
+USER_ERRORS = (SolverError, OSError, ValueError)
 
 
 # --- deterministic serialization --------------------------------------------
@@ -100,17 +100,6 @@ def _manifest(subcommand, problem_path, seed, config):
     }
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ProblemError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ProblemError(f"{path} must contain a JSON object")
-    return data
-
-
 def _out_prefix(args):
     if args.out:
         return args.out
@@ -141,27 +130,24 @@ def _solver_config(args, record_trace):
                         seed=args.seed, record_trace=record_trace)
 
 
-def _radii_from_args(args, spec, data):
-    cert_data = None
-    if getattr(args, "certificate", None):
-        cert_data = _load_json(args.certificate)
-    elif "certificate" in data:
-        cert_data = data["certificate"]
-    if cert_data is None:
-        return None, None
-    cert = certificate_from_dict(cert_data, spec.T)
-    radii = ball_radii(cert, embedding_constant(2, spec.T), spec.T)
-    return cert, radii
+def _certificate(args, data, T):
+    """The ``--certificate`` file, else the problem file's certificate, else None."""
+    source = read_json(args.certificate) if args.certificate else data.get("certificate")
+    return None if source is None else certificate_from_dict(source, T)
+
+
+def _ball_radii(cert, T):
+    return None if cert is None else ball_radii(cert, embedding_constant(2, T), T)
 
 
 # --- subcommands -------------------------------------------------------------
 
 def cmd_solve(args):
     start = time.perf_counter()
-    data = _load_json(args.problem)
+    data = read_json(args.problem)
     spec, u = problem_from_dict(data)
     cfg = _solver_config(args, record_trace=True)
-    _, radii = _radii_from_args(args, spec, data)
+    radii = _ball_radii(_certificate(args, data, spec.T), spec.T)
     sset = saddle_set(spec, u, cfg, radii=radii)
     reports = [verify_saddle(spec, u, cand, radii=radii, seed=args.seed)
                for cand in sset.points]
@@ -195,21 +181,18 @@ def cmd_solve(args):
 
 def cmd_check(args):
     start = time.perf_counter()
-    data = _load_json(args.problem)
+    data = read_json(args.problem)
     spec, u = problem_from_dict(data)
-    cert_data = _load_json(args.certificate) if args.certificate else data.get("certificate")
-    if cert_data is None:
+    cert = _certificate(args, data, spec.T)
+    if cert is None:
         raise HypothesisError("no certificate: pass --certificate or embed one in the problem file")
-    cert = certificate_from_dict(cert_data, spec.T)
 
     growth = verify_growth(spec, cert, grid_density=args.density)
     anchor_y = cert.anchor_y if cert.anchor_y is not None else GridFunction.zeros(spec.T)
     anchor_x = cert.anchor_x if cert.anchor_x is not None else GridFunction.zeros(spec.T)
     convex = check_convexity_x(spec, u, anchor_y, cert.box_radius, args.density)
     concave = check_concavity_y(spec, u, anchor_x, cert.box_radius, args.density)
-    radii = None
-    if growth.alpha_ok:
-        radii = ball_radii(cert, embedding_constant(2, spec.T), spec.T)
+    radii = _ball_radii(cert, spec.T) if growth.alpha_ok else None
 
     manifest = _manifest("check", args.problem, args.seed, {"density": args.density})
     payload = {
@@ -246,40 +229,16 @@ def cmd_check(args):
     return 0 if ok else 2
 
 
-def _sequence_from_spec(seq_data, spec, u_default):
-    if "u0" in seq_data:
-        u0_term = seq_data["u0"]
-        if isinstance(u0_term, str):
-            u0 = ParameterFunction.from_expression(u0_term, spec.T, spec.D)
-        else:
-            u0 = ParameterFunction(np.asarray(u0_term, dtype=float), spec.D)
-    else:
-        u0 = u_default
-    if "direction" in seq_data:
-        direction = seq_data["direction"]
-        if isinstance(direction, str):
-            direction = node_values(direction, spec.T)
-        else:
-            direction = np.asarray(direction, dtype=float)
-        N = int(seq_data.get("N", 64))
-        return ParameterSequence.rule(u0, direction, N)
-    if "terms" in seq_data:
-        terms = [ParameterFunction(np.asarray(t, dtype=float), spec.D)
-                 for t in seq_data["terms"]]
-        return ParameterSequence.from_terms(u0, terms)
-    raise DependenceError("sequence spec needs either a direction or explicit terms")
-
-
 def cmd_sweep(args):
     start = time.perf_counter()
-    data = _load_json(args.problem)
+    data = read_json(args.problem)
     spec, u = problem_from_dict(data)
-    seq_data = _load_json(args.sequence) if args.sequence else data.get("sequence")
+    seq_data = read_json(args.sequence) if args.sequence else data.get("sequence")
     if seq_data is None:
         raise DependenceError("no sequence: pass --sequence or embed one in the problem file")
-    seq = _sequence_from_spec(seq_data, spec, u)
+    seq = sequence_from_dict(seq_data, u)
     cfg = _solver_config(args, record_trace=False)  # sweep writes no traces
-    _, radii = _radii_from_args(args, spec, data)
+    radii = _ball_radii(_certificate(args, data, spec.T), spec.T)
     report = run_sequence(spec, seq, cfg, radii=radii, tol_dep=args.tol_dep)
     check = upper_limit_check(report, args.tol_dep)
 
@@ -315,8 +274,7 @@ def cmd_constants(args):
     if args.T is not None:
         T_values = [args.T]
     elif args.problem:
-        data = _load_json(args.problem)
-        spec, _ = problem_from_dict(data)
+        spec, _ = problem_from_dict(read_json(args.problem))
         T_values = [spec.T]
     else:
         raise GridError("constants needs --T or a problem file")
@@ -341,10 +299,10 @@ def build_parser():
         if with_solver:
             p.add_argument("--method", default="newton",
                            choices=["extragradient", "newton", "nested"])
-            p.add_argument("--tol", type=float, default=1e-10,
+            p.add_argument("--tol", type=float, default=SolverConfig.tol,
                            help="gradient and residual tolerance")
-            p.add_argument("--max-iter", type=int, default=20000)
-            p.add_argument("--multistart", type=int, default=8)
+            p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+            p.add_argument("--multistart", type=int, default=SolverConfig.multistart)
 
     p_solve = sub.add_parser("solve", help="compute and verify the saddle set")
     p_solve.add_argument("problem")
@@ -382,8 +340,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which here means "unverified"
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except USER_ERRORS as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, h_norm, random_in_ball
-from .problem import ParameterFunction, integrand_sum_i, make_candidate
+from .problem import ParameterFunction, integrand_sum_i, make_candidate, parameter_values
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
                       saddle_set, verify_saddle)
 
@@ -60,6 +60,8 @@ class ParameterSequence:
             if v.shape != (self.u0.T,):
                 raise DependenceError(
                     f"direction must have length T={self.u0.T}, got shape {v.shape}")
+            if not np.isfinite(v).all():
+                raise DependenceError("direction must be finite")
             v = v.copy()
             v.flags.writeable = False
             object.__setattr__(self, "direction", v)
@@ -93,6 +95,29 @@ class ParameterSequence:
 
     def schedule(self):
         return geometric_schedule(self.N)
+
+
+def sequence_from_dict(data, u) -> ParameterSequence:
+    """Build a sequence from its mapping (``docs/sequence.schema.json``).
+
+    ``u`` is the problem's parameter: the default ``u0``, and the source of
+    ``T`` and the bound.
+    """
+    if ("direction" in data) == ("terms" in data):
+        raise DependenceError("a sequence needs either a direction or explicit terms, not both")
+    u0 = ParameterFunction(parameter_values(data["u0"], u.T, "u0"), u.bound) if "u0" in data else u
+    if "terms" in data:
+        return ParameterSequence.from_terms(
+            u0, [ParameterFunction(np.asarray(t, dtype=float), u.bound) for t in data["terms"]])
+    N = data.get("N", 64)
+    if not isinstance(N, int):
+        raise DependenceError(f"N must be an integer, got {N!r}")
+    return ParameterSequence.rule(u0, parameter_values(data["direction"], u.T, "direction"), N)
+
+
+def _check_tolerance(tol, name):
+    if not (np.isfinite(tol) and tol > 0):
+        raise DependenceError(f"{name} must be positive and finite, got {tol}")
 
 
 def uniform_gap(spec, u_a, u_b, box, samples=256, seed=0) -> float:
@@ -200,6 +225,7 @@ def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4,
     limit's saddle set, and the sampled functional gap; solver failures at
     individual terms leave a partial report rather than aborting.
     """
+    _check_tolerance(tol_dep, "tol_dep")
     baseline = saddle_set(spec, seq.u0, cfg, radii=radii)
     if baseline.all_failed:
         raise SolverError("no saddle found for the limit parameter")
@@ -256,6 +282,7 @@ def upper_limit_check(report: DependenceReport, tol) -> LimitCheck:
     baseline set and re-verify as a saddle of the limit problem at
     ``tol``-level tolerances.
     """
+    _check_tolerance(tol, "tol")
     N = max(report.schedule)
     tail = [e for e in report.entries
             if e.error is None and e.saddles is not None and e.n >= N / 2]

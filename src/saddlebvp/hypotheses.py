@@ -62,6 +62,11 @@ class GrowthCertificate:
         g2 = np.atleast_1d(np.asarray(self.gamma2, dtype=float))
         if g1.shape != g2.shape or g1.ndim != 1:
             raise HypothesisError(f"gamma arrays must share shape (T,), got {g1.shape} and {g2.shape}")
+        for name, v in (("alpha1", self.alpha1), ("beta1", self.beta1), ("gamma1", g1),
+                        ("alpha2", self.alpha2), ("beta2", self.beta2), ("gamma2", g2),
+                        ("box radius", self.box_radius)):
+            if not np.isfinite(v).all():
+                raise HypothesisError(f"{name} must be finite")
         if self.box_radius <= 0:
             raise HypothesisError(f"box radius must be positive, got {self.box_radius}")
         for g in (g1, g2):

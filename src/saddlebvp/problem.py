@@ -15,6 +15,7 @@ solver iterations call.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,15 +28,23 @@ class ProblemError(ValueError):
     pass
 
 
-def node_values(text, T):
-    """Values of an expression in ``k`` at the nodes ``1..T``, with no bound applied."""
-    ast = parse(text)
-    extra = variables(ast) - {"k"}
-    if extra:
-        raise ProblemError(f"expression may only use k, found {sorted(extra)}")
-    k = np.arange(1, T + 1, dtype=float)
-    vals = evaluate(ast, {"k": k, "x": 0.0, "y": 0.0, "u": 0.0})
-    return np.broadcast_to(np.asarray(vals, dtype=float), (T,)).copy()
+def parameter_values(value, T, name):
+    """Values at the nodes ``1..T`` of an expression in ``k`` or an array of ``T`` numbers.
+
+    Every node array in an input file is read here, with no bound applied;
+    ``name`` is its key, for error messages.
+    """
+    if isinstance(value, str):
+        ast = parse(value)
+        extra = variables(ast) - {"k"}
+        if extra:
+            raise ProblemError(f"{name} may only use k, found {sorted(extra)}")
+        k = np.arange(1, T + 1, dtype=float)
+        value = np.broadcast_to(evaluate(ast, {"k": k, "x": 0.0, "y": 0.0, "u": 0.0}), (T,))
+    vals = np.asarray(value, dtype=float)
+    if vals.shape != (T,):
+        raise ProblemError(f"{name} must have length T={T}, got shape {vals.shape}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,10 @@ class ParameterFunction:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ProblemError(f"parameter needs a 1-d array of length T >= 1, got shape {v.shape}")
-        if self.bound <= 0:
-            raise ProblemError(f"parameter bound must be positive, got {self.bound}")
+        if not (math.isfinite(self.bound) and self.bound > 0):
+            raise ProblemError(f"parameter bound must be positive and finite, got {self.bound}")
+        if not np.isfinite(v).all():
+            raise ProblemError("parameter values must be finite")
         if np.max(np.abs(v)) > self.bound:
             raise ProblemError(
                 f"parameter max-norm {np.max(np.abs(v))} exceeds bound {self.bound}")
@@ -66,7 +77,7 @@ class ParameterFunction:
     @classmethod
     def from_expression(cls, text, T, bound):
         """Evaluate an expression in ``k`` at the nodes ``1..T``."""
-        return cls(node_values(text, T), bound)
+        return cls(parameter_values(text, T, "expression"), bound)
 
     @property
     def T(self):
@@ -79,22 +90,20 @@ class ParameterFunction:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Grid size, parameter bound, integrand, and the difference matrix."""
+    """Grid size, parameter bound and integrand; ``lap`` is the ``T x T`` difference matrix."""
 
     T: int
     D: float
     field: ScalarField
-    lap: DirichletLaplacian
+    lap: DirichletLaplacian = field(init=False, repr=False, compare=False)
     _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T < 1:
             raise ProblemError(f"T must be >= 1, got {self.T}")
-        if self.D <= 0:
-            raise ProblemError(f"D must be positive, got {self.D}")
-        if self.lap.dimension != self.T:
-            raise ProblemError(
-                f"difference matrix dimension {self.lap.dimension} does not match T={self.T}")
+        if not (math.isfinite(self.D) and self.D > 0):
+            raise ProblemError(f"D must be positive and finite, got {self.D}")
+        object.__setattr__(self, "lap", laplacian(self.T))
         k = np.arange(1, self.T + 1, dtype=float)
         k.flags.writeable = False
         object.__setattr__(self, "_nodes", k)
@@ -104,7 +113,7 @@ class ProblemSpec:
         """Build a problem from an integrand given as text or ScalarField."""
         if isinstance(F, str):
             F = ScalarField.from_text(F)
-        return cls(T=int(T), D=float(D), field=F, lap=laplacian(int(T)))
+        return cls(T=int(T), D=float(D), field=F)
 
     def nodes(self):
         """The node indices ``1..T`` as one shared read-only float array."""
@@ -246,26 +255,22 @@ def problem_from_dict(data) -> tuple[ProblemSpec, ParameterFunction]:
     T = data["T"]
     if not isinstance(T, int) or T < 1:
         raise ProblemError(f"T must be a positive integer, got {T!r}")
-    D = float(data["D"])
-    spec = ProblemSpec.create(T, D, str(data["F"]))
-    u_spec = data["u"]
-    if isinstance(u_spec, str):
-        u = ParameterFunction.from_expression(u_spec, T, D)
-    else:
-        vals = np.asarray(u_spec, dtype=float)
-        if vals.shape != (T,):
-            raise ProblemError(f"u must have length T={T}, got shape {vals.shape}")
-        u = ParameterFunction(vals, D)
-    return spec, u
+    spec = ProblemSpec.create(T, data["D"], str(data["F"]))
+    return spec, ParameterFunction(parameter_values(data["u"], T, "u"), spec.D)
 
 
-def load_problem(path) -> tuple[ProblemSpec, ParameterFunction]:
-    """Read a problem JSON file; validates the parameter against the bound."""
+def read_json(path) -> dict:
+    """The JSON object in a file: problems, certificates and sequences are all read here."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ProblemError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ProblemError(f"problem file {path} must contain a JSON object")
-    return problem_from_dict(data)
+        raise ProblemError(f"{path} must contain a JSON object")
+    return data
+
+
+def load_problem(path) -> tuple[ProblemSpec, ParameterFunction]:
+    """Read a problem JSON file; validates the parameter against the bound."""
+    return problem_from_dict(read_json(path))

@@ -169,6 +169,48 @@ def test_check_without_certificate_errors(tmp_path, capsys):
     assert "certificate" in capsys.readouterr().err
 
 
+# A certificate that fails at D = 1: the growth check passed it once NaN
+# stood in for D or gamma1, since every comparison with NaN is false.
+FALSE_PASS = ('{"T": 3, "D": %s, "F": "x^2 - y^2 + u*x", "u": "0.9", "certificate": '
+              '{"alpha1": 0, "beta1": 0, "gamma1": %s, "alpha2": 0, "beta2": 0, "gamma2": 0.1, '
+              '"box": %s, "anchor_y": [0, 0, 0], "anchor_x": [0, 0, 0]}}')
+
+
+@pytest.mark.parametrize("D, gamma1, field", [("NaN", "-0.1", "D"), ("1", "NaN", "gamma1")])
+def test_check_rejects_nan_that_passed_growth(tmp_path, capsys, D, gamma1, field):
+    problem = tmp_path / "p.json"
+    problem.write_text(FALSE_PASS % (D, gamma1, "4"))
+    code = main(["check", str(problem), "--out", str(tmp_path / "p")])
+    assert code == 1
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "p.check.json").exists()
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "1e999"])
+@pytest.mark.parametrize("field", ["D", "box", "u"])
+def test_nonfinite_input_numbers_exit_1(tmp_path, capsys, literal, field):
+    numbers = {"D": "1", "box": "4", "u": "[0.5, 0.5, 0.5]"}
+    numbers[field] = "[0.5, %s, 0.5]" % literal if field == "u" else literal
+    problem = tmp_path / "p.json"
+    problem.write_text((FALSE_PASS % (numbers["D"], "-0.1", numbers["box"]))
+                       .replace('"0.9"', numbers["u"]))
+    code = main(["check", str(problem), "--out", str(tmp_path / "p")])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "p.json", "--multistart", "abc"],
+                                  ["solve", "p.json", "--no-such-flag"]])
+def test_usage_errors_exit_1(capsys, argv):
+    assert main(argv) == 1  # 2 means "unverified", not "bad command line"
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 # --- sweep -----------------------------------------------------------------------
 
 def test_sweep_constant_sequence(tmp_path):
@@ -228,6 +270,30 @@ def test_sweep_without_sequence_errors(tmp_path, capsys):
     code = main(["sweep", problem, "--out", str(tmp_path / "x")])
     assert code == 1
     assert "sequence" in capsys.readouterr().err
+
+
+def test_sweep_u0_of_wrong_length_names_u0(tmp_path, capsys):
+    sequence = write_json(tmp_path / "seq.json", {"u0": [0.1, 0.2], "direction": "1", "N": 4})
+    code = main(["sweep", EXP_T5, "--sequence", sequence, "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "u0 must have length T=5" in capsys.readouterr().err
+
+
+def test_sweep_rejects_direction_and_terms(tmp_path, capsys):
+    sequence = write_json(tmp_path / "seq.json",
+                          {"u0": "1", "direction": "1", "N": 2, "terms": [[1.0], [1.0]]})
+    code = main(["sweep", BILINEAR, "--sequence", sequence, "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol_dep", ["inf", "nan", "0"])
+def test_sweep_rejects_tol_dep_that_is_not_positive_and_finite(tmp_path, capsys, tol_dep):
+    # inf used to pass the upper-limit check vacuously, nan and 0 to fail it
+    code = main(["sweep", BILINEAR, "--out", str(tmp_path / "s"), "--tol-dep", tol_dep])
+    assert code == 1
+    assert "tol_dep must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "s.sweep.json").exists()
 
 
 # --- constants ---------------------------------------------------------------------

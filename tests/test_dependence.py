@@ -7,8 +7,9 @@ from conftest import dirichlet_matrix, nonlinear_instance
 from saddlebvp import (GridFunction, ParameterFunction, ParameterSequence,
                        ProblemSpec, SolverConfig, action, h_norm, parameter_lipschitz,
                        run_sequence, uniform_gap, upper_limit_check)
-from saddlebvp.dependence import DependenceError, geometric_schedule
+from saddlebvp.dependence import DependenceError, geometric_schedule, sequence_from_dict
 from saddlebvp.grid import random_in_ball
+from saddlebvp.problem import ProblemError
 from saddlebvp.solvers import SolverError
 
 CFG = SolverConfig(method="newton", tol=1e-12, multistart=4)
@@ -66,6 +67,42 @@ def test_sequence_validation():
         ParameterSequence(u0=u0, N=4)  # neither direction nor terms
     with pytest.raises(DependenceError):
         ParameterSequence.rule(u0, np.array([1.0]), N=4)  # wrong length
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sequence_direction_must_be_finite(bad):
+    u0 = ParameterFunction.constant(0.0, 2, 1.0)
+    with pytest.raises(DependenceError, match="direction must be finite"):
+        ParameterSequence.rule(u0, np.array([0.5, bad]), N=4)
+
+
+def test_sequence_from_dict():
+    u = ParameterFunction.constant(0.5, 3, 2.0)
+    seq = sequence_from_dict({"direction": "k", "N": 8}, u)
+    assert seq.u0 is u and seq.N == 8
+    assert np.array_equal(seq.direction, [1.0, 2.0, 3.0])
+    seq = sequence_from_dict({"u0": [0.0, 0.1, 0.2], "terms": [[0.0, 0.1, 0.3]]}, u)
+    assert np.array_equal(seq.u0.values, [0.0, 0.1, 0.2]) and seq.u0.bound == 2.0
+    assert seq.N == 1
+    with pytest.raises(DependenceError, match="not both"):
+        sequence_from_dict({"direction": "1", "terms": [[0.0, 0.0, 0.0]]}, u)
+    with pytest.raises(DependenceError, match="either a direction or explicit terms"):
+        sequence_from_dict({"u0": "0"}, u)
+    with pytest.raises(ProblemError, match="u0 must have length T=3"):
+        sequence_from_dict({"u0": [0.0, 0.1], "direction": "1"}, u)
+    with pytest.raises(DependenceError, match="N must be an integer"):
+        sequence_from_dict({"direction": "1", "N": float("inf")}, u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_dependence_tolerances_must_be_positive_and_finite(bad):
+    spec, u0 = bilinear_family()
+    seq = ParameterSequence.rule(u0, np.array([0.5]), N=2)
+    with pytest.raises(DependenceError, match="tol_dep must be positive and finite"):
+        run_sequence(spec, seq, CFG, tol_dep=bad)
+    report = run_sequence(spec, seq, CFG)
+    with pytest.raises(DependenceError, match="tol must be positive and finite"):
+        upper_limit_check(report, bad)
 
 
 # --- uniform gap -------------------------------------------------------------------

@@ -185,6 +185,17 @@ def test_verify_growth_rejects_unbounded_claim():
     assert rep.worst_upper_margin < -1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("key", ["alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2",
+                                 "box_radius"])
+def test_certificate_numbers_must_be_finite(key, bad):
+    # a NaN slips through every comparison, so verify_growth would pass it
+    numbers = dict(alpha1=0, beta1=0, gamma1=-0.1, alpha2=0, beta2=0, gamma2=0.1, box_radius=4.0)
+    numbers[key] = bad
+    with pytest.raises(HypothesisError, match=key.replace("_", " ") + " must be finite"):
+        GrowthCertificate.constant(3, **numbers)
+
+
 def test_verify_growth_alpha_margin():
     spec = ProblemSpec.create(1, 1.0, "0*x")  # c2 = 1/2, so the limit is 1
     cert = GrowthCertificate.constant(1, alpha1=1.0, beta1=0, gamma1=0,

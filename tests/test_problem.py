@@ -8,9 +8,8 @@ from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, action, gra
                        hessian_blocks, load_problem, make_candidate, residual)
 from saddlebvp.expressions import (Call, DomainError, Neg, Num, Pow, ScalarField, Var,
                                    evaluate, parse)
-from saddlebvp.grid import laplacian
-from saddlebvp.problem import (ProblemError, action_i, grad_i, problem_from_dict,
-                               second_partials_i)
+from saddlebvp.problem import (ProblemError, action_i, grad_i, parameter_values,
+                               problem_from_dict, read_json, second_partials_i)
 
 
 def closed_form_instance():
@@ -36,6 +35,16 @@ def test_parameter_from_expression():
         ParameterFunction.from_expression("x + k", 5, 1.0)
     with pytest.raises(ProblemError):
         ParameterFunction.from_expression("2*k", 5, 1.0)  # exits the box
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_input_numbers_must_be_finite(bad):
+    with pytest.raises(ProblemError, match="D must be positive and finite"):
+        ProblemSpec.create(2, bad, "x*y")
+    with pytest.raises(ProblemError, match="bound must be positive and finite"):
+        ParameterFunction(np.zeros(2), bad)
+    with pytest.raises(ProblemError, match="values must be finite"):
+        ParameterFunction(np.array([0.5, bad]), 1.0)
 
 
 def test_parameter_constant():
@@ -234,7 +243,7 @@ def test_field_results_never_write_through_to_inputs():
     # Partials that are bare variables come back as the kernel's own arguments.
     field = ScalarField(f=parse("x*y"), fx=Var("y"), fy=Var("x"), fxx=Var("k"),
                         fxy=Var("x"), fyy=Var("y"), source="x*y")
-    specs = [ProblemSpec(T=4, D=1.0, field=field, lap=laplacian(4)),
+    specs = [ProblemSpec(T=4, D=1.0, field=field),
              ProblemSpec.create(4, 1.0, "x*y")]
     u = ParameterFunction.constant(0.5, 4, 1.0)
     for spec in specs:
@@ -289,6 +298,24 @@ def test_problem_from_dict_errors():
         problem_from_dict({"T": 0, "D": 1.0, "F": "x", "u": []})
     with pytest.raises(ProblemError):
         problem_from_dict({"T": 2, "D": 1.0, "F": "x", "u": [0.0, 0.0, 0.0]})
+
+
+def test_parameter_values_checks_length_and_names_the_input():
+    assert np.array_equal(parameter_values("k/2", 3, "u"), [0.5, 1.0, 1.5])
+    assert np.array_equal(parameter_values([1, 2, 3], 3, "u"), [1.0, 2.0, 3.0])
+    with pytest.raises(ProblemError, match="u0 must have length T=5"):
+        parameter_values([0.1, 0.2], 5, "u0")
+    with pytest.raises(ProblemError, match="direction may only use k"):
+        parameter_values("x + k", 5, "direction")
+
+
+def test_read_json_wants_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ProblemError, match="must contain a JSON object"):
+        read_json(path)
+    path.write_text('{"D": NaN}')
+    assert np.isnan(read_json(path)["D"])  # the types reject it, not the reader
 
 
 def test_load_problem_bad_json(tmp_path):
