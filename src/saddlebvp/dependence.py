@@ -9,7 +9,8 @@ records values and set distances, and ``upper_limit_check`` tests that the
 accumulation points re-verify as saddles of the limit problem.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -107,10 +108,15 @@ def sequence_from_dict(data, u) -> ParameterSequence:
         raise DependenceError("a sequence needs either a direction or explicit terms, not both")
     u0 = ParameterFunction(parameter_values(data["u0"], u.T, "u0"), u.bound) if "u0" in data else u
     if "terms" in data:
-        return ParameterSequence.from_terms(
-            u0, [ParameterFunction(np.asarray(t, dtype=float), u.bound) for t in data["terms"]])
+        if not isinstance(data["terms"], list):
+            raise DependenceError("terms must be a list of node arrays")
+        try:
+            terms = [np.asarray(t, dtype=float) for t in data["terms"]]
+        except TypeError as exc:  # an object where a number belongs
+            raise DependenceError("terms must hold numbers only") from exc
+        return ParameterSequence.from_terms(u0, [ParameterFunction(t, u.bound) for t in terms])
     N = data.get("N", 64)
-    if not isinstance(N, int):
+    if isinstance(N, bool) or not isinstance(N, int):
         raise DependenceError(f"N must be an integer, got {N!r}")
     return ParameterSequence.rule(u0, parameter_values(data["direction"], u.T, "direction"), N)
 
@@ -120,50 +126,98 @@ def _check_tolerance(tol, name):
         raise DependenceError(f"{name} must be positive and finite, got {tol}")
 
 
+# Sample points are evaluated in (B, T) blocks of about this many values.  A
+# kernel keeps every temporary alive until it returns, so the block, not the
+# sample count, bounds the memory of a sampled evaluation.
+_BLOCK_VALUES = 4096
+
+
+def _blocks(T, rows):
+    """Stack consecutive rows (tuples of arrays and scalars) column by column.
+
+    Each block holds ``max(1, _BLOCK_VALUES // T)`` rows, the last one fewer;
+    length-``T`` columns become ``(B, T)`` arrays and scalar columns ``(B,)``.
+    """
+    rows = iter(rows)
+    size = max(1, _BLOCK_VALUES // T)
+    while block := list(islice(rows, size)):
+        yield tuple(np.array(column) for column in zip(*block))
+
+
+def _sampled_gaps(spec, terms, u0, box, samples, seed):
+    """``uniform_gap(spec, u, u0, box, samples, seed)`` for every ``u`` in ``terms``.
+
+    Each draw takes ``x`` and then ``y`` from ``random_in_ball``; the even
+    draws are pushed to the ball boundaries, where linear-in-u integrands
+    attain the sup.  One pass over the blocks of draws evaluates the limit's
+    integrand sums once per block and each term's once.  ``np.fmax`` skips
+    a nan difference exactly as ``max(worst, nan)`` keeps ``worst``.
+    """
+    if not terms:
+        return []
+    rx, ry = radii_pair(box)
+    rng = np.random.default_rng(seed)
+
+    def pairs():
+        for i in range(max(1, samples)):
+            x = random_in_ball(spec.T, rx, rng)
+            y = random_in_ball(spec.T, ry, rng)
+            xv, yv = x.interior, y.interior
+            if i % 2 == 0:  # push to the boundary for a tighter estimate
+                nx, ny = h_norm(x), h_norm(y)
+                if nx > 0:
+                    xv = xv * (rx / nx)
+                if ny > 0:
+                    yv = yv * (ry / ny)
+            yield xv, yv
+
+    worst = np.zeros(len(terms))
+    for X, Y in _blocks(spec.T, pairs()):
+        f0 = integrand_sum_i(spec, u0, X, Y)
+        for j, u in enumerate(terms):
+            worst[j] = np.fmax.reduce(np.abs(integrand_sum_i(spec, u, X, Y) - f0),
+                                      initial=worst[j])
+    return [float(w) for w in worst]
+
+
 def uniform_gap(spec, u_a, u_b, box, samples=256, seed=0) -> float:
     """Sampled sup of ``|J_a - J_b|`` over the product ball.
 
     The quadratic terms cancel, so the gap is the largest sampled difference
     of the integrand sums.  Half the draws sit on the ball boundaries where
     linear-in-u integrands attain the sup; the estimate grows monotonically
-    with the sample count on a common seed.
+    with the sample count on a common seed.  The draws depend only on
+    ``spec.T``, ``box``, ``samples`` and ``seed``: ``run_sequence`` shares
+    one draw set among all its terms and gets the same values.
     """
-    rx, ry = radii_pair(box)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(max(1, samples)):
-        x = random_in_ball(spec.T, rx, rng)
-        y = random_in_ball(spec.T, ry, rng)
-        xv, yv = x.interior, y.interior
-        if i % 2 == 0:  # push to the boundary for a tighter estimate
-            nx, ny = h_norm(x), h_norm(y)
-            if nx > 0:
-                xv = xv * (rx / nx)
-            if ny > 0:
-                yv = yv * (ry / ny)
-        fa = integrand_sum_i(spec, u_a, xv, yv)
-        fb = integrand_sum_i(spec, u_b, xv, yv)
-        worst = max(worst, abs(fa - fb))
-    return float(worst)
+    return _sampled_gaps(spec, [u_a], u_b, box, samples, seed)[0]
 
 
 def parameter_lipschitz(spec, box, samples=256, seed=0) -> float:
-    """Sampled Lipschitz constant of the integrand in its parameter slot."""
+    """Sampled Lipschitz constant of the integrand in its parameter slot.
+
+    Each draw takes ``x``, ``y`` and then a parameter pair ``(u1, u2)``,
+    constant over the nodes; draws with ``u1 == u2`` are skipped.
+    """
     rx, ry = radii_pair(box)
     rng = np.random.default_rng(seed)
+
+    def draws():
+        for _ in range(max(1, samples)):
+            x = random_in_ball(spec.T, rx, rng)
+            y = random_in_ball(spec.T, ry, rng)
+            u1, u2 = rng.uniform(-spec.D, spec.D, size=2)
+            if u1 != u2:
+                yield x.interior, y.interior, u1, u2
+
     worst = 0.0
-    for _ in range(max(1, samples)):
-        x = random_in_ball(spec.T, rx, rng)
-        y = random_in_ball(spec.T, ry, rng)
-        u1, u2 = rng.uniform(-spec.D, spec.D, size=2)
-        if u1 == u2:
-            continue
-        (f1,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u1)
-        (f2,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u2)
-        f1 = np.broadcast_to(np.asarray(f1, float), (spec.T,))
-        f2 = np.broadcast_to(np.asarray(f2, float), (spec.T,))
-        worst = max(worst, float(np.max(np.abs(f1 - f2)) / abs(u1 - u2)))
-    return worst
+    for X, Y, u1, u2 in _blocks(spec.T, draws()):
+        # The parameters enter as (B, 1) columns, one value per row.
+        (f1,) = spec.field.value_kernel(spec.nodes(), X, Y, u1[:, None])
+        (f2,) = spec.field.value_kernel(spec.nodes(), X, Y, u2[:, None])
+        diff = np.abs(np.broadcast_to(f1 - f2, X.shape))
+        worst = np.fmax.reduce(np.max(diff, axis=1) / np.abs(u1 - u2), initial=worst)
+    return float(worst)
 
 
 @dataclass(frozen=True)
@@ -223,7 +277,10 @@ def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4,
 
     Records per ``n`` the saddle value, the one-sided set distance to the
     limit's saddle set, and the sampled functional gap; solver failures at
-    individual terms leave a partial report rather than aborting.
+    individual terms leave a partial report rather than aborting.  The gaps
+    of all solved terms come from one draw set of ``gap_samples`` ball pairs
+    at ``cfg.seed``, evaluated after the last term is solved; each equals
+    ``uniform_gap`` of that term and the limit.
     """
     _check_tolerance(tol_dep, "tol_dep")
     baseline = saddle_set(spec, seq.u0, cfg, radii=radii)
@@ -247,10 +304,14 @@ def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4,
                                          gap=np.nan, clamped=clamped, error=str(exc)))
             continue
         dist, per_cand = _set_distance(sads, baseline)
-        gap = uniform_gap(spec, u_n, seq.u0, box, samples=gap_samples, seed=cfg.seed)
         entries.append(SequenceEntry(n=n, u=u_n, saddles=sads, value=_set_value(sads),
                                      dist=dist, candidate_distances=per_cand,
-                                     gap=gap, clamped=clamped))
+                                     gap=np.nan, clamped=clamped))
+    solved = [i for i, e in enumerate(entries) if e.error is None]
+    gaps = _sampled_gaps(spec, [entries[i].u for i in solved], seq.u0, box,
+                         gap_samples, cfg.seed)
+    for i, gap in zip(solved, gaps):
+        entries[i] = replace(entries[i], gap=gap)
     good = [e for e in entries if e.error is None]
     final = good[-1] if good else None
     return DependenceReport(

@@ -9,6 +9,7 @@ kernels that share common subexpressions and reproduce the evaluator bit
 for bit.
 """
 
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -244,7 +245,10 @@ def to_string(node) -> str:
 
 def _print(node, context):
     if isinstance(node, Num):
+        # repr gives "inf", which does not parse; 1e999 reads back as infinity.
         s = repr(node.value)
+        if math.isinf(node.value):
+            s = s.replace("inf", "1e999")
         if s.startswith("-"):  # reparses via unary-minus folding, needs Neg's precedence
             return s if context <= 3 else f"({s})"
         return s
@@ -286,6 +290,11 @@ def _pow(base, expo, node):
         raise DomainError("fractional power of negative base", node)
     if np.any((np.asarray(base) == 0) & (np.asarray(expo) < 0)):
         raise DomainError("zero raised to a negative power", node)
+    return _power(base, expo)
+
+
+def _power(base, expo):
+    # The unguarded power: 0-d results come back as Python floats.
     out = np.power(base, expo)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -350,8 +359,15 @@ def compile_trees(trees):
     zero included) and every :class:`DomainError` equal the interpreter's.
     Constants are keyed by their bits, so ``0.0`` and ``-0.0`` stay apart.
     A tree that is a bare variable returns that argument itself.
+
+    Two guards are left out where they cannot fire.  A power whose exponent
+    is a constant, finite, integral and ``>= 0`` (``-0.0`` too) is a bare
+    ``np.power``: neither a fractional exponent nor a negative one is there
+    to reject.  A division by a constant other than ``0`` is a bare ``/``:
+    its denominator is never zero.  The values are the guarded ones, since
+    the guards only decide whether to raise.
     """
-    namespace = {"_div": _div, "_pow": _pow,
+    namespace = {"_div": _div, "_pow": _pow, "_power": _power,
                  **{f"_{name}": fn for name, fn in {**_GUARDED, **_UFUNCS}.items()}}
     names = {}  # structural key -> name of its value in the generated code
     lines = []
@@ -394,6 +410,11 @@ def compile_trees(trees):
             expr = f"{args[0]} {_OPERATORS[type(node)]} {args[1]}"
         elif func in _UFUNCS:
             expr = f"_{func}({args[0]})"
+        elif isinstance(node, Div) and isinstance(node.right, Num) and node.right.value != 0:
+            expr = f"{args[0]} / {args[1]}"
+        elif (isinstance(node, Pow) and isinstance(node.exponent, Num)
+              and node.exponent.value >= 0 and node.exponent.value.is_integer()):
+            expr = f"_power({args[0]}, {args[1]})"
         else:  # division, power, log and sqrt carry their node for the error message
             expr = f"_{func}({', '.join(args)}, {bind(node)})"
         names[key] = f"t{len(lines)}"

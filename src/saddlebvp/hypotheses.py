@@ -20,6 +20,8 @@ case over the box is one tridiagonal eigenvalue at the per-node grid minima
 does not depend on the free slot.
 """
 
+import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,19 +94,33 @@ class GrowthCertificate:
 
 
 def certificate_from_dict(data, T) -> GrowthCertificate:
+    if not isinstance(data, dict):
+        raise HypothesisError(f"certificate must be a JSON object, got {json.dumps(data, default=repr)}")
+
+    def number(key):
+        v = data[key]
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise HypothesisError(f"{key} must be a number, got {json.dumps(v, default=repr)}")
+        return float(v)
+
+    def numbers_list(key):
+        try:
+            return np.asarray(data[key], dtype=float)
+        except TypeError as exc:  # an object where a number belongs
+            raise HypothesisError(f"{key} must hold numbers only") from exc
+
     def gamma(key):
         v = data[key]
-        return np.full(T, float(v)) if np.isscalar(v) else np.asarray(v, dtype=float)
+        return np.full(T, number(key)) if v is None or np.isscalar(v) else numbers_list(key)
 
     def anchor(key):
-        v = data.get(key)
-        return None if v is None else GridFunction.from_interior(np.asarray(v, dtype=float))
+        return None if data.get(key) is None else GridFunction.from_interior(numbers_list(key))
 
     try:
         return GrowthCertificate(
-            alpha1=float(data["alpha1"]), beta1=float(data["beta1"]), gamma1=gamma("gamma1"),
-            alpha2=float(data["alpha2"]), beta2=float(data["beta2"]), gamma2=gamma("gamma2"),
-            box_radius=float(data["box"]), anchor_y=anchor("anchor_y"), anchor_x=anchor("anchor_x"))
+            alpha1=number("alpha1"), beta1=number("beta1"), gamma1=gamma("gamma1"),
+            alpha2=number("alpha2"), beta2=number("beta2"), gamma2=gamma("gamma2"),
+            box_radius=number("box"), anchor_y=anchor("anchor_y"), anchor_x=anchor("anchor_x"))
     except KeyError as exc:
         raise HypothesisError(f"certificate missing key {exc.args[0]!r}") from exc
 

@@ -16,6 +16,7 @@ solver iterations call.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,10 @@ def parameter_values(value, T, name):
             raise ProblemError(f"{name} may only use k, found {sorted(extra)}")
         k = np.arange(1, T + 1, dtype=float)
         value = np.broadcast_to(evaluate(ast, {"k": k, "x": 0.0, "y": 0.0, "u": 0.0}), (T,))
-    vals = np.asarray(value, dtype=float)
+    try:
+        vals = np.asarray(value, dtype=float)
+    except TypeError as exc:  # an object where a number belongs
+        raise ProblemError(f"{name} must be an expression in k or {T} numbers") from exc
     if vals.shape != (T,):
         raise ProblemError(f"{name} must have length T={T}, got shape {vals.shape}")
     return vals
@@ -140,10 +144,18 @@ def _nodal(spec, out, xv, yv):
     return np.broadcast_to(np.asarray(out, dtype=float), (spec.T,))
 
 
-def integrand_sum_i(spec, u, xv, yv) -> float:
-    """``sum_k F(k, x(k), y(k), u(k))``: the action without its quadratic terms."""
+def integrand_sum_i(spec, u, xv, yv):
+    """``sum_k F(k, x(k), y(k), u(k))``: the action without its quadratic terms.
+
+    ``xv`` and ``yv`` may also be ``(B, T)`` blocks of points, one per row,
+    evaluated in one kernel call; the result is then the array of the ``B``
+    row sums, each equal bit for bit to the float its row alone gives.
+    """
     (f,) = spec.field.value_kernel(spec.nodes(), xv, yv, u.values)
-    return float(_nodal(spec, f, xv, yv).sum())
+    if xv.ndim == 1:
+        return float(_nodal(spec, f, xv, yv).sum())
+    # Each row is summed along the contiguous last axis, in the 1-d order.
+    return np.ascontiguousarray(np.broadcast_to(f, xv.shape)).sum(axis=-1)
 
 
 def _differences(v):
@@ -252,10 +264,14 @@ def problem_from_dict(data) -> tuple[ProblemSpec, ParameterFunction]:
     for key in ("T", "D", "F", "u"):
         if key not in data:
             raise ProblemError(f"problem file missing key {key!r}")
-    T = data["T"]
-    if not isinstance(T, int) or T < 1:
+    T, D, F = data["T"], data["D"], data["F"]
+    if isinstance(T, bool) or not isinstance(T, int) or T < 1:
         raise ProblemError(f"T must be a positive integer, got {T!r}")
-    spec = ProblemSpec.create(T, data["D"], str(data["F"]))
+    if isinstance(D, bool) or not isinstance(D, numbers.Real):
+        raise ProblemError(f"D must be a number, got {json.dumps(D, default=repr)}")
+    if not isinstance(F, str):
+        raise ProblemError(f"F must be an expression string, got {json.dumps(F, default=repr)}")
+    spec = ProblemSpec.create(T, D, F)
     return spec, ParameterFunction(parameter_values(data["u"], T, "u"), spec.D)
 
 

@@ -8,6 +8,7 @@ so they stay independent of the library code they are used to check.
 import numpy as np
 
 from saddlebvp import GridFunction, ParameterFunction, ProblemSpec, action
+from saddlebvp.expressions import evaluate
 
 
 def central_fd_gradient(spec, u, x, y, h=5e-6):
@@ -81,3 +82,40 @@ def nonlinear_instance(rng, T, D=1.0):
     spec = ProblemSpec.create(T, D, F)
     u = ParameterFunction(rng.uniform(-D / 2, D / 2, T), D)
     return spec, u
+
+
+def per_pair_gap(spec, u_a, u_b, radii, samples, seed):
+    """Sampled sup of ``|sum_k F(u_a) - sum_k F(u_b)|``, one ball pair at a time.
+
+    Returns ``(sup, differences)``.  Each draw is ``x`` then ``y``, uniform in
+    the ball of the difference norm: a Gaussian direction scaled to the
+    radius ``r U^(1/T)``; the even draws are scaled onto the spheres.  Every
+    pair's sums come from the interpreter on that pair alone, and the sup is
+    the running ``max``, which passes over nan differences.
+    """
+    T = spec.T
+    k = np.arange(1, T + 1, dtype=float)
+    rng = np.random.default_rng(seed)
+
+    def draw(radius):
+        padded = np.zeros(T + 2)
+        padded[1:-1] = rng.standard_normal(T)
+        d = np.diff(padded)
+        r = radius * rng.uniform() ** (1.0 / T)
+        return padded * (r / np.sqrt(d @ d))
+
+    def integrand_sum(u, xv, yv):
+        f = evaluate(spec.field.f, {"k": k, "x": xv, "y": yv, "u": u.values})
+        return float(np.broadcast_to(f, (T,)).sum())
+
+    worst, differences = 0.0, []
+    for i in range(max(1, samples)):
+        x, y = draw(radii[0]), draw(radii[1])
+        xv, yv = x[1:-1], y[1:-1]
+        if i % 2 == 0:
+            dx, dy = np.diff(x), np.diff(y)
+            xv = xv * (radii[0] / np.sqrt(dx @ dx))
+            yv = yv * (radii[1] / np.sqrt(dy @ dy))
+        differences.append(abs(integrand_sum(u_a, xv, yv) - integrand_sum(u_b, xv, yv)))
+        worst = max(worst, differences[-1])
+    return worst, differences

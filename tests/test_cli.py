@@ -199,6 +199,50 @@ def test_nonfinite_input_numbers_exit_1(tmp_path, capsys, literal, field):
     assert "finite" in capsys.readouterr().err
 
 
+# Values of the wrong JSON type, and the message each must give.
+WRONG_TYPES = [
+    ({"D": None}, "D must be a number, got null"),
+    ({"D": "1"}, 'D must be a number, got "1"'),
+    ({"D": [1]}, "D must be a number, got [1]"),
+    ({"D": True}, "D must be a number, got true"),
+    ({"T": True}, "T must be a positive integer, got True"),
+    ({"F": 3}, "F must be an expression string, got 3"),
+    ({"F": None}, "F must be an expression string, got null"),
+    ({"u": {"k": 1}}, "u must be an expression in k or 3 numbers"),
+    ({"certificate": [1]}, "certificate must be a JSON object, got [1]"),
+    ({"certificate": {"alpha1": None}}, "alpha1 must be a number, got null"),
+    ({"certificate": {"beta2": "0"}}, 'beta2 must be a number, got "0"'),
+    ({"certificate": {"box": [4]}}, "box must be a number, got [4]"),
+    ({"certificate": {"gamma1": None}}, "gamma1 must be a number, got null"),
+    ({"certificate": {"gamma2": [{}, 0, 0]}}, "gamma2 must hold numbers only"),
+    ({"certificate": {"anchor_x": {"k": 0}}}, "anchor_x must hold numbers only"),
+]
+
+
+@pytest.mark.parametrize("change, message", WRONG_TYPES)
+def test_wrong_json_types_give_an_error_line(tmp_path, capsys, change, message):
+    data = json.loads(FALSE_PASS % ("1", "-0.1", "4"))
+    if isinstance(change.get("certificate"), dict):
+        change = {"certificate": {**data["certificate"], **change["certificate"]}}
+    problem = write_json(tmp_path / "p.json", {**data, **change})
+    code = main(["check", problem, "--out", str(tmp_path / "p")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sequence, message", [
+    ({"terms": 3}, "terms must be a list of node arrays"),
+    ({"terms": [{}]}, "terms must hold numbers only"),
+    ({"direction": "k", "N": True}, "N must be an integer, got True"),
+])
+def test_wrong_json_types_in_a_sequence_give_an_error_line(tmp_path, capsys, sequence, message):
+    problem = write_json(tmp_path / "p.json", {"T": 3, "D": 1.0, "F": "0*x", "u": "0",
+                                               "sequence": sequence})
+    assert main(["sweep", problem, "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["solve"], ["solve", "p.json", "--multistart", "abc"],
                                   ["solve", "p.json", "--no-such-flag"]])
 def test_usage_errors_exit_1(capsys, argv):

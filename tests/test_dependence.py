@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import dirichlet_matrix, nonlinear_instance
+from conftest import dirichlet_matrix, nonlinear_instance, per_pair_gap
 from saddlebvp import (GridFunction, ParameterFunction, ParameterSequence,
                        ProblemSpec, SolverConfig, action, h_norm, parameter_lipschitz,
                        run_sequence, uniform_gap, upper_limit_check)
@@ -180,7 +180,74 @@ def test_uniform_gap_bounded_by_parameter_lipschitz():
     assert gap <= lip * du * spec.T * (1 + 1e-9)
 
 
+def nan_field(c):
+    # 0*inf is nan where exp(c*x) overflows, at x > 709.78/c: on part of the
+    # ball when c matches the draws' largest node values at this T.
+    return f"u*x - y^2/4 + 0*exp({c}*x)"
+
+
+@pytest.mark.parametrize("T, samples, c", [(1, 9, 700), (5, 40, 600), (300, 40, 1500),
+                                           (5000, 6, 4800)])
+def test_uniform_gap_matches_the_per_pair_loop(T, samples, c):
+    # 4096 // T rows per block: T = 300 spreads 40 draws over 4 blocks and
+    # T = 5000 puts each draw in a block of its own.
+    spec = ProblemSpec.create(T, 1.0, nan_field(c))
+    rng = np.random.default_rng(T)
+    u_a, u_b = (ParameterFunction(rng.uniform(-1, 1, T), 1.0) for _ in range(2))
+    radii = (4.0, 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = uniform_gap(spec, u_a, u_b, radii, samples=samples, seed=T)
+        want, differences = per_pair_gap(spec, u_a, u_b, radii, samples, T)
+    assert np.isnan(differences).any() and not np.isnan(differences).all()
+    assert type(gap) is float and gap == want
+
+
+def test_parameter_lipschitz_matches_the_per_draw_loop():
+    def loop(spec, box, samples, seed):
+        # The per-draw loop that parameter_lipschitz batches.
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(max(1, samples)):
+            x = random_in_ball(spec.T, box[0], rng)
+            y = random_in_ball(spec.T, box[1], rng)
+            u1, u2 = rng.uniform(-spec.D, spec.D, size=2)
+            if u1 == u2:
+                continue
+            (f1,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u1)
+            (f2,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u2)
+            f1 = np.broadcast_to(np.asarray(f1, float), (spec.T,))
+            f2 = np.broadcast_to(np.asarray(f2, float), (spec.T,))
+            worst = max(worst, float(np.max(np.abs(f1 - f2)) / abs(u1 - u2)))
+        return worst
+
+    fields = ["sin(u)*x + u^2*y - exp(u*k/100)*x*y", "u", "u*k", "x*y + 2", nan_field(600)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for F in fields:
+            for T, samples in [(1, 7), (7, 30), (1000, 13)]:
+                spec = ProblemSpec.create(T, 1.5, F)
+                got = parameter_lipschitz(spec, (3.0, 2.0), samples=samples, seed=T)
+                assert type(got) is float and got == loop(spec, (3.0, 2.0), samples, T), (F, T)
+
+
 # --- run_sequence --------------------------------------------------------------------
+
+def test_run_sequence_gaps_match_the_per_pair_loop():
+    # 128 draws at T = 100 are 4 blocks of at most 40 rows, shared by every
+    # term; the integrand is nan on part of the ball.
+    T = 100
+    spec = ProblemSpec.create(T, 1.0, nan_field(1050))
+    u0 = ParameterFunction.from_expression("0.5*sin(3*k)", T, 1.0)
+    seq = ParameterSequence.rule(u0, 0.5 * np.cos(np.arange(1, T + 1)), N=8)
+    cfg = SolverConfig(method="newton", multistart=2, seed=11)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_sequence(spec, seq, cfg, radii=(4.0, 4.0), gap_samples=128)
+        assert [e.error for e in report.entries] == [None] * 4
+        for entry in report.entries:
+            want, differences = per_pair_gap(spec, entry.u, u0, (4.0, 4.0), 128, 11)
+            assert np.isnan(differences).any() and not np.isnan(differences).all()
+            assert entry.gap == want, entry.n
+            assert entry.gap == uniform_gap(spec, entry.u, u0, (4.0, 4.0), samples=128, seed=11)
+
 
 def test_constant_sequence_is_exact():
     spec, u0 = bilinear_family()

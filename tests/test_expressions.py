@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddlebvp import expressions
 from saddlebvp.expressions import (Add, Call, DerivativeError, Div, DomainError, ExprError,
                                    Mul, Neg, Num, Pow, ScalarField, Sub, SyntaxErrorAt,
                                    Var, compile_trees, differentiate, evaluate, parse,
@@ -240,6 +241,9 @@ def _ast_strategy():
         st.builds(Num, st.floats(allow_nan=False, allow_infinity=False,
                                  min_value=-1e6, max_value=1e6)),
         st.sampled_from([Var("k"), Var("x"), Var("y"), Var("u"), Num(0.0), Num(-0.0)]),
+        # Integral and special constants, so that the powers and divisions
+        # the compiler leaves unguarded come up often; 1e999 is infinity.
+        st.sampled_from([Num(c) for c in (1.0, 2.0, 3.0, 4.0, -1.0, -2.0, 0.5, 1e999)]),
     )
 
     def extend(children):
@@ -266,7 +270,7 @@ def test_parse_print_round_trip(ast):
 
 def test_round_trip_spot_checks():
     for text in ("x*y + u", "-x^2", "x^-2", "(x + y)*(x - y)", "x - (y - u)",
-                 "sin(k*x)/cos(y)", "2^3^2", "x/(y*u)", "-(x + y)^2"):
+                 "sin(k*x)/cos(y)", "2^3^2", "x/(y*u)", "-(x + y)^2", "x^1e999 - -1e999"):
         ast = parse(text)
         assert parse(to_string(ast)) == ast
 
@@ -348,6 +352,32 @@ def test_compiled_kernel_computes_each_shared_subtree_once():
     assert CountingFloat.adds == 4 and log_value == np.log(2.0)
     with pytest.raises(DomainError, match=r"log of nonpositive value in 'log\(x \+ 1.5\)'"):
         kernel(0.0, np.array([0.5, -2.0]), 0.0, 0.0)
+
+
+def test_compiled_kernel_leaves_out_only_guards_that_cannot_fire(monkeypatch):
+    calls = []
+
+    def counting(guard):
+        def wrapped(*args):
+            calls.append(guard.__name__)
+            return guard(*args)
+        return wrapped
+
+    monkeypatch.setattr(expressions, "_pow", counting(expressions._pow))
+    monkeypatch.setattr(expressions, "_div", counting(expressions._div))
+    x = np.array([-2.0, 0.0, 3.0])
+    for text, guards in [("x^2", []), ("x/2", []), ("x^0 + x^-0", []), ("x^3/0.5", []),
+                         ("x^y", ["_pow"]), ("x^-1", ["_pow"]), ("x^0.5", ["_pow"]),
+                         ("x^1e999", ["_pow"]), ("x/y", ["_div"]), ("x/0", ["_div"]),
+                         ("x/-0", ["_div"])]:
+        calls.clear()
+        with np.errstate(all="ignore"):
+            outcome = _outcome(lambda: compile_trees((parse(text),))(1.0, x, 2.0, 0.0)[0])
+        assert calls == guards, text
+        assert outcome == _outcome(lambda: evaluate(parse(text), env(x=x, y=2.0))), text
+    for point in (0.0, 1.0, -1.0, x):
+        with pytest.raises(DomainError, match="division by zero"):
+            compile_trees((parse("x/0"),))(1.0, point, 0.0, 0.0)
 
 
 def test_compiled_kernel_rejects_names_outside_the_grammar():
