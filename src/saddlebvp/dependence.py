@@ -15,7 +15,8 @@ from itertools import islice
 import numpy as np
 
 from .grid import GridFunction, h_norm, random_in_ball
-from .problem import ParameterFunction, integrand_sum_i, make_candidate, parameter_values
+from .problem import (ParameterFunction, integrand_sum_i, make_candidate, parameter_values,
+                      real_numbers)
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
                       saddle_set, verify_saddle)
 
@@ -110,11 +111,10 @@ def sequence_from_dict(data, u) -> ParameterSequence:
     if "terms" in data:
         if not isinstance(data["terms"], list):
             raise DependenceError("terms must be a list of node arrays")
-        try:
-            terms = [np.asarray(t, dtype=float) for t in data["terms"]]
-        except TypeError as exc:  # an object where a number belongs
-            raise DependenceError("terms must hold numbers only") from exc
-        return ParameterSequence.from_terms(u0, [ParameterFunction(t, u.bound) for t in terms])
+        if not real_numbers(data["terms"]):
+            raise DependenceError("terms must hold numbers only")
+        return ParameterSequence.from_terms(
+            u0, [ParameterFunction(np.asarray(t, dtype=float), u.bound) for t in data["terms"]])
     N = data.get("N", 64)
     if isinstance(N, bool) or not isinstance(N, int):
         raise DependenceError(f"N must be an integer, got {N!r}")
@@ -133,10 +133,10 @@ _BLOCK_VALUES = 4096
 
 
 def _blocks(T, rows):
-    """Stack consecutive rows (tuples of arrays and scalars) column by column.
+    """Stack consecutive rows (tuples of length-``T`` arrays) column by column.
 
-    Each block holds ``max(1, _BLOCK_VALUES // T)`` rows, the last one fewer;
-    length-``T`` columns become ``(B, T)`` arrays and scalar columns ``(B,)``.
+    Each block holds ``max(1, _BLOCK_VALUES // T)`` rows, the last one fewer,
+    so each column becomes a ``(B, T)`` array.
     """
     rows = iter(rows)
     size = max(1, _BLOCK_VALUES // T)
@@ -194,30 +194,22 @@ def uniform_gap(spec, u_a, u_b, box, samples=256, seed=0) -> float:
 
 
 def parameter_lipschitz(spec, box, samples=256, seed=0) -> float:
-    """Sampled Lipschitz constant of the integrand in its parameter slot.
-
-    Each draw takes ``x``, ``y`` and then a parameter pair ``(u1, u2)``,
-    constant over the nodes; draws with ``u1 == u2`` are skipped.
-    """
+    """Sampled Lipschitz constant of the integrand in its parameter slot."""
     rx, ry = radii_pair(box)
     rng = np.random.default_rng(seed)
-
-    def draws():
-        for _ in range(max(1, samples)):
-            x = random_in_ball(spec.T, rx, rng)
-            y = random_in_ball(spec.T, ry, rng)
-            u1, u2 = rng.uniform(-spec.D, spec.D, size=2)
-            if u1 != u2:
-                yield x.interior, y.interior, u1, u2
-
     worst = 0.0
-    for X, Y, u1, u2 in _blocks(spec.T, draws()):
-        # The parameters enter as (B, 1) columns, one value per row.
-        (f1,) = spec.field.value_kernel(spec.nodes(), X, Y, u1[:, None])
-        (f2,) = spec.field.value_kernel(spec.nodes(), X, Y, u2[:, None])
-        diff = np.abs(np.broadcast_to(f1 - f2, X.shape))
-        worst = np.fmax.reduce(np.max(diff, axis=1) / np.abs(u1 - u2), initial=worst)
-    return float(worst)
+    for _ in range(max(1, samples)):
+        x = random_in_ball(spec.T, rx, rng)
+        y = random_in_ball(spec.T, ry, rng)
+        u1, u2 = rng.uniform(-spec.D, spec.D, size=2)
+        if u1 == u2:
+            continue
+        (f1,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u1)
+        (f2,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u2)
+        f1 = np.broadcast_to(np.asarray(f1, float), (spec.T,))
+        f2 = np.broadcast_to(np.asarray(f2, float), (spec.T,))
+        worst = max(worst, float(np.max(np.abs(f1 - f2)) / abs(u1 - u2)))
+    return worst
 
 
 @dataclass(frozen=True)

@@ -360,12 +360,11 @@ def compile_trees(trees):
     Constants are keyed by their bits, so ``0.0`` and ``-0.0`` stay apart.
     A tree that is a bare variable returns that argument itself.
 
-    Two guards are left out where they cannot fire.  A power whose exponent
-    is a constant, finite, integral and ``>= 0`` (``-0.0`` too) is a bare
-    ``np.power``: neither a fractional exponent nor a negative one is there
-    to reject.  A division by a constant other than ``0`` is a bare ``/``:
-    its denominator is never zero.  The values are the guarded ones, since
-    the guards only decide whether to raise.
+    A power whose exponent is a constant, finite, integral and ``>= 0``
+    (``-0.0`` too) is a bare ``np.power``: its guard cannot fire, since
+    neither a fractional exponent nor a negative one is there to reject.
+    The values are the guarded ones, since the guard only decides whether
+    to raise.
     """
     namespace = {"_div": _div, "_pow": _pow, "_power": _power,
                  **{f"_{name}": fn for name, fn in {**_GUARDED, **_UFUNCS}.items()}}
@@ -410,8 +409,6 @@ def compile_trees(trees):
             expr = f"{args[0]} {_OPERATORS[type(node)]} {args[1]}"
         elif func in _UFUNCS:
             expr = f"_{func}({args[0]})"
-        elif isinstance(node, Div) and isinstance(node.right, Num) and node.right.value != 0:
-            expr = f"{args[0]} / {args[1]}"
         elif (isinstance(node, Pow) and isinstance(node.exponent, Num)
               and node.exponent.value >= 0 and node.exponent.value.is_integer()):
             expr = f"_power({args[0]}, {args[1]})"

@@ -28,6 +28,7 @@ import numpy as np
 
 from .expressions import compile_trees, depends_on
 from .grid import GridFunction, embedding_constant, h_norm
+from .problem import real_numbers
 
 DEFAULT_TOL = 1e-9
 
@@ -104,10 +105,9 @@ def certificate_from_dict(data, T) -> GrowthCertificate:
         return float(v)
 
     def numbers_list(key):
-        try:
-            return np.asarray(data[key], dtype=float)
-        except TypeError as exc:  # an object where a number belongs
-            raise HypothesisError(f"{key} must hold numbers only") from exc
+        if not real_numbers(data[key]):
+            raise HypothesisError(f"{key} must hold numbers only")
+        return np.asarray(data[key], dtype=float)
 
     def gamma(key):
         v = data[key]

@@ -29,6 +29,18 @@ class ProblemError(ValueError):
     pass
 
 
+def real_numbers(value) -> bool:
+    """Whether ``value`` is a real number, a numeric array or a nested list of them.
+
+    JSON strings and booleans are not numbers here, though ``float`` reads them.
+    """
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, list):
+        return all(real_numbers(v) for v in value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def parameter_values(value, T, name):
     """Values at the nodes ``1..T`` of an expression in ``k`` or an array of ``T`` numbers.
 
@@ -42,10 +54,9 @@ def parameter_values(value, T, name):
             raise ProblemError(f"{name} may only use k, found {sorted(extra)}")
         k = np.arange(1, T + 1, dtype=float)
         value = np.broadcast_to(evaluate(ast, {"k": k, "x": 0.0, "y": 0.0, "u": 0.0}), (T,))
-    try:
-        vals = np.asarray(value, dtype=float)
-    except TypeError as exc:  # an object where a number belongs
-        raise ProblemError(f"{name} must be an expression in k or {T} numbers") from exc
+    if not real_numbers(value):
+        raise ProblemError(f"{name} must be an expression in k or {T} numbers")
+    vals = np.asarray(value, dtype=float)
     if vals.shape != (T,):
         raise ProblemError(f"{name} must have length T={T}, got shape {vals.shape}")
     return vals
@@ -152,10 +163,12 @@ def integrand_sum_i(spec, u, xv, yv):
     row sums, each equal bit for bit to the float its row alone gives.
     """
     (f,) = spec.field.value_kernel(spec.nodes(), xv, yv, u.values)
-    if xv.ndim == 1:
-        return float(_nodal(spec, f, xv, yv).sum())
-    # Each row is summed along the contiguous last axis, in the 1-d order.
-    return np.ascontiguousarray(np.broadcast_to(f, xv.shape)).sum(axis=-1)
+    # Each row is summed along the contiguous last axis, in the 1-d order;
+    # filling a fresh array is cheaper than np.broadcast_to on small T.
+    full = np.empty(xv.shape)
+    full[...] = f
+    s = full.sum(axis=-1)
+    return float(s) if xv.ndim == 1 else s
 
 
 def _differences(v):

@@ -209,13 +209,17 @@ WRONG_TYPES = [
     ({"F": 3}, "F must be an expression string, got 3"),
     ({"F": None}, "F must be an expression string, got null"),
     ({"u": {"k": 1}}, "u must be an expression in k or 3 numbers"),
+    ({"u": ["0.1", "0.2", "0.3"]}, "u must be an expression in k or 3 numbers"),
+    ({"u": [True, False, True]}, "u must be an expression in k or 3 numbers"),
     ({"certificate": [1]}, "certificate must be a JSON object, got [1]"),
     ({"certificate": {"alpha1": None}}, "alpha1 must be a number, got null"),
     ({"certificate": {"beta2": "0"}}, 'beta2 must be a number, got "0"'),
     ({"certificate": {"box": [4]}}, "box must be a number, got [4]"),
     ({"certificate": {"gamma1": None}}, "gamma1 must be a number, got null"),
     ({"certificate": {"gamma2": [{}, 0, 0]}}, "gamma2 must hold numbers only"),
+    ({"certificate": {"gamma2": ["0.5", "0.5", "0.5"]}}, "gamma2 must hold numbers only"),
     ({"certificate": {"anchor_x": {"k": 0}}}, "anchor_x must hold numbers only"),
+    ({"certificate": {"anchor_x": [True, False, True]}}, "anchor_x must hold numbers only"),
 ]
 
 
@@ -234,6 +238,9 @@ def test_wrong_json_types_give_an_error_line(tmp_path, capsys, change, message):
 @pytest.mark.parametrize("sequence, message", [
     ({"terms": 3}, "terms must be a list of node arrays"),
     ({"terms": [{}]}, "terms must hold numbers only"),
+    ({"terms": [["1", "0", "0"]]}, "terms must hold numbers only"),
+    ({"terms": [[True, 0, 0]]}, "terms must hold numbers only"),
+    ({"direction": ["1", "0", "0"]}, "direction must be an expression in k or 3 numbers"),
     ({"direction": "k", "N": True}, "N must be an integer, got True"),
 ])
 def test_wrong_json_types_in_a_sequence_give_an_error_line(tmp_path, capsys, sequence, message):

