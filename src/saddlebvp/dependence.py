@@ -10,13 +10,12 @@ accumulation points re-verify as saddles of the limit problem.
 """
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
 from .grid import GridFunction, h_norm, random_in_ball
 from .problem import (ParameterFunction, integrand_sum_i, make_candidate, parameter_values,
-                      real_numbers)
+                      real_numbers, row_blocks)
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
                       saddle_set, verify_saddle)
 
@@ -126,24 +125,6 @@ def _check_tolerance(tol, name):
         raise DependenceError(f"{name} must be positive and finite, got {tol}")
 
 
-# Sample points are evaluated in (B, T) blocks of about this many values.  A
-# kernel keeps every temporary alive until it returns, so the block, not the
-# sample count, bounds the memory of a sampled evaluation.
-_BLOCK_VALUES = 4096
-
-
-def _blocks(T, rows):
-    """Stack consecutive rows (tuples of length-``T`` arrays) column by column.
-
-    Each block holds ``max(1, _BLOCK_VALUES // T)`` rows, the last one fewer,
-    so each column becomes a ``(B, T)`` array.
-    """
-    rows = iter(rows)
-    size = max(1, _BLOCK_VALUES // T)
-    while block := list(islice(rows, size)):
-        yield tuple(np.array(column) for column in zip(*block))
-
-
 def _sampled_gaps(spec, terms, u0, box, samples, seed):
     """``uniform_gap(spec, u, u0, box, samples, seed)`` for every ``u`` in ``terms``.
 
@@ -172,7 +153,7 @@ def _sampled_gaps(spec, terms, u0, box, samples, seed):
             yield xv, yv
 
     worst = np.zeros(len(terms))
-    for X, Y in _blocks(spec.T, pairs()):
+    for X, Y in row_blocks(spec.T, pairs()):
         f0 = integrand_sum_i(spec, u0, X, Y)
         for j, u in enumerate(terms):
             worst[j] = np.fmax.reduce(np.abs(integrand_sum_i(spec, u, X, Y) - f0),

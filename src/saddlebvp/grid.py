@@ -125,11 +125,14 @@ class DirichletLaplacian:
         return _freeze(2.0 * np.eye(T) - np.eye(T, k=1) - np.eye(T, k=-1))
 
     def apply(self, interior):
-        """Matrix-vector product on interior values."""
+        """Matrix-vector product on interior values.
+
+        A ``(B, T)`` block is multiplied row by row, each row bit for bit as alone.
+        """
         v = np.asarray(interior, dtype=float)
         out = 2.0 * v
-        out[:-1] -= v[1:]
-        out[1:] -= v[:-1]
+        out[..., :-1] -= v[..., 1:]
+        out[..., 1:] -= v[..., :-1]
         return out
 
     def quadratic_form(self, x: GridFunction) -> float:

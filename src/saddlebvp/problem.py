@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -143,16 +144,39 @@ def _check_dims(spec, u, x, y):
         raise ProblemError(f"parameter must have length T={spec.T}, got {u.T}")
 
 
-def _nodal(spec, out, xv, yv):
-    """A field kernel result as values at the ``T`` nodes.
+def _nodal(out, xv, yv):
+    """A field kernel result as values at the nodes, in the shape of ``xv``.
 
-    Constant trees give scalars and bare ``x``/``y`` trees give ``xv``/``yv``
-    back; both come out as read-only broadcast views, so no caller can write
+    Constant trees give scalars, trees in ``k`` and ``u`` alone give ``T``
+    values for a block, and bare ``x``/``y`` trees give ``xv``/``yv`` back;
+    all come out as read-only broadcast views, so no caller can write
     through them into its own iterate.
     """
-    if isinstance(out, np.ndarray) and out.shape == (spec.T,) and out is not xv and out is not yv:
+    if isinstance(out, np.ndarray) and out.shape == xv.shape and out is not xv and out is not yv:
         return out
-    return np.broadcast_to(np.asarray(out, dtype=float), (spec.T,))
+    return np.broadcast_to(np.asarray(out, dtype=float), xv.shape)
+
+
+# Batched evaluations take (B, T) blocks of about this many values.  A kernel
+# keeps every temporary alive until it returns, so the block, not the number
+# of points, bounds the memory of a batched evaluation.
+_BLOCK_VALUES = 4096
+
+
+def block_rows(T):
+    """Rows ``B`` of a ``(B, T)`` evaluation block, at least 1."""
+    return max(1, _BLOCK_VALUES // T)
+
+
+def row_blocks(T, rows):
+    """Stack consecutive rows (tuples of length-``T`` arrays) column by column.
+
+    Each block holds ``block_rows(T)`` rows, the last one fewer, so each
+    column becomes a ``(B, T)`` array.
+    """
+    rows = iter(rows)
+    while block := list(islice(rows, block_rows(T))):
+        yield tuple(np.array(column) for column in zip(*block))
 
 
 def integrand_sum_i(spec, u, xv, yv):
@@ -171,39 +195,57 @@ def integrand_sum_i(spec, u, xv, yv):
     return float(s) if xv.ndim == 1 else s
 
 
+def squared_norm(v):
+    """``v @ v``, or for a ``(B, T)`` block the ``B`` row values.
+
+    A stacked ``matmul`` sums each row in the order of the 1-d product, so
+    every row equals its own ``v @ v`` bit for bit; ``einsum`` and
+    ``(v * v).sum(-1)`` do not.
+    """
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+
+
 def _differences(v):
     # np.diff of v padded with the zero boundary values, without the padding copy.
-    d = np.empty(v.size + 1)
-    d[0] = v[0]
-    np.subtract(v[1:], v[:-1], out=d[1:-1])
-    d[-1] = 0.0 - v[-1]
+    d = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    d[..., 0] = v[..., 0]
+    np.subtract(v[..., 1:], v[..., :-1], out=d[..., 1:-1])
+    d[..., -1] = 0.0 - v[..., -1]
     return d
 
 
-def action_i(spec, u, xv, yv) -> float:
+def action_i(spec, u, xv, yv):
+    """The action at interior values; a ``(B, T)`` block gives the ``B`` row values."""
     dx = _differences(xv)
     dy = _differences(yv)
-    return float(0.5 * (dx @ dx - dy @ dy) + integrand_sum_i(spec, u, xv, yv))
+    a = 0.5 * (squared_norm(dx) - squared_norm(dy)) + integrand_sum_i(spec, u, xv, yv)
+    return float(a) if xv.ndim == 1 else a
 
 
 def grad_i(spec, u, xv, yv):
+    """``(L x + F_x, -L y + F_y)`` at interior values, row by row for a ``(B, T)`` block."""
     fx, fy = spec.field.gradient_kernel(spec.nodes(), xv, yv, u.values)
-    return (spec.lap.apply(xv) + _nodal(spec, fx, xv, yv),
-            -spec.lap.apply(yv) + _nodal(spec, fy, xv, yv))
+    return (spec.lap.apply(xv) + _nodal(fx, xv, yv),
+            -spec.lap.apply(yv) + _nodal(fy, xv, yv))
 
 
-def residual_from_grad(gx, gy) -> float:
+def residual_from_grad(gx, gy):
     """Max-norm system defect from the partial gradients at the same point.
 
     ``gx = L x + F_x`` and ``gy = -L y + F_y`` are, up to sign, the defects
-    ``d2x - F_x`` and ``d2y + F_y`` of the two equations.
+    ``d2x - F_x`` and ``d2y + F_y`` of the two equations.  A ``(B, T)`` block
+    gives one defect per row.  The larger of the two maxima is taken as
+    Python's ``max`` takes it, so a nan in ``gx`` gives nan and one in ``gy``
+    alone does not.
     """
-    return float(max(abs(gx).max(), abs(gy).max()))
+    mx, my = abs(gx).max(axis=-1), abs(gy).max(axis=-1)
+    r = np.where(my > mx, my, mx)
+    return float(r) if gx.ndim == 1 else r
 
 
 def second_partials_i(spec, u, xv, yv):
     """Diagonals ``(F_xx, F_xy, F_yy)`` at the interior nodes."""
-    return tuple(_nodal(spec, out, xv, yv)
+    return tuple(_nodal(out, xv, yv)
                  for out in spec.field.hessian_kernel(spec.nodes(), xv, yv, u.values))
 
 

@@ -15,6 +15,13 @@ Three routes to a saddle point of the action:
 (:func:`_damped_newton`), which backtracks until the Euclidean norm of its
 residual falls by the Armijo fraction.
 
+``extragradient_runs`` advances many extragradient starts in lockstep, as
+the rows of ``(B, T)`` arrays: each row keeps its own step, best iterate
+and stop, and one kernel call per iteration serves every live row.  The
+problem layer evaluates a block row by row bit for bit as alone, and after a
+domain error a block is evaluated one row at a time, so each start ends
+exactly where its own run ends and only the rows that leave the domain fail.
+
 ``verify_saddle`` checks a candidate a posteriori: small system defect,
 sampled saddle inequalities, and the second-order test that ``x -> J(x, y*)``
 is locally convex and ``y -> J(x*, y)`` locally concave.
@@ -26,8 +33,8 @@ import numpy as np
 
 from .expressions import ExprError
 from .grid import GridFunction, h_norm, random_in_ball
-from .problem import (action_i, grad_i, make_candidate, residual,
-                      residual_from_grad, second_partials_i)
+from .problem import (action_i, block_rows, grad_i, make_candidate, residual,
+                      residual_from_grad, row_blocks, second_partials_i, squared_norm)
 
 INNER_MAX_ITER = 200
 INNER_TOL_FACTOR = 1e-2     # nested inner solves stop at this fraction of the outer tolerance
@@ -85,15 +92,39 @@ def product_distance(a, b) -> float:
     return float(np.hypot(h_norm(a.x - b.x), h_norm(a.y - b.y)))
 
 
-def _trace_value(spec, u, xv, yv):
-    """Action for a trace row; ``nan`` outside the integrand's domain.
+def _action_or_nan(spec, u, xv, yv):
+    """Action, ``nan`` outside the integrand's domain; traces and probes read it.
 
-    Only the trace reads this value, so recording a trace cannot fail a start.
+    On a ``(B, T)`` block a domain guard tests every row at once, so after an
+    ``ExprError`` each row is evaluated alone and only the rows that raise
+    hold ``nan``.  Recording a trace cannot fail a start.
     """
     try:
         return action_i(spec, u, xv, yv)
     except ExprError:
-        return np.nan
+        if xv.ndim == 1:
+            return np.nan
+        return np.array([_action_or_nan(spec, u, x, y) for x, y in zip(xv, yv)])
+
+
+def _gradient_rows(spec, u, X, Y):
+    """``grad_i`` on a ``(B, T)`` block, and ``{row: ExprError}`` for the rows that raise.
+
+    A domain guard tests every row at once, so after an ``ExprError`` each row
+    is evaluated alone, exactly as in a one-row call; rows that raise hold nan.
+    """
+    try:
+        return (*grad_i(spec, u, X, Y), {})
+    except ExprError:
+        pass
+    GX, GY = np.full_like(X, np.nan), np.full_like(Y, np.nan)
+    errors = {}
+    for i in range(len(X)):
+        try:
+            GX[i], GY[i] = grad_i(spec, u, X[i], Y[i])
+        except ExprError as exc:
+            errors[i] = exc
+    return GX, GY, errors
 
 
 def extragradient(spec, u, z0, cfg: SolverConfig):
@@ -108,48 +139,103 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
     norm of ``G`` drops below ``tol``.  ``EG_PATIENCE`` iterations
     without a new smallest norm (iterates that run away, or a norm stuck at
     its rounding level), a step below ``EG_MIN_STEP`` and iteration
-    exhaustion return the best iterate flagged as not converged.
+    exhaustion return the best iterate flagged as not converged.  An iterate
+    or best iterate outside the domain raises its ``ExprError``.
+
+    This is the one-start case of :func:`extragradient_runs`.
     """
-    x0, y0 = z0
-    xv, yv = x0.interior, y0.interior
-    gamma = 1.0 / spec.lap.norm_inf
-    trace = [] if cfg.record_trace else None
-    best = (np.inf, xv, yv, 0)
-    converged = False
+    (end,) = extragradient_runs(spec, u, [z0], cfg)
+    if isinstance(end, ExprError):
+        raise end
+    return end
+
+
+def extragradient_runs(spec, u, starts, cfg: SolverConfig):
+    """:func:`extragradient` from every ``(x0, y0)`` in ``starts``, in lockstep.
+
+    The starts advance together as the rows of ``(B, T)`` arrays, in groups
+    of ``block_rows(T)``, so one kernel call per iteration serves every run
+    that is still going.  Each run ends bit for bit where it ends alone.
+    Returns, per start, its candidate or the ``ExprError`` it raises alone.
+    """
+    size = block_rows(spec.T)
+    return [end for i in range(0, len(starts), size)
+            for end in _lockstep(spec, u, starts[i:i + size], cfg)]
+
+
+def _lockstep(spec, u, starts, cfg):
+    # Row r of the arrays below is the run from starts[rows[r]].  Every row
+    # has its own step, best iterate and stop; a row that stops leaves the
+    # arrays, so the rows left are the runs that took the corrector step.
+    X = np.array([x.values[1:-1] for x, _ in starts])
+    Y = np.array([y.values[1:-1] for _, y in starts])
+    rows = np.arange(len(starts))
+    gamma = np.full(len(starts), 1.0 / spec.lap.norm_inf)
+    best_gn, best_X, best_Y = np.full(len(starts), np.inf), X, Y
+    best_it = np.zeros(len(starts), dtype=int)
+    traces = [[] if cfg.record_trace else None for _ in starts]
+    ends = [None] * len(starts)
+
+    def finish(r, xv, yv, iterations, converged):
+        try:
+            ends[rows[r]] = make_candidate(
+                spec, u, GridFunction.from_interior(xv), GridFunction.from_interior(yv),
+                "extragradient", iterations=iterations, converged=converged,
+                trace=traces[rows[r]])
+        except ExprError as exc:
+            ends[rows[r]] = exc
+
     for it in range(cfg.max_iter):
-        gx, gy = grad_i(spec, u, xv, yv)
-        gn = float(np.sqrt(gx @ gx + gy @ gy))
-        if trace is not None:
-            trace.append((it, gn, residual_from_grad(gx, gy), _trace_value(spec, u, xv, yv)))
-        if gn < best[0]:
-            best = (gn, xv, yv, it)
-        if gn <= cfg.tol:
-            converged = True
+        if not rows.size:
             break
-        if not np.isfinite(gn) or it - best[3] >= EG_PATIENCE:
-            break  # no progress: run-away iterates or a norm at its rounding level
-        while gamma >= EG_MIN_STEP:
-            try:
-                gxh, gyh = grad_i(spec, u, xv - gamma * gx, yv + gamma * gy)
-            except ExprError:
-                gamma *= 0.5  # predictor outside the domain: rejected
-                continue
-            dx, dy = gxh - gx, gyh - gy
-            if np.sqrt(dx @ dx + dy @ dy) <= EG_NU * gn:
-                break
-            gamma *= 0.5
-        else:
-            break  # step floor reached; return flagged
-        xv = xv - gamma * gxh
-        yv = yv + gamma * gyh
-        gamma *= EG_GROWTH
-    else:
-        it = cfg.max_iter
-    if not converged:
-        _, xv, yv, _ = best
-    return make_candidate(spec, u, GridFunction.from_interior(xv),
-                          GridFunction.from_interior(yv), "extragradient",
-                          iterations=it, converged=converged, trace=trace)
+        GX, GY, errors = _gradient_rows(spec, u, X, Y)
+        gn = np.sqrt(squared_norm(GX) + squared_norm(GY))
+        if cfg.record_trace:
+            values = zip(gn.tolist(), residual_from_grad(GX, GY).tolist(),
+                         _action_or_nan(spec, u, X, Y).tolist())
+            for r, (g, res, value) in enumerate(values):
+                if r not in errors:
+                    traces[rows[r]].append((it, g, res, value))
+        better = gn < best_gn
+        best_gn = np.where(better, gn, best_gn)
+        best_X = np.where(better[:, None], X, best_X)
+        best_Y = np.where(better[:, None], Y, best_Y)
+        best_it = np.where(better, it, best_it)
+        converged = gn <= cfg.tol
+        # a failed row has gn = nan and stops here; the others stop on no progress
+        going = ~converged & np.isfinite(gn) & (it - best_it < EG_PATIENCE)
+
+        GXH, GYH = np.empty_like(GX), np.empty_like(GY)
+        accepted = np.zeros(rows.size, dtype=bool)
+        search = going & (gamma >= EG_MIN_STEP)
+        while search.any():
+            s = np.flatnonzero(search)
+            step = gamma[s, None]
+            gxh, gyh, _ = _gradient_rows(spec, u, X[s] - step * GX[s], Y[s] + step * GY[s])
+            GXH[s], GYH[s] = gxh, gyh
+            dx, dy = gxh - GX[s], gyh - GY[s]
+            # a predictor outside the domain holds nan and fails, as it is rejected alone
+            passed = np.sqrt(squared_norm(dx) + squared_norm(dy)) <= EG_NU * gn[s]
+            accepted[s] = passed
+            gamma[s[~passed]] *= 0.5
+            search[s] = ~passed & (gamma[s] >= EG_MIN_STEP)
+
+        for r in np.flatnonzero(~accepted):  # step floor reached, or stopped above
+            if r in errors:
+                ends[rows[r]] = errors[r]
+            elif converged[r]:
+                finish(r, X[r], Y[r], it, True)
+            else:
+                finish(r, best_X[r], best_Y[r], it, False)
+        step = gamma[accepted, None]
+        X = X[accepted] - step * GXH[accepted]
+        Y = Y[accepted] + step * GYH[accepted]
+        gamma = gamma[accepted] * EG_GROWTH
+        rows, best_gn, best_X, best_Y, best_it = (
+            a[accepted] for a in (rows, best_gn, best_X, best_Y, best_it))
+    for r in range(rows.size):
+        finish(r, best_X[r], best_Y[r], cfg.max_iter, False)
+    return ends
 
 
 def _damped_newton(residual, direction, v, tol, max_iter, on_iterate=None, condition=None):
@@ -220,7 +306,7 @@ def newton(spec, u, z0, cfg: SolverConfig):
 
     def record(it, v, r, rn):
         trace.append((it, rn, residual_from_grad(r[:T], r[T:]),
-                      _trace_value(spec, u, v[:T], v[T:])))
+                      _action_or_nan(spec, u, v[:T], v[T:])))
 
     v, it, converged = _damped_newton(
         system, step, np.concatenate((z0[0].interior, z0[1].interior)), cfg.tol,
@@ -310,7 +396,7 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
 
     def record(it, z, g, gn):
         trace.append((it, gn, residual_from_grad(*grad_i(spec, u, *at(z))),
-                      _trace_value(spec, u, *at(z))))
+                      _action_or_nan(spec, u, *at(z))))
 
     z, it, converged = _damped_newton(
         reduced_gradient, step, np.concatenate((y0.interior, np.zeros(T))), cfg.tol,
@@ -354,7 +440,8 @@ def verify_saddle(spec, u, cand, probes=64, eps=1e-8, radii=None, seed=0, tol_re
     (a) system defect below ``tol_res`` (default ``1e-8 * (1 + max row sum
     of the difference matrix)``); (b) sampled saddle inequalities against
     ``probes`` random points of the product ball, skipping any outside the
-    integrand's domain; (c) the second-order test: the smallest eigenvalues
+    integrand's domain (the probes are drawn in order and evaluated in
+    ``(B, T)`` blocks, each gap bit for bit its one-probe value); (c) the second-order test: the smallest eigenvalues
     ``curvature_x`` of ``L + diag(F_xx)`` and ``curvature_y`` of
     ``L - diag(F_yy)`` at the candidate are at least ``-eps``.  At a
     stationary point (c) is the second-order necessary condition of the
@@ -370,20 +457,20 @@ def verify_saddle(spec, u, cand, probes=64, eps=1e-8, radii=None, seed=0, tol_re
     xv = cand.x.interior
     yv = cand.y.interior
     value = action_i(spec, u, xv, yv)
-    worst_y = -np.inf
-    worst_x = -np.inf
 
-    def gap(sign, xs, ys):
-        try:
-            return sign * (action_i(spec, u, xs, ys) - value)
-        except ExprError:
-            return -np.inf  # a probe outside the integrand's domain is skipped
+    def draws():
+        for _ in range(max(1, probes)):
+            py = random_in_ball(spec.T, ry, rng)
+            px = random_in_ball(spec.T, rx, rng)
+            yield py.values[1:-1], px.values[1:-1]
 
-    for _ in range(max(1, probes)):
-        py = random_in_ball(spec.T, ry, rng)
-        px = random_in_ball(spec.T, rx, rng)
-        worst_y = max(worst_y, gap(1.0, xv, py.interior))
-        worst_x = max(worst_x, gap(-1.0, px.interior, yv))
+    # Python's max, in draw order, skips the nan gap of a probe outside the domain.
+    worst_y = worst_x = -np.inf
+    for PY, PX in row_blocks(spec.T, draws()):
+        gaps_y = _action_or_nan(spec, u, np.tile(xv, (len(PY), 1)), PY) - value
+        gaps_x = -(_action_or_nan(spec, u, PX, np.tile(yv, (len(PX), 1))) - value)
+        worst_y = max(worst_y, *gaps_y.tolist())
+        worst_x = max(worst_x, *gaps_x.tolist())
     inequalities_ok = worst_y <= eps and worst_x <= eps
 
     fxx, _, fyy = second_partials_i(spec, u, xv, yv)
@@ -430,6 +517,10 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     product norm collapse to the best-resolved representative.  A start that
     raises :class:`SolverError` or leaves the expression domain (``ExprError``)
     counts as failed.  Results are deterministic for a fixed seed.
+
+    Extragradient starts run in one :func:`extragradient_runs` call, in
+    lockstep; each ends exactly as it does alone, so the set does not depend
+    on how the starts are grouped.  Newton and nested starts run one by one.
     """
     rx, ry = radii_pair(radii, DEFAULT_RADII)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.multistart)
@@ -444,7 +535,11 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
         except (SolverError, ExprError):
             return None
 
-    results = [run(z0) for z0 in starts]
+    if cfg.method == "extragradient":
+        results = [None if isinstance(end, ExprError) else end
+                   for end in extragradient_runs(spec, u, starts, cfg)]
+    else:
+        results = [run(z0) for z0 in starts]
 
     converged = [c for c in results if c is not None and c.converged]
     failures = len(results) - len(converged)

@@ -2,14 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_fd_gradient, dirichlet_matrix, quadratic_instance
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, action, grad,
                        hessian_blocks, load_problem, make_candidate, residual)
 from saddlebvp.expressions import (Call, DomainError, Neg, Num, Pow, ScalarField, Var,
                                    evaluate, parse)
-from saddlebvp.problem import (ProblemError, action_i, grad_i, parameter_values,
-                               problem_from_dict, read_json, second_partials_i)
+from saddlebvp.problem import (ProblemError, action_i, grad_i, integrand_sum_i,
+                               parameter_values, problem_from_dict, read_json,
+                               residual_from_grad, second_partials_i, squared_norm)
 
 
 def closed_form_instance():
@@ -254,6 +257,54 @@ def test_field_results_never_write_through_to_inputs():
             if out.flags.writeable:
                 out[:] = 99.0
         assert all(np.array_equal(a, b) for a, b in zip((xv, yv, spec.nodes()), before))
+
+
+# Integrands whose kernels return full arrays, scalars (F constant in x, or
+# bare x), arrays in k and u alone (F_x = k*u, F_xx = 2*k) and the operand
+# itself (F_x = y).
+BLOCK_FIELDS = (
+    "x*y + exp(0.35*x) - exp(0.35*y) + u*(x - y)",
+    "0.4*x^2 - 0.4*y^2 + 0.2*x*y + 0.25*sin(x) + 0.25*cos(y) + u*(x - y)",
+    "log(x^2 + 1) - sqrt(y^2 + 2) + tanh(x*y) + x/(1 + y^2) + (x^2 + 1)^1.5 + abs(u)*x^3",
+    "k*u - y^2",
+    "x",
+    "k*u*x - y^4",
+    "k*x^2 - x*y",
+)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.sampled_from([1, 2, 5, 100, 801]), B=st.integers(1, 6),
+       source=st.sampled_from(BLOCK_FIELDS), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_rows_equal_one_row_calls(T, B, source, seed):
+    rng = np.random.default_rng(seed)
+    spec = ProblemSpec.create(T, 1.0, source)
+    u = ParameterFunction(rng.uniform(-1.0, 1.0, T), 1.0)
+    scale = 10.0 ** rng.integers(-3, 2, size=(B, 1))
+    X, Y = scale * rng.standard_normal((B, T)), scale * rng.standard_normal((B, T))
+    block = (spec.lap.apply(X), *grad_i(spec, u, X, Y), action_i(spec, u, X, Y),
+             integrand_sum_i(spec, u, X, Y), *second_partials_i(spec, u, X, Y))
+    for i in range(B):
+        xv, yv = X[i].copy(), Y[i].copy()
+        alone = (spec.lap.apply(xv), *grad_i(spec, u, xv, yv), action_i(spec, u, xv, yv),
+                 integrand_sum_i(spec, u, xv, yv), *second_partials_i(spec, u, xv, yv))
+        assert [_bits(b[i]) for b in block] == [_bits(a) for a in alone]
+        # row norms keep the summation order of the 1-d product
+        assert _bits(squared_norm(X)[i]) == _bits(squared_norm(xv)) == _bits(xv @ xv)
+    assert isinstance(alone[3], float) and isinstance(alone[4], float)
+
+
+def test_residual_from_grad_rows_keep_the_one_point_nan_rule():
+    # max(nan, a) is nan but max(a, nan) is a: a nan in gy alone is not reported
+    gx = np.array([[1.0, np.nan], [1.0, -3.0], [2.0, 0.5]])
+    gy = np.array([[0.5, 0.25], [np.nan, 2.0], [-4.0, 1.0]])
+    rows = residual_from_grad(gx, gy)
+    assert [_bits(r) for r in rows] == [_bits(residual_from_grad(a, b)) for a, b in zip(gx, gy)]
+    assert np.isnan(rows[0]) and rows.tolist()[1:] == [3.0, 4.0]
 
 
 # --- candidates ------------------------------------------------------------------

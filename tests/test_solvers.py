@@ -11,8 +11,11 @@ from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, SolverConfi
                        embedding_constant, h_norm, load_problem, make_candidate,
                        product_distance, solvers)
 from saddlebvp.hypotheses import ball_radii, certificate_from_dict
-from saddlebvp.solvers import (SolverError, extragradient, nested_minimax, newton, saddle_set,
-                               verify_saddle)
+from saddlebvp.expressions import ExprError
+from saddlebvp.grid import random_in_ball
+from saddlebvp.problem import action_i
+from saddlebvp.solvers import (SolverError, extragradient, extragradient_runs, nested_minimax,
+                               newton, saddle_set, verify_saddle)
 
 TIGHT = SolverConfig(tol=1e-12)
 EXP_T5 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -115,6 +118,8 @@ def test_extragradient_exp_t5_all_starts_converge():
 
 
 def test_extragradient_memory_is_linear():
+    # 16 lockstep starts run in blocks of block_rows(T) rows, so the peak
+    # does not grow with the number of starts
     T = 2000
     spec = ProblemSpec.create(T, 1.0, "x*y + exp(x/2) - exp(y/2)")
     u = ParameterFunction.constant(0.5, T, 1.0)
@@ -122,10 +127,86 @@ def test_extragradient_memory_is_linear():
     tracemalloc.start()
     try:
         extragradient(spec, u, z0, SolverConfig(max_iter=2))
-        peak = tracemalloc.get_traced_memory()[1]
+        peak_one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sset = saddle_set(spec, u, SolverConfig(method="extragradient", max_iter=2,
+                                                multistart=16))
+        peak_set = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+    assert sset.attempts == 16
+    assert peak_one < 8 * 2 ** 20 and peak_set < 8 * 2 ** 20
+
+
+def _starts(T, n, seed, radii=(4.0, 4.0)):
+    rng = np.random.default_rng(seed)
+    return [(random_in_ball(T, radii[0], rng), random_in_ball(T, radii[1], rng))
+            for _ in range(n)]
+
+
+def _solo(spec, u, z0, cfg):
+    try:
+        return extragradient(spec, u, z0, cfg)
+    except ExprError as exc:
+        return exc
+
+
+def _assert_same_run(lockstep, solo):
+    if isinstance(solo, ExprError):
+        assert type(lockstep) is type(solo) and str(lockstep) == str(solo)
+        return
+    assert lockstep.x.values.tobytes() == solo.x.values.tobytes()
+    assert lockstep.y.values.tobytes() == solo.y.values.tobytes()
+    assert (lockstep.iterations, lockstep.converged) == (solo.iterations, solo.converged)
+    # the whole trace, value column and its nan rows included, bit for bit
+    assert (np.array(lockstep.trace, dtype=float).tobytes()
+            == np.array(solo.trace, dtype=float).tobytes())
+
+
+def _step_floor_batch():
+    # the step-floor start of test_extragradient_step_floor_on_domain_edge among
+    # starts that leave the domain of sqrt at once or on their way (this F has
+    # no saddle point: G = 0 needs 9 x^1.5 = -2)
+    spec = ProblemSpec.create(1, 1.0, "x*y + sqrt(x) - y^2")
+    starts = _starts(1, 16, 7, radii=(2.0, 2.0))
+    starts[5] = start(1e-30, 0.0)
+    return spec, ParameterFunction.constant(0.0, 1, 1.0), starts, 5
+
+
+@pytest.mark.parametrize("case", ["eg-stiff", "eg-stiff-exhausted", "log", "step-floor"])
+def test_lockstep_runs_equal_solo_runs(case):
+    cfg = SolverConfig(method="extragradient", record_trace=True)
+    floor = None
+    if case.startswith("eg-stiff"):
+        spec = ProblemSpec.create(5, 1.0, "x*y + exp(0.35*x) - exp(0.35*y) + u*(x - y)")
+        u = ParameterFunction.constant(0.5, 5, 1.0)
+        starts = _starts(5, 16, 611)
+        if case == "eg-stiff-exhausted":
+            cfg = SolverConfig(method="extragradient", record_trace=True, max_iter=200)
+    elif case == "log":
+        spec, u = log_problem()
+        starts = _starts(3, 16, 3)
+    else:
+        spec, u, starts, floor = _step_floor_batch()
+    runs = extragradient_runs(spec, u, starts, cfg)
+    solos = [_solo(spec, u, z0, cfg) for z0 in starts]
+    for lockstep, solo in zip(runs, solos):
+        _assert_same_run(lockstep, solo)
+    ends = [r for r in runs if not isinstance(r, ExprError)]
+    if case.startswith("eg-stiff"):
+        # the rows leave the block at different iterations
+        assert len(ends) == 16 and len({r.iterations for r in ends}) > 1
+    if case == "eg-stiff":
+        assert all(r.converged for r in ends)
+    if case == "eg-stiff-exhausted":
+        assert any(r.converged for r in ends) and any(r.iterations == 200 for r in ends)
+    if case == "log":
+        failed = [r for r in runs if isinstance(r, ExprError)]
+        assert failed and any(r.converged for r in ends)
+        assert any(np.isnan(row[3]) for r in ends for row in r.trace)
+    if case == "step-floor":
+        assert not runs[floor].converged and runs[floor].iterations == 0
+        assert ends == [runs[floor]]
 
 
 def test_extragradient_gradient_norm_monotone_after_warmup():
@@ -328,6 +409,45 @@ def test_verify_saddle_rejects_stationary_non_saddle():
     assert expected < -10.0
     assert not rep.passed
     assert rep.failures == ("x-Hessian eigenvalue -1.044e+01 is negative",)
+
+
+def _probe_gaps_one_at_a_time(spec, u, cand, probes, radii, seed):
+    # verify_saddle's probe loop before batching, the reference for its bits
+    rng = np.random.default_rng(seed)
+    xv, yv = cand.x.interior, cand.y.interior
+    value = action_i(spec, u, xv, yv)
+    worst = {1.0: -np.inf, -1.0: -np.inf}
+    skipped = 0
+    for _ in range(probes):
+        py = random_in_ball(spec.T, radii[1], rng)
+        px = random_in_ball(spec.T, radii[0], rng)
+        for sign, xs, ys in ((1.0, xv, py.interior), (-1.0, px.interior, yv)):
+            try:
+                gap = sign * (action_i(spec, u, xs, ys) - value)
+            except ExprError:
+                gap, skipped = -np.inf, skipped + 1
+            worst[sign] = max(worst[sign], gap)
+    return worst[1.0], worst[-1.0], skipped
+
+
+@pytest.mark.parametrize("T, source, probes", [
+    (3, "x^2 - y^2 + log(x + 1.5)", 64),  # some probes leave the domain
+    (100, "0.4*x^2 - 0.4*y^2 + 0.2*x*y + 0.25*sin(x) + 0.25*cos(y) + u*(x - y)", 64),
+    (2000, "x*y + exp(x/2) - exp(y/2) + u*(x - y)", 5),  # blocks of 2 rows
+])
+def test_verify_saddle_probe_blocks_equal_one_probe_at_a_time(T, source, probes):
+    spec = ProblemSpec.create(T, 1.0, source)
+    u = ParameterFunction(0.5 * np.sin(np.arange(1.0, T + 1)), 1.0)
+    rng = np.random.default_rng(T)
+    cand = make_candidate(spec, u, GridFunction.from_interior(0.1 * rng.standard_normal(T)),
+                          GridFunction.from_interior(0.1 * rng.standard_normal(T)), "manual", 0)
+    radii = (4.0, 3.0)
+    for seed in (0, 5):
+        rep = verify_saddle(spec, u, cand, probes=probes, radii=radii, seed=seed)
+        gap_y, gap_x, skipped = _probe_gaps_one_at_a_time(spec, u, cand, probes, radii, seed)
+        assert np.float64(rep.inequality_gap_y).tobytes() == np.float64(gap_y).tobytes()
+        assert np.float64(rep.inequality_gap_x).tobytes() == np.float64(gap_x).tobytes()
+        assert (skipped > 0) == (T == 3)
 
 
 def test_saddle_set_independent_of_trace():
