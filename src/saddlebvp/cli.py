@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dependence import DependenceError, run_sequence, sequence_from_dict, upper_limit_check
-from .grid import GridError, GridFunction, embedding_constant, embedding_estimate
+from .grid import GridError, GridFunction, embedding_constant
 from .hypotheses import (HypothesisError, ball_radii, certificate_from_dict,
                          check_concavity_y, check_convexity_x, verify_growth)
 from .problem import problem_from_dict, read_json
@@ -278,12 +278,10 @@ def cmd_constants(args):
         T_values = [spec.T]
     else:
         raise GridError("constants needs --T or a problem file")
-    print(f"{'m':>4} {'T':>6} {'constant':>24} {'exact':>6} {'safe upper':>24}")
+    print(f"{'m':>4} {'T':>6} {'constant':>24}")
     for T in T_values:
         for m in args.m:
-            est = embedding_estimate(m, T, seed=args.seed)
-            print(f"{m:>4} {T:>6} {est.value:>24.16g} {str(est.exact):>6} "
-                  f"{est.upper_bound(args.safety):>24.16g}")
+            print(f"{m:>4} {T:>6} {embedding_constant(m, T):>24.16g}")
     return 0
 
 
@@ -333,8 +331,6 @@ def build_parser():
     p_const.add_argument("problem", nargs="?", default=None)
     p_const.add_argument("--T", type=int, default=None)
     p_const.add_argument("-m", "--m", type=int, nargs="+", default=[2])
-    p_const.add_argument("--safety", type=float, default=1.05)
-    p_const.add_argument("--seed", type=int, default=0)
     p_const.set_defaults(func=cmd_constants)
     return parser
 

@@ -9,6 +9,7 @@ records values and set distances, and ``upper_limit_check`` tests that the
 accumulation points re-verify as saddles of the limit problem.
 """
 
+import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -104,6 +105,8 @@ def sequence_from_dict(data, u) -> ParameterSequence:
     ``u`` is the problem's parameter: the default ``u0``, and the source of
     ``T`` and the bound.
     """
+    if not isinstance(data, dict):
+        raise DependenceError(f"sequence must be a JSON object, got {json.dumps(data, default=repr)}")
     if ("direction" in data) == ("terms" in data):
         raise DependenceError("a sequence needs either a direction or explicit terms, not both")
     u0 = ParameterFunction(parameter_values(data["u0"], u.T, "u0"), u.bound) if "u0" in data else u

@@ -3,14 +3,16 @@
 Functions live on the integer nodes ``0..T+1`` and vanish at both ends.
 The space carries the difference norm ``||x|| = sqrt(sum_k |x(k)-x(k-1)|^2)``,
 whose quadratic form is realized by the tridiagonal matrix with 2 on the
-diagonal and -1 off it.
+diagonal and -1 off it.  The embedding constants ``c_m`` of the norm,
+``sum |x(k)|^m <= c_m sum |dx(k-1)|^m``, are exact: a closed form for
+``m = 2`` and a shooting test for ``m > 2`` (:func:`embedding_estimate`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack, solve_banded
-from scipy.optimize import minimize
 
 
 class GridError(ValueError):
@@ -241,104 +243,83 @@ def random_in_ball(T, radius, rng):
 
 @dataclass(frozen=True)
 class EmbeddingEstimate:
-    """Best constant found for ``sum |x(k)|^m <= c * sum |dx(k-1)|^m``.
+    """Smallest ``c`` with ``sum |x(k)|^m <= c * sum |dx(k-1)|^m``, with a function attaining it.
 
-    For ``m = 2`` the value is exact (inverse of the smallest matrix
-    eigenvalue).  For ``m > 2`` it is the largest ratio located by
-    multistart maximization, hence a certified *lower* estimate of the
-    true constant; ``upper_bound`` pads it for callers that need a safe
-    over-estimate.
+    ``maximizer`` has Euclidean norm 1 and positive interior values.
     """
 
     m: int
     T: int
     value: float
     maximizer: GridFunction
-    exact: bool
-
-    def upper_bound(self, safety: float = 1.05) -> float:
-        return self.value if self.exact else self.value * safety
 
     def __float__(self):
         return self.value
 
 
-def _power_sum_ratio(interior, m):
-    x = np.concatenate(([0.0], interior, [0.0]))
-    d = np.diff(x)
-    return np.sum(np.abs(interior) ** m) / np.sum(np.abs(d) ** m)
+def _shoot(m, T, lam):
+    """Values at nodes ``1..T+1`` of the shooting solution, or None once one is ``<= 0``.
+
+    Solves ``phi(dx_k) = phi(dx_{k-1}) - lam * phi(x_k)``, ``phi(t) = |t|^(m-2) t``,
+    from ``x_0 = 0``, ``x_1 = 1``; every ``x_k`` it reaches is positive, so
+    ``phi(x_k) = x_k^(m-1)``.
+    """
+    q = 1.0 / (m - 1)
+    x = p = 1.0  # x_1 and phi(dx_0)
+    xs = [x]
+    for _ in range(T):
+        p -= lam * x ** (m - 1)
+        x += math.copysign(abs(p) ** q, p)
+        if x <= 0.0:
+            return None
+        xs.append(x)
+    return xs
 
 
-def _sine_mode(T):
-    k = np.arange(1, T + 1)
-    return np.sin(k * np.pi / (T + 1))
+def embedding_estimate(m: int, T: int) -> EmbeddingEstimate:
+    """Embedding constant ``c_m`` of the difference norm, with its maximizer.
 
-
-def embedding_estimate(m: int, T: int, *, starts: int = 16, seed: int = 0) -> EmbeddingEstimate:
-    """Embedding constant of the difference norm, with its maximizer.
-
-    Parameters
-    ----------
-    m : int
-        Power of the inequality, ``m >= 2``.
-    T : int
-        Number of interior nodes.
-    starts : int
-        Number of random restarts for the ``m > 2`` maximization.
-    seed : int
-        Seed for the restart draws; results are deterministic given it.
+    ``c_m = 1 / lambda_1``, where ``lambda_1`` is the smallest ``lambda`` at
+    which ``sum |dx|^m - lambda * sum |x|^m`` fails to be positive for every
+    nonzero ``x``.  For ``m = 2`` that is the smallest eigenvalue of the
+    Dirichlet matrix, and the maximizer is its sine mode.  For ``m > 2`` the
+    discrete roundabout theorem for half-linear difference equations (Dosly &
+    Rehak, *Half-Linear Differential Equations*, 2005) makes the functional
+    positive exactly when the solution of :func:`_shoot` stays positive on
+    ``1..T+1``.  Bisection on ``(0, 2]`` (from ``lambda = 2`` on, ``x_2 <= 0``)
+    runs until the midpoint equals an end and returns the value
+    ``1 / lambda_lo``, where ``lambda_lo`` is the lower end, and the positive
+    solution there, restricted to ``1..T``, as the maximizer.  The value
+    bounds ``c_m`` from above and the ratio at the maximizer from below; the
+    two agree to rounding.
     """
     if m < 2:
         raise GridError(f"m must be >= 2, got {m}")
     if T < 1:
         raise GridError(f"T must be >= 1, got {T}")
-
-    lam_min = 4.0 * np.sin(np.pi / (2.0 * (T + 1))) ** 2
-    sine = _sine_mode(T)
     if m == 2:
-        return EmbeddingEstimate(
-            m=m, T=T, value=1.0 / lam_min,
-            maximizer=GridFunction.from_interior(sine / np.linalg.norm(sine)),
-            exact=True,
-        )
+        sine = np.sin(np.arange(1, T + 1) * np.pi / (T + 1))
+        return EmbeddingEstimate(m=m, T=T, value=1.0 / laplacian(T).smallest_eigenvalue,
+                                 maximizer=GridFunction.from_interior(sine / np.linalg.norm(sine)))
 
-    # Maximize log(sum |x|^m) - log(sum |dx|^m); scale invariant, so restarts
-    # live on the Euclidean unit sphere.
-    def neg_log_ratio(v):
-        x = np.concatenate(([0.0], v, [0.0]))
-        d = np.diff(x)
-        num = np.sum(np.abs(v) ** m)
-        den = np.sum(np.abs(d) ** m)
-        gn = m * v * np.abs(v) ** (m - 2)
-        gd_edges = m * d * np.abs(d) ** (m - 2)
-        gd = gd_edges[:-1] - gd_edges[1:]
-        return np.log(den) - np.log(num), gd / den - gn / num
-
-    rng = np.random.default_rng(seed)
-    tent = np.minimum(np.arange(1, T + 1), np.arange(T, 0, -1)).astype(float)
-    candidates = [sine, tent]
-    for _ in range(starts):
-        candidates.append(rng.standard_normal(T))
-
-    best_val, best_v = -np.inf, None
-    for v0 in candidates:
-        v0 = v0 / np.linalg.norm(v0)
-        res = minimize(neg_log_ratio, v0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
-        val = _power_sum_ratio(res.x, m)
-        if val > best_val:
-            best_val, best_v = val, res.x
-    best_v = best_v / np.linalg.norm(best_v)
-    if best_v[np.argmax(np.abs(best_v))] < 0:
-        best_v = -best_v
-    return EmbeddingEstimate(m=m, T=T, value=float(best_val),
-                             maximizer=GridFunction.from_interior(best_v), exact=False)
+    lo, hi, positive = 0.0, 2.0, None
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        try:
+            shot = _shoot(m, T, mid)
+        except OverflowError:  # x_k^(m-1) with x_k up to T+1
+            raise GridError(f"c_{m} for T={T} is beyond double precision") from None
+        if shot is None:
+            hi = mid
+        else:
+            lo, positive = mid, shot
+    v = np.array(positive[:T])
+    return EmbeddingEstimate(m=m, T=T, value=1.0 / lo,
+                             maximizer=GridFunction.from_interior(v / np.linalg.norm(v)))
 
 
-def embedding_constant(m: int, T: int, *, starts: int = 16, seed: int = 0) -> float:
+def embedding_constant(m: int, T: int) -> float:
     """Smallest constant ``c`` with ``sum |x(k)|^m <= c sum |dx(k-1)|^m`` over the space.
 
-    Exact for ``m = 2``; a multistart lower estimate for ``m > 2``
-    (see :func:`embedding_estimate` for the maximizer and exactness flag).
+    See :func:`embedding_estimate`, which also returns a maximizer.
     """
-    return embedding_estimate(m, T, starts=starts, seed=seed).value
+    return embedding_estimate(m, T).value

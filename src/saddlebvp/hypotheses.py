@@ -164,11 +164,18 @@ def check_concavity_y(spec, u, fixed, box, density=201, tol=DEFAULT_TOL) -> Conv
     return _check_curvature(spec, u, fixed, box, density, tol, convex=False)
 
 
+def _grid_points(density):
+    """The number of grid points per slot; a grid needs both ends and a midpoint."""
+    if density < 3:
+        raise HypothesisError(f"density must be at least 3, got {density}")
+    return int(density)
+
+
 def _check_curvature(spec, u, fixed, box, density, tol, convex):
     node, free, other = ((spec.field.fxx, "x", "y") if convex
                          else (spec.field.fyy, "y", "x"))
     exact = not depends_on(node, free)
-    s = np.linspace(-box, box, max(3, int(density)))
+    s = np.linspace(-box, box, _grid_points(density))
     env = {"k": spec.nodes(), "u": u.values, free: s[:, None], other: fixed.interior}
     # One tree only: the field's Hessian kernel would also evaluate the other
     # two partials, which can leave their domain where this one does not.
@@ -214,6 +221,7 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201, tol=DEFAULT_T
     """
     if cert.T != spec.T:
         raise HypothesisError(f"certificate is for T={cert.T}, problem has T={spec.T}")
+    n_free = _grid_points(grid_density)
     c2 = embedding_constant(2, spec.T)
     limit = 1.0 / (2.0 * c2)
     margins = (limit - cert.alpha1, limit - cert.alpha2)
@@ -226,7 +234,6 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201, tol=DEFAULT_T
             box_radius=cert.box_radius, densities=(grid_density,))
 
     R = cert.box_radius
-    n_free = max(3, int(grid_density))
     n_u = max(5, n_free // 8)
     n_other = max(5, n_free // 8)
     s = np.linspace(-R, R, n_free)

@@ -354,9 +354,9 @@ def _schur_solve(lap, partials, slot, s, g):
 def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
     """Nested solve: Newton steps on the gradient of the reduced function.
 
-    With ``outer="y"`` (the default) the inner problem minimizes the convex
-    ``x``-section exactly and the outer loop finds the stationary point of
-    the concave reduced function ``y -> min_x J(x, y)``, realizing
+    With ``outer="y"`` (the default) the inner problem finds the minimum of
+    the convex ``x``-section exactly and the outer loop finds the stationary
+    point of the concave reduced function ``y -> min_x J(x, y)``, realizing
     ``max_y min_x``; ``outer="x"`` mirrors the construction and realizes
     ``min_x max_y`` (pass the starting ``x`` as ``y0``).  Both levels run
     :func:`_damped_newton`: the inner one on ``-s grad_v J(v, w)`` with the
@@ -385,7 +385,7 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
 
     # The outer iterate is z = (w, v).  A trial keeps the accepted v as the
     # inner warm start, and the residual overwrites it with the inner
-    # minimizer, so every accepted z holds (w, v*(w)).
+    # argmin, so every accepted z holds (w, v*(w)).
     def reduced_gradient(z):
         z[T:] = inner_min(z[:T], z[T:])
         return grad_i(spec, u, *at(z))[slot]

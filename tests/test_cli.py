@@ -162,6 +162,15 @@ def test_check_output_independent_of_seed(tmp_path):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("density", ["0", "-5"])
+def test_check_rejects_a_density_below_3(tmp_path, capsys, density):
+    # it used to run silently at 3 while the manifest recorded the value given
+    code = main(["check", BILINEAR, "--density", density, "--out", str(tmp_path / "d")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: density must be at least 3, got {density}\n"
+    assert not (tmp_path / "d.check.json").exists()
+
+
 def test_check_without_certificate_errors(tmp_path, capsys):
     problem = zero_problem(tmp_path)
     code = main(["check", problem, "--out", str(tmp_path / "x")])
@@ -242,6 +251,8 @@ def test_wrong_json_types_give_an_error_line(tmp_path, capsys, change, message):
     ({"terms": [[True, 0, 0]]}, "terms must hold numbers only"),
     ({"direction": ["1", "0", "0"]}, "direction must be an expression in k or 3 numbers"),
     ({"direction": "k", "N": True}, "N must be an integer, got True"),
+    (5, "sequence must be a JSON object, got 5"),
+    ([1], "sequence must be a JSON object, got [1]"),
 ])
 def test_wrong_json_types_in_a_sequence_give_an_error_line(tmp_path, capsys, sequence, message):
     problem = write_json(tmp_path / "p.json", {"T": 3, "D": 1.0, "F": "0*x", "u": "0",
@@ -354,7 +365,7 @@ def test_constants_table(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "3.732050807568878" in out
-    assert "True" in out and "False" in out
+    assert "   4      5        19.83707263706135\n" in out
 
 
 def test_constants_from_problem(tmp_path, capsys):

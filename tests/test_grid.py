@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import dirichlet_matrix
@@ -160,14 +162,67 @@ def test_embedding_constant_m4_t1():
     assert embedding_constant(4, 1) == pytest.approx(0.5, abs=1e-10)
 
 
-def test_embedding_estimate_flags():
-    est2 = embedding_estimate(2, 6)
-    assert est2.exact
-    assert est2.upper_bound() == est2.value
-    est3 = embedding_estimate(3, 6)
-    assert not est3.exact
-    assert est3.upper_bound() == pytest.approx(1.05 * est3.value)
-    assert est3.upper_bound(safety=1.2) == pytest.approx(1.2 * est3.value)
+def _power_ratio(x, m):
+    """``sum |x(k)|^m / sum |dx(k-1)|^m`` straight from the definition."""
+    return np.sum(np.abs(x.interior) ** m) / np.sum(np.abs(np.diff(x.values)) ** m)
+
+
+def test_embedding_estimate_maximizer_is_normalised():
+    for m in (2, 3, 6):
+        est = embedding_estimate(m, 6)
+        assert (est.m, est.T, float(est)) == (m, 6, est.value)
+        assert np.linalg.norm(est.maximizer.interior) == pytest.approx(1.0, rel=1e-15)
+        assert np.all(est.maximizer.interior > 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.integers(3, 8), T=st.integers(1, 60))
+def test_embedding_value_is_the_ratio_at_its_maximizer(m, T):
+    est = embedding_estimate(m, T)
+    assert _power_ratio(est.maximizer, m) == pytest.approx(est.value, rel=1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.integers(3, 8), T=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+def test_no_function_exceeds_the_embedding_value(m, T, seed):
+    # random draws, and perturbations of the maximizer, which come closest
+    rng = np.random.default_rng(seed)
+    est = embedding_estimate(m, T)
+    draws = [rng.standard_normal(T) for _ in range(20)]
+    draws += [est.maximizer.interior + s * rng.standard_normal(T)
+              for s in (1e-1, 1e-3, 1e-6) for _ in range(10)]
+    for v in draws:
+        assert _power_ratio(GridFunction.from_interior(v), m) <= est.value * (1 + 1e-12)
+
+
+# L-BFGS-B multistart estimates (16 random starts plus the sine and tent
+# modes, seed 0) returned by the previous implementation; each is a ratio
+# attained by some function, so the constant cannot lie below it.
+MULTISTART_ESTIMATES = {
+    (3, 5): 8.070053930441372, (3, 30): 1054.386775414668, (3, 100): 36425.50163358011,
+    (4, 5): 19.837072637061347, (4, 30): 12656.666079574896, (4, 100): 1424600.2018051515,
+    (6, 5): 144.25020485060492, (6, 30): 2102800.3381534065, (6, 100): 2515667787.6411104,
+}
+
+
+@pytest.mark.parametrize("m, T", sorted(MULTISTART_ESTIMATES))
+def test_embedding_value_is_at_least_the_multistart_estimate(m, T):
+    assert embedding_constant(m, T) >= MULTISTART_ESTIMATES[m, T] * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("T, bits", [
+    (1, "0x1.0000000000001p-1"), (2, "0x1.0000000000001p+0"), (5, "0x1.ddb3d742c2657p+1"),
+    (100, "0x1.026a496d9d090p+10"), (10 ** 5, "0x1.e3258f26c211fp+29"),
+])
+def test_embedding_constant_m2_bits(T, bits):
+    # c2 feeds every certificate and radius: its bits are pinned
+    assert float(embedding_constant(2, T)).hex() == bits
+
+
+def test_embedding_constant_beyond_double_range():
+    # c_200 for T = 1000 is about 1e540; (T+1)^199 overflows in the shooting
+    with pytest.raises(GridError, match="beyond double precision"):
+        embedding_constant(200, 1000)
 
 
 def test_embedding_sharpness_m2():

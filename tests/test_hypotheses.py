@@ -42,6 +42,13 @@ def test_convexity_boundary_and_violation():
     assert rep.counterexample["eigenvalue"] == pytest.approx(-2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("check", [check_convexity_x, check_concavity_y])
+def test_curvature_check_rejects_a_density_below_3(check):
+    spec = ProblemSpec.create(2, 1.0, "x^2 - y^2")
+    with pytest.raises(HypothesisError, match="density must be at least 3, got 2"):
+        check(spec, zero_u(2), GridFunction.zeros(2), box=1.0, density=2)
+
+
 def test_concavity_mirror_cases():
     spec = ProblemSpec.create(3, 1.0, "0*x")
     assert check_concavity_y(spec, zero_u(3), GridFunction.zeros(3), 2.0, 16).passed
@@ -75,7 +82,7 @@ def test_convexity_state_dependent_sampling():
 def test_convexity_decided_exactly_for_quadratics():
     # curvature free of the state: one matrix decides, no sampling error
     spec = ProblemSpec.create(4, 1.0, "0.3*x^2 - 0.1*y^2 + u*x*y")
-    rep = check_convexity_x(spec, zero_u(4), GridFunction.zeros(4), 50.0, 1)
+    rep = check_convexity_x(spec, zero_u(4), GridFunction.zeros(4), 50.0, 3)
     assert rep.passed and rep.exact
 
 
