@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, lapack, solve_banded
+from scipy.linalg import LinAlgError, eigvalsh_tridiagonal, lapack
 
 
 class GridError(ValueError):
@@ -157,18 +157,24 @@ class DirichletLaplacian:
         return float(min(self.dimension + 1, 4))
 
     def solve_shifted(self, shift, rhs):
-        """Solve ``(L + diag(shift)) v = rhs`` by tridiagonal LU.
+        """Solve ``(L + diag(shift)) v = rhs`` by tridiagonal LU (LAPACK ``gtsv``).
 
         Raises ``LinAlgError`` on an exactly singular matrix; may return a
-        non-finite ``v`` for a singular or non-finite one.
+        non-finite ``v`` for a singular or non-finite one.  For ``T = 1`` the
+        solve is one division, so a zero pivot gives ``inf``, not an error.
+        The result equals ``scipy.linalg.solve_banded``'s on the same band bit for bit.
         """
-        T = self.dimension
-        ab = np.empty((3, T))
-        ab[0] = ab[2] = -1.0
-        ab[1] = 2.0 + np.asarray(shift, dtype=float)
-        # for T = 1 scipy divides by the diagonal, so a zero pivot gives inf, not an error
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return solve_banded((1, 1), ab, rhs, check_finite=False)
+        d = 2.0 + np.asarray(shift, dtype=float)
+        b = np.array(rhs, dtype=float)
+        if self.dimension == 1:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return b / d[0]
+        off = np.full(self.dimension - 1, -1.0)
+        _, _, _, v, info = lapack.dgtsv(off, d, off.copy(), b, overwrite_dl=True,
+                                        overwrite_d=True, overwrite_du=True, overwrite_b=True)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        return v
 
     def smallest_eigenvalue_shifted(self, shift) -> float:
         """Smallest eigenvalue of ``L + diag(shift)`` by tridiagonal bisection."""
@@ -177,44 +183,47 @@ class DirichletLaplacian:
         return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0])
 
     def _coupled_band(self, shift_x, coupling, shift_y):
-        """Band storage of the coupled matrix of :meth:`solve_coupled`.
+        """LAPACK ``gbsv`` band storage of the coupled matrix of :meth:`solve_coupled`.
 
         Unknowns are interleaved as ``(x_1, y_1, x_2, y_2, ...)``, which puts
-        the ``2T x 2T`` matrix in a band of two diagonals on each side;
-        row ``2 + i - j`` of the result holds entry ``(i, j)``, the layout of
-        ``scipy.linalg.solve_banded((2, 2), ...)``.
+        the ``2T x 2T`` matrix in a band of two diagonals on each side; row
+        ``4 + i - j`` of the result holds entry ``(i, j)``, and rows 0 and 1
+        are the zero fill rows that pivoting writes into.
         """
-        ab = np.zeros((5, 2 * self.dimension))
-        ab[0, 2:] = ab[4, :-2] = -1.0
-        ab[1, 1::2] = coupling
-        ab[2, 0::2] = 2.0 + np.asarray(shift_x, dtype=float)
-        ab[2, 1::2] = 2.0 + np.asarray(shift_y, dtype=float)
-        ab[3, 0::2] = -np.asarray(coupling, dtype=float)
+        ab = np.zeros((7, 2 * self.dimension), order="F")
+        ab[2, 2:] = ab[6, :-2] = -1.0
+        ab[3, 1::2] = coupling
+        ab[4, 0::2] = 2.0 + np.asarray(shift_x, dtype=float)
+        ab[4, 1::2] = 2.0 + np.asarray(shift_y, dtype=float)
+        ab[5, 0::2] = -np.asarray(coupling, dtype=float)
         return ab
 
     def solve_coupled(self, shift_x, coupling, shift_y, rhs_x, rhs_y):
         """Solve ``[[L + diag(shift_x), diag(c)], [-diag(c), L + diag(shift_y)]] v = rhs``.
 
         Returns ``(v_x, v_y)``.  Banded LU with partial pivoting on the
-        interleaved unknowns.  Raises ``LinAlgError`` on an exactly singular
-        matrix; may return non-finite values for a singular or non-finite one.
+        interleaved unknowns (LAPACK ``gbsv``), equal bit for bit to what
+        ``scipy.linalg.solve_banded`` returns on the same band.  Raises
+        ``LinAlgError`` on an exactly singular matrix; may return non-finite
+        values for a singular or non-finite one.
         """
         rhs = np.empty(2 * self.dimension)
         rhs[0::2] = rhs_x
         rhs[1::2] = rhs_y
-        v = solve_banded((2, 2), self._coupled_band(shift_x, coupling, shift_y), rhs,
-                         check_finite=False)
+        _, _, v, info = lapack.dgbsv(2, 2, self._coupled_band(shift_x, coupling, shift_y), rhs,
+                                     overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise LinAlgError("singular matrix")
         return v[0::2], v[1::2]
 
     def coupled_condition(self, shift_x, coupling, shift_y) -> float:
         """1-norm condition estimate of the coupled matrix (LAPACK ``gbtrf``/``gbcon``)."""
-        band = self._coupled_band(shift_x, coupling, shift_y)
-        ab = np.zeros((7, band.shape[1]))  # two extra rows for the fill-in of pivoting
-        ab[2:] = band
-        lu, piv, info = lapack.dgbtrf(ab, 2, 2)
+        ab = self._coupled_band(shift_x, coupling, shift_y)
+        anorm = float(np.max(np.sum(np.abs(ab[2:]), axis=0)))
+        lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=True)
         if info > 0:
             return np.inf  # a zero pivot: exactly singular
-        rcond, _ = lapack.dgbcon(2, 2, lu, piv, float(np.max(np.sum(np.abs(band), axis=0))))
+        rcond, _ = lapack.dgbcon(2, 2, lu, piv, anorm)
         return np.inf if rcond == 0.0 else 1.0 / rcond
 
 

@@ -365,14 +365,17 @@ def fit_growth_certificate(spec, box_radius, alpha1=None, alpha2=None,
     sampled slack of each bound over the box, padded by a second-difference
     estimate of the between-samples error so the result verifies on grids of
     comparable density.  Validity beyond the box is the caller's judgement.
+    ``density`` is the number of samples per free slot, at least 9.
     """
+    if density < 9:
+        raise HypothesisError(f"density must be at least 9, got {density}")
     c2 = embedding_constant(2, spec.T)
     if alpha1 is None:
         alpha1 = 0.25 / c2
     if alpha2 is None:
         alpha2 = 0.25 / c2
     R = float(box_radius)
-    n = max(9, int(density))
+    n = int(density)
     s = np.linspace(-R, R, n)
     us = np.linspace(-spec.D, spec.D, max(5, n // 8))
     other = np.linspace(-R, R, max(5, n // 8))

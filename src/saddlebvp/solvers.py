@@ -13,14 +13,17 @@ Three routes to a saddle point of the action:
 
 ``newton`` and both levels of ``nested`` share one damped-Newton loop
 (:func:`_damped_newton`), which backtracks until the Euclidean norm of its
-residual falls by the Armijo fraction.
+residual falls by the Armijo fraction.  The loop works on a block of rows,
+one run per row.
 
-``extragradient_runs`` advances many extragradient starts in lockstep, as
-the rows of ``(B, T)`` arrays: each row keeps its own step, best iterate
-and stop, and one kernel call per iteration serves every live row.  The
-problem layer evaluates a block row by row bit for bit as alone, and after a
-domain error a block is evaluated one row at a time, so each start ends
-exactly where its own run ends and only the rows that leave the domain fail.
+``extragradient_runs`` and ``newton_runs`` advance many starts in lockstep,
+as the rows of ``(B, T)`` (newton: ``(B, 2T)``) arrays: each row keeps its
+own step, iterate and stop, and one kernel call per iteration serves every
+live row; only the band solves of newton go row by row.  The problem layer
+evaluates a block row by row bit for bit as alone, and after a domain error
+a block is evaluated one row at a time, so each start ends exactly where its
+own run ends and only the rows that leave the domain fail.  Nested starts
+run one by one, each level of each as a one-row block.
 
 ``verify_saddle`` checks a candidate a posteriori: small system defect,
 sampled saddle inequalities, and the second-order test that ``x -> J(x, y*)``
@@ -33,7 +36,7 @@ import numpy as np
 
 from .expressions import ExprError
 from .grid import GridFunction, h_norm, random_in_ball
-from .problem import (action_i, block_rows, grad_i, make_candidate, residual,
+from .problem import (SaddleCandidate, action_i, block_rows, grad_i, make_candidate, residual,
                       residual_from_grad, row_blocks, second_partials_i, squared_norm)
 
 INNER_MAX_ITER = 200
@@ -107,24 +110,27 @@ def _action_or_nan(spec, u, xv, yv):
         return np.array([_action_or_nan(spec, u, x, y) for x, y in zip(xv, yv)])
 
 
-def _gradient_rows(spec, u, X, Y):
-    """``grad_i`` on a ``(B, T)`` block, and ``{row: ExprError}`` for the rows that raise.
+def _rows(kernel, outputs, spec, u, X, Y):
+    """``kernel(spec, u, X, Y)`` on a ``(B, T)`` block, and ``{row: ExprError}`` for the rows that raise.
 
-    A domain guard tests every row at once, so after an ``ExprError`` each row
-    is evaluated alone, exactly as in a one-row call; rows that raise hold nan.
+    ``kernel`` is ``grad_i`` or ``second_partials_i``, with ``outputs``
+    arrays.  A domain guard tests every row at once, so after an
+    ``ExprError`` each row is evaluated alone, exactly as in a one-row call;
+    rows that raise hold nan.
     """
     try:
-        return (*grad_i(spec, u, X, Y), {})
+        return kernel(spec, u, X, Y), {}
     except ExprError:
         pass
-    GX, GY = np.full_like(X, np.nan), np.full_like(Y, np.nan)
+    out = tuple(np.full_like(X, np.nan) for _ in range(outputs))
     errors = {}
     for i in range(len(X)):
         try:
-            GX[i], GY[i] = grad_i(spec, u, X[i], Y[i])
+            for block, row in zip(out, kernel(spec, u, X[i], Y[i])):
+                block[i] = row
         except ExprError as exc:
             errors[i] = exc
-    return GX, GY, errors
+    return out, errors
 
 
 def extragradient(spec, u, z0, cfg: SolverConfig):
@@ -145,9 +151,7 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
     This is the one-start case of :func:`extragradient_runs`.
     """
     (end,) = extragradient_runs(spec, u, [z0], cfg)
-    if isinstance(end, ExprError):
-        raise end
-    return end
+    return _raise_or_return(end)
 
 
 def extragradient_runs(spec, u, starts, cfg: SolverConfig):
@@ -188,7 +192,7 @@ def _lockstep(spec, u, starts, cfg):
     for it in range(cfg.max_iter):
         if not rows.size:
             break
-        GX, GY, errors = _gradient_rows(spec, u, X, Y)
+        (GX, GY), errors = _rows(grad_i, 2, spec, u, X, Y)
         gn = np.sqrt(squared_norm(GX) + squared_norm(GY))
         if cfg.record_trace:
             values = zip(gn.tolist(), residual_from_grad(GX, GY).tolist(),
@@ -211,7 +215,7 @@ def _lockstep(spec, u, starts, cfg):
         while search.any():
             s = np.flatnonzero(search)
             step = gamma[s, None]
-            gxh, gyh, _ = _gradient_rows(spec, u, X[s] - step * GX[s], Y[s] + step * GY[s])
+            (gxh, gyh), _ = _rows(grad_i, 2, spec, u, X[s] - step * GX[s], Y[s] + step * GY[s])
             GXH[s], GYH[s] = gxh, gyh
             dx, dy = gxh - GX[s], gyh - GY[s]
             # a predictor outside the domain holds nan and fails, as it is rejected alone
@@ -238,46 +242,115 @@ def _lockstep(spec, u, starts, cfg):
     return ends
 
 
-def _damped_newton(residual, direction, v, tol, max_iter, on_iterate=None, condition=None):
-    """Damped Newton on ``residual(v) = 0``; returns ``(v, iterations, converged)``.
+def _damped_newton(residual, direction, V, tol, max_iter, on_iterate=None, condition=None):
+    """Damped Newton on ``residual(v) = 0`` from every row ``v`` of the ``(B, n)`` block ``V``.
 
-    ``direction(v, r)`` solves ``J d = -r`` with ``J`` the residual's Jacobian
-    at ``v``.  Each iteration calls ``on_iterate(it, v, r, |r|_2)``, then
-    stops if the max-norm of ``r`` is at most ``tol``.  The step ``t`` halves
-    from 1 down to ``1e-12`` until ``|r(v + t d)|_2 <= (1 - ARMIJO t) |r(v)|_2``;
-    a trial point outside the integrand's domain is a rejected step.  A line
-    search that finds no step returns the iterate flagged as not converged.
-    A singular or non-finite direction raises :class:`SolverError`, with the
-    estimate ``condition(v)`` in the message when given.
+    ``residual(V)`` returns ``(R, errors)``: the residual at each row and
+    ``{row: ExprError}`` for the rows outside the integrand's domain, whose
+    rows of ``R`` are not read.  ``direction(V, R)`` returns ``(D, errors)``
+    in the same way, each row of ``D`` solving ``J d = -r`` with ``J`` the
+    residual's Jacobian at that row, or nan where the solve failed.
+
+    Every row runs on its own.  Each iteration calls
+    ``on_iterate(it, rows, V, R, |R|_2)`` on the live rows, ``rows`` being
+    their indices in the block; a row then stops if the max-norm of its
+    residual is at most ``tol``.  Its step ``t`` halves from 1 down to
+    ``1e-12`` until ``|r(v + t d)|_2 <= (1 - ARMIJO t) |r(v)|_2``; a trial
+    point outside the domain is a rejected step, and a row whose line search
+    finds no step stops flagged as not converged.  One ``residual`` call per
+    line-search round and one ``direction`` call per iteration serve every
+    live row.  A singular or non-finite direction ends its row with
+    :class:`SolverError`, with the estimate ``condition(v)`` in the message
+    when given; a row outside the domain at its start or where its direction
+    is evaluated ends with that ``ExprError``.
+
+    Returns, per row, ``(v, iterations, converged)`` or the exception that
+    ended it.
     """
-    r = residual(v)
+    V = np.array(V, dtype=float)  # residual may write into its rows, as nested does
+    ends = [None] * len(V)
+    rows = np.arange(len(V))
+    R, errors = residual(V)
+    for r, exc in errors.items():
+        ends[r] = exc
+    if errors:
+        live = np.ones(len(V), dtype=bool)
+        live[list(errors)] = False
+        rows, V, R = rows[live], V[live], R[live]
     for it in range(max_iter):
-        rn = float(np.linalg.norm(r))
+        if not rows.size:
+            break
+        rn = np.sqrt(squared_norm(R))
         if on_iterate is not None:
-            on_iterate(it, v, r, rn)
-        if np.abs(r).max() <= tol:
-            return v, it, True
-        try:
-            d = direction(v, r)
-        except np.linalg.LinAlgError:
-            d = None
-        if d is None or not np.all(np.isfinite(d)):
-            detail = "" if condition is None else f" (cond estimate {condition(v):.3e})"
-            raise SolverError(f"singular Jacobian at iteration {it}{detail}")
-        t = 1.0
-        while t >= 1e-12:
-            vt = v + t * d
-            try:
-                rt = residual(vt)
-            except ExprError:
-                rt = None  # trial point outside the domain: rejected
-            if rt is not None and np.linalg.norm(rt) <= (1.0 - ARMIJO * t) * rn:
-                v, r = vt, rt
+            on_iterate(it, rows, V, R, rn)
+        done = np.abs(R).max(axis=1) <= tol
+        if done.any():
+            for r in np.flatnonzero(done):
+                ends[rows[r]] = (V[r], it, True)
+            rows, V, R, rn = rows[~done], V[~done], R[~done], rn[~done]
+            if not rows.size:
                 break
+
+        D, errors = direction(V, R)
+        failed = ~np.isfinite(D).all(axis=1)
+        if errors:
+            failed[list(errors)] = True
+        if failed.any():
+            for r in np.flatnonzero(failed):
+                if r in errors:
+                    ends[rows[r]] = errors[r]
+                    continue
+                detail = "" if condition is None else f" (cond estimate {condition(V[r]):.3e})"
+                ends[rows[r]] = SolverError(f"singular Jacobian at iteration {it}{detail}")
+            rows, V, R, rn, D = (a[~failed] for a in (rows, V, R, rn, D))
+
+        # The rows still searching have all halved their step as often, so
+        # one t is the step of each of them.
+        t = 1.0
+        search = np.arange(rows.size)
+        while search.size and t >= 1e-12:
+            VT = V[search] + t * D[search]
+            RT, errors = residual(VT)
+            # a trial point outside the domain is rejected
+            passed = np.sqrt(squared_norm(RT)) <= (1.0 - ARMIJO * t) * rn[search]
+            if errors:
+                passed[list(errors)] = False
+            V[search[passed]], R[search[passed]] = VT[passed], RT[passed]
+            search = search[~passed]
             t *= 0.5
-        else:
-            return v, it, False  # line search stall
-    return v, max_iter, False
+        if search.size:  # line search stall
+            for r in search:
+                ends[rows[r]] = (V[r], it, False)
+            going = np.ones(rows.size, dtype=bool)
+            going[search] = False
+            rows, V, R = rows[going], V[going], R[going]
+    for r in range(rows.size):
+        ends[rows[r]] = (V[r], max_iter, False)
+    return ends
+
+
+def _one_row(fn, width):
+    """``fn`` on 1-d arrays as a ``residual`` or ``direction`` of :func:`_damped_newton`.
+
+    The block has one row, and the result ``width`` values.  An ``ExprError``
+    of ``fn`` is the row's, and a ``LinAlgError`` (a singular solve) gives a
+    nan row.
+    """
+    def block(V, *R):
+        try:
+            return fn(V[0], *(r[0] for r in R))[None], {}
+        except ExprError as exc:
+            return np.full((1, width), np.nan), {0: exc}
+        except np.linalg.LinAlgError:
+            return np.full((1, width), np.nan), {}
+    return block
+
+
+def _raise_or_return(end):
+    """A run's end as :func:`_damped_newton` or a ``*_runs`` function gives it; exceptions raise."""
+    if isinstance(end, Exception):
+        raise end
+    return end
 
 
 def newton(spec, u, z0, cfg: SolverConfig):
@@ -287,34 +360,78 @@ def newton(spec, u, z0, cfg: SolverConfig):
     whose Jacobian ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]`` is solved as a
     band (:meth:`~saddlebvp.grid.DirichletLaplacian.solve_coupled`); stops
     when the max-norm defect falls below ``tol``.  Raises
-    :class:`SolverError` on a singular Jacobian (with a condition estimate);
+    :class:`SolverError` on a singular Jacobian (with a condition estimate)
+    and the ``ExprError`` of a start that leaves the integrand's domain;
     stalls return the iterate flagged.
+
+    This is the one-start case of :func:`newton_runs`.
     """
+    (end,) = newton_runs(spec, u, [z0], cfg)
+    return _raise_or_return(end)
+
+
+def newton_runs(spec, u, starts, cfg: SolverConfig):
+    """:func:`newton` from every ``(x0, y0)`` in ``starts``, in lockstep.
+
+    The starts advance together as the rows of one ``(B, 2T)`` block of
+    :func:`_damped_newton`, in groups of ``block_rows(T)``, so one gradient
+    and one second-partials kernel call per iteration, and one gradient call
+    per line-search round, serve every run that is still going; the band
+    solves go row by row.  Each run ends bit for bit where it ends alone.
+    Returns, per start, its candidate or the ``SolverError`` or ``ExprError``
+    it raises alone.
+    """
+    size = block_rows(spec.T)
+    return [end for i in range(0, len(starts), size)
+            for end in _newton_block(spec, u, starts[i:i + size], cfg)]
+
+
+def _newton_block(spec, u, starts, cfg):
     T = spec.T
-    trace = [] if cfg.record_trace else None
+    traces = [[] if cfg.record_trace else None for _ in starts]
 
-    def system(v):
-        gx, gy = grad_i(spec, u, v[:T], v[T:])
-        return np.concatenate((gx, -gy))
+    def system(V):
+        (GX, GY), errors = _rows(grad_i, 2, spec, u, V[:, :T], V[:, T:])
+        return np.concatenate((GX, -GY), axis=1), errors
 
-    def jacobian(v):
+    def step(V, R):
+        (FXX, FXY, FYY), errors = _rows(second_partials_i, 3, spec, u, V[:, :T], V[:, T:])
+        D = np.full_like(V, np.nan)
+        for i in range(len(V)):
+            if i in errors:
+                continue
+            try:
+                D[i, :T], D[i, T:] = spec.lap.solve_coupled(FXX[i], FXY[i], -FYY[i],
+                                                            -R[i, :T], -R[i, T:])
+            except np.linalg.LinAlgError:
+                pass  # the nan row fails as singular
+        return D, errors
+
+    def condition(v):
         fxx, fxy, fyy = second_partials_i(spec, u, v[:T], v[T:])
-        return fxx, fxy, -fyy
+        return spec.lap.coupled_condition(fxx, fxy, -fyy)
 
-    def step(v, r):
-        return np.concatenate(spec.lap.solve_coupled(*jacobian(v), -r[:T], -r[T:]))
+    def record(it, rows, V, R, rn):
+        values = zip(rn.tolist(), residual_from_grad(R[:, :T], R[:, T:]).tolist(),
+                     _action_or_nan(spec, u, V[:, :T], V[:, T:]).tolist())
+        for r, row in zip(rows, values):
+            traces[r].append((it, *row))
 
-    def record(it, v, r, rn):
-        trace.append((it, rn, residual_from_grad(r[:T], r[T:]),
-                      _action_or_nan(spec, u, v[:T], v[T:])))
-
-    v, it, converged = _damped_newton(
-        system, step, np.concatenate((z0[0].interior, z0[1].interior)), cfg.tol,
-        cfg.max_iter, record if trace is not None else None,
-        condition=lambda v: spec.lap.coupled_condition(*jacobian(v)))
-    return make_candidate(spec, u, GridFunction.from_interior(v[:T]),
-                          GridFunction.from_interior(v[T:]), "newton",
-                          iterations=it, converged=converged, trace=trace)
+    V = np.array([np.concatenate((x.interior, y.interior)) for x, y in starts])
+    ends = _damped_newton(system, step, V, cfg.tol, cfg.max_iter,
+                          record if cfg.record_trace else None, condition)
+    results = []
+    for end, trace in zip(ends, traces):
+        if not isinstance(end, Exception):
+            v, it, converged = end
+            try:
+                end = make_candidate(spec, u, GridFunction.from_interior(v[:T]),
+                                     GridFunction.from_interior(v[T:]), "newton",
+                                     iterations=it, converged=converged, trace=trace)
+            except ExprError as exc:
+                end = exc
+        results.append(end)
+    return results
 
 
 def _order(outer):
@@ -359,11 +476,12 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
     point of the concave reduced function ``y -> min_x J(x, y)``, realizing
     ``max_y min_x``; ``outer="x"`` mirrors the construction and realizes
     ``min_x max_y`` (pass the starting ``x`` as ``y0``).  Both levels run
-    :func:`_damped_newton`: the inner one on ``-s grad_v J(v, w)`` with the
-    tridiagonal Hessian ``L - s F_vv`` to ``INNER_TOL_FACTOR * tol``, warm
-    from the last accepted inner point; the outer one on the reduced gradient
-    ``grad_w J(w, v*(w))`` with the Schur complement direction
-    (:func:`_schur_solve`) to ``tol``.  Only trace rows evaluate the action.
+    :func:`_damped_newton`, each on a one-row block: the inner one on
+    ``-s grad_v J(v, w)`` with the tridiagonal Hessian ``L - s F_vv`` to
+    ``INNER_TOL_FACTOR * tol``, warm from the last accepted inner point; the
+    outer one on the reduced gradient ``grad_w J(w, v*(w))`` with the Schur
+    complement direction (:func:`_schur_solve`) to ``tol``.  Only trace rows
+    evaluate the action.
     """
     s, slot = _order(outer)
     T = spec.T
@@ -381,7 +499,9 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
             shift = -s * second_partials_i(spec, u, *_pair(slot, w, v))[2 * (1 - slot)]
             return spec.lap.solve_shifted(shift, -g)
 
-        return _damped_newton(gradient, step, v0, tol_inner, INNER_MAX_ITER)[0]
+        (end,) = _damped_newton(_one_row(gradient, T), _one_row(step, T), v0[None],
+                                tol_inner, INNER_MAX_ITER)
+        return _raise_or_return(end)[0]
 
     # The outer iterate is z = (w, v).  A trial keeps the accepted v as the
     # inner warm start, and the residual overwrites it with the inner
@@ -394,13 +514,15 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
         d = _schur_solve(spec.lap, second_partials_i(spec, u, *at(z)), slot, s, g)
         return np.concatenate((d, np.zeros(T)))
 
-    def record(it, z, g, gn):
-        trace.append((it, gn, residual_from_grad(*grad_i(spec, u, *at(z))),
-                      _action_or_nan(spec, u, *at(z))))
+    def record(it, rows, Z, G, gn):
+        trace.append((it, float(gn[0]), residual_from_grad(*grad_i(spec, u, *at(Z[0]))),
+                      _action_or_nan(spec, u, *at(Z[0]))))
 
-    z, it, converged = _damped_newton(
-        reduced_gradient, step, np.concatenate((y0.interior, np.zeros(T))), cfg.tol,
-        cfg.max_iter, record if trace is not None else None)
+    (end,) = _damped_newton(
+        _one_row(reduced_gradient, T), _one_row(step, 2 * T),
+        np.concatenate((y0.interior, np.zeros(T)))[None], cfg.tol, cfg.max_iter,
+        record if trace is not None else None)
+    z, it, converged = _raise_or_return(end)
     xv, yv = at(z)
     method = "nested" if outer == "y" else "nested-xfirst"
     return make_candidate(spec, u, GridFunction.from_interior(xv),
@@ -518,9 +640,10 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     raises :class:`SolverError` or leaves the expression domain (``ExprError``)
     counts as failed.  Results are deterministic for a fixed seed.
 
-    Extragradient starts run in one :func:`extragradient_runs` call, in
-    lockstep; each ends exactly as it does alone, so the set does not depend
-    on how the starts are grouped.  Newton and nested starts run one by one.
+    Extragradient and newton starts run in one :func:`extragradient_runs` or
+    :func:`newton_runs` call, in lockstep; each ends exactly as it does
+    alone, so the set does not depend on how the starts are grouped.  Nested
+    starts run one by one.
     """
     rx, ry = radii_pair(radii, DEFAULT_RADII)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.multistart)
@@ -536,12 +659,13 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
             return None
 
     if cfg.method == "extragradient":
-        results = [None if isinstance(end, ExprError) else end
-                   for end in extragradient_runs(spec, u, starts, cfg)]
+        results = extragradient_runs(spec, u, starts, cfg)
+    elif cfg.method == "newton":
+        results = newton_runs(spec, u, starts, cfg)
     else:
         results = [run(z0) for z0 in starts]
 
-    converged = [c for c in results if c is not None and c.converged]
+    converged = [c for c in results if isinstance(c, SaddleCandidate) and c.converged]
     failures = len(results) - len(converged)
     reps = []
     for cand in sorted(converged, key=lambda c: c.residual_norm):

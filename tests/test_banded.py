@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 
 from conftest import dirichlet_matrix, nonlinear_instance
 from saddlebvp import GridFunction, ParameterFunction, ProblemSpec, laplacian
@@ -34,6 +37,72 @@ def test_shifted_solve_matches_dense(T):
     v = laplacian(T).solve_shifted(shift, rhs)
     expected = np.linalg.solve(dirichlet_matrix(T) + np.diag(shift), rhs)
     assert np.allclose(v, expected, rtol=1e-12, atol=1e-12)
+
+
+def _banded_reference(*args):
+    # scipy's general banded solver, or the error it raises
+    try:
+        return solve_banded(*args, check_finite=False)
+    except LinAlgError as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.sampled_from((1, 2, 5, 100, 801)), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from((0.0, 0.5, 1.0, 1e3)))
+def test_lapack_solves_equal_solve_banded(T, seed, scale):
+    rng = np.random.default_rng(seed)
+    inputs = scale * rng.standard_normal((5, T))
+    shift_x, coupling, shift_y, rhs_x, rhs_y = inputs.copy()
+    lap = laplacian(T)
+    # the coupled matrix on interleaved unknowns: entry (i, j) in row 2 + i - j
+    band = np.zeros((5, 2 * T))
+    band[0, 2:] = band[4, :-2] = -1.0
+    band[1, 1::2] = coupling
+    band[2, 0::2], band[2, 1::2] = 2.0 + shift_x, 2.0 + shift_y
+    band[3, 0::2] = -coupling
+    rhs = np.empty(2 * T)
+    rhs[0::2], rhs[1::2] = rhs_x, rhs_y
+    expected = _banded_reference((2, 2), band, rhs)
+    try:
+        v = np.empty(2 * T)
+        v[0::2], v[1::2] = lap.solve_coupled(shift_x, coupling, shift_y, rhs_x, rhs_y)
+    except LinAlgError as exc:
+        v = exc
+    if isinstance(expected, LinAlgError):
+        assert isinstance(v, LinAlgError)
+    else:
+        assert v.tobytes() == expected.tobytes()
+
+    tridiagonal = np.empty((3, T))
+    tridiagonal[0] = tridiagonal[2] = -1.0
+    tridiagonal[1] = 2.0 + shift_x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = _banded_reference((1, 1), tridiagonal, rhs_x)
+    try:
+        v = lap.solve_shifted(shift_x, rhs_x)
+    except LinAlgError as exc:
+        v = exc
+    if isinstance(expected, LinAlgError):
+        assert isinstance(v, LinAlgError)
+    else:
+        assert v.tobytes() == expected.tobytes()
+    # the solves work on copies of their inputs
+    assert np.array_equal(np.array([shift_x, coupling, shift_y, rhs_x, rhs_y]), inputs)
+
+
+def test_lapack_solves_on_singular_matrices():
+    # exactly singular: a zero pivot in the LU raises
+    with pytest.raises(LinAlgError):
+        laplacian(1).solve_coupled([-2.0], [0.0], [1.0], [1.0], [1.0])
+    with pytest.raises(LinAlgError):
+        laplacian(2).solve_shifted([-1.0, -1.0], [1.0, 2.0])
+    with pytest.raises(LinAlgError):
+        laplacian(2).solve_coupled([-1.0, -1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0])
+    # for T = 1 the shifted solve is a division: a zero pivot gives inf, not an error
+    lap = laplacian(1)
+    assert np.isposinf(lap.solve_shifted([-2.0], [1.0])[0])
+    assert np.isnan(lap.solve_shifted([-2.0], [0.0])[0])
 
 
 @pytest.mark.parametrize("T", SIZES)

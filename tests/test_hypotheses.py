@@ -323,6 +323,21 @@ def test_fitted_certificate_margins_hold_off_grid():
         assert val >= bound - 1e-9
 
 
+
+def test_fitted_certificate_rejects_a_density_below_9():
+    spec = ProblemSpec.create(2, 1.0, "x^2 - y^2 + u*x")
+    for density in (3, -4):
+        with pytest.raises(HypothesisError, match=f"density must be at least 9, got {density}"):
+            fit_growth_certificate(spec, 2.0, density=density)
+    # densities from 9 on give the values they always gave
+    expected = {9: ("-0x1.4c000431bde83p+2", "0x1.c0000431bde83p+2"),
+                241: ("-0x1.0e048580d3279p+2", "0x1.8137b8b4065acp+2")}
+    for density, (gamma1, gamma2) in expected.items():
+        kwargs = {} if density == 241 else {"density": density}
+        cert = fit_growth_certificate(spec, 2.0, **kwargs)
+        assert [g.hex() for g in cert.gamma1] == [gamma1] * 2
+        assert [g.hex() for g in cert.gamma2] == [gamma2] * 2
+
 def test_certificate_dict_roundtrip():
     cert = GrowthCertificate.constant(2, 0.1, -0.2, 0.3, 0.4, 0.5, -0.6,
                                       box_radius=7.0, anchor_y=GridFunction.zeros(2))

@@ -13,9 +13,9 @@ from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, SolverConfi
 from saddlebvp.hypotheses import ball_radii, certificate_from_dict
 from saddlebvp.expressions import ExprError
 from saddlebvp.grid import random_in_ball
-from saddlebvp.problem import action_i
+from saddlebvp.problem import action_i, block_rows
 from saddlebvp.solvers import (SolverError, extragradient, extragradient_runs, nested_minimax,
-                               newton, saddle_set, verify_saddle)
+                               newton, newton_runs, radii_pair, saddle_set, verify_saddle)
 
 TIGHT = SolverConfig(tol=1e-12)
 EXP_T5 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -118,8 +118,8 @@ def test_extragradient_exp_t5_all_starts_converge():
 
 
 def test_extragradient_memory_is_linear():
-    # 16 lockstep starts run in blocks of block_rows(T) rows, so the peak
-    # does not grow with the number of starts
+    # 16 lockstep starts, extragradient or newton, run in blocks of
+    # block_rows(T) rows, so the peak does not grow with the number of starts
     T = 2000
     spec = ProblemSpec.create(T, 1.0, "x*y + exp(x/2) - exp(y/2)")
     u = ParameterFunction.constant(0.5, T, 1.0)
@@ -132,10 +132,14 @@ def test_extragradient_memory_is_linear():
         sset = saddle_set(spec, u, SolverConfig(method="extragradient", max_iter=2,
                                                 multistart=16))
         peak_set = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        newton_set = saddle_set(spec, u, SolverConfig(method="newton", max_iter=2,
+                                                      multistart=16))
+        peak_newton = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sset.attempts == 16
-    assert peak_one < 8 * 2 ** 20 and peak_set < 8 * 2 ** 20
+    assert sset.attempts == newton_set.attempts == 16
+    assert max(peak_one, peak_set, peak_newton) < 8 * 2 ** 20
 
 
 def _starts(T, n, seed, radii=(4.0, 4.0)):
@@ -144,15 +148,15 @@ def _starts(T, n, seed, radii=(4.0, 4.0)):
             for _ in range(n)]
 
 
-def _solo(spec, u, z0, cfg):
+def _solo(run, spec, u, z0, cfg):
     try:
-        return extragradient(spec, u, z0, cfg)
-    except ExprError as exc:
+        return run(spec, u, z0, cfg)
+    except (ExprError, SolverError) as exc:
         return exc
 
 
 def _assert_same_run(lockstep, solo):
-    if isinstance(solo, ExprError):
+    if isinstance(solo, Exception):
         assert type(lockstep) is type(solo) and str(lockstep) == str(solo)
         return
     assert lockstep.x.values.tobytes() == solo.x.values.tobytes()
@@ -189,7 +193,7 @@ def test_lockstep_runs_equal_solo_runs(case):
     else:
         spec, u, starts, floor = _step_floor_batch()
     runs = extragradient_runs(spec, u, starts, cfg)
-    solos = [_solo(spec, u, z0, cfg) for z0 in starts]
+    solos = [_solo(extragradient, spec, u, z0, cfg) for z0 in starts]
     for lockstep, solo in zip(runs, solos):
         _assert_same_run(lockstep, solo)
     ends = [r for r in runs if not isinstance(r, ExprError)]
@@ -207,6 +211,76 @@ def test_lockstep_runs_equal_solo_runs(case):
     if case == "step-floor":
         assert not runs[floor].converged and runs[floor].iterations == 0
         assert ends == [runs[floor]]
+
+
+
+def _singular_batch():
+    # on T = 1 the x-row of the Jacobian is 3x, exactly singular at x = 0:
+    # the starts put there fail at once, the others find x = +-sqrt(2/3)
+    spec = ProblemSpec.create(1, 1.0, "0.5*x^3 - x^2 - x - y^2")
+    starts = _starts(1, 16, 11, radii=(2.0, 2.0))
+    for i in (2, 9):
+        starts[i] = (GridFunction.zeros(1), starts[i][1])
+    return spec, ParameterFunction.constant(0.0, 1, 1.0), starts
+
+
+@pytest.mark.parametrize("case", ["study", "log", "sqrt", "singular", "T1", "T2", "split"])
+def test_newton_lockstep_runs_equal_solo_runs(case, monkeypatch):
+    cfg = SolverConfig(method="newton", record_trace=True)
+    if case == "study":
+        spec, u, radii, seed = study_instance_91()
+        starts = _starts(100, 16, seed, radii=radii_pair(radii))
+    elif case == "log":
+        spec, u = log_problem()
+        starts = _starts(3, 16, 3)
+    elif case == "sqrt":
+        spec = ProblemSpec.create(3, 1.0, "x^2 - y^2 + sqrt(x + 2)")
+        u = ParameterFunction.constant(0.0, 3, 1.0)
+        starts = _starts(3, 16, 0)
+    elif case == "singular":
+        spec, u, starts = _singular_batch()
+    else:
+        T = {"T1": 1, "T2": 2, "split": 2000}[case]
+        spec = ProblemSpec.create(T, 1.0, "x*y + exp(x/2) - exp(y/2) + u*(x - y)")
+        u = ParameterFunction(0.5 * np.sin(np.arange(1.0, T + 1)), 1.0)
+        starts = _starts(T, 16, T, radii=(2.0, 2.0))
+    outside = []
+    grad_i = solvers.grad_i
+
+    def counted(*args):
+        try:
+            return grad_i(*args)
+        except ExprError:
+            outside.append(args[2].ndim)
+            raise
+
+    monkeypatch.setattr(solvers, "grad_i", counted)
+    runs = newton_runs(spec, u, starts, cfg)
+    solos = [_solo(newton, spec, u, z0, cfg) for z0 in starts]
+    for lockstep, solo in zip(runs, solos):
+        _assert_same_run(lockstep, solo)
+    ends = [r for r in runs if not isinstance(r, Exception)]
+    if case == "study":
+        # the rows leave the block at different iterations
+        assert all(r.converged for r in ends) and len({r.iterations for r in ends}) > 1
+    if case == "log":
+        # iterates outside the domain of log, where the gradient is defined
+        assert not outside and len(ends) == 16 and any(r.converged for r in ends)
+        assert any(np.isnan(row[3]) for r in ends for row in r.trace)
+    if case == "sqrt":
+        # the gradient raises at starts and at trial points outside the domain:
+        # a block raises, then its rows are evaluated alone
+        assert outside.count(2) > 1 and 1 in outside
+        assert any(isinstance(r, ExprError) for r in runs)
+        assert sum(r.converged for r in ends) >= 12
+    if case == "singular":
+        for i in (2, 9):
+            assert isinstance(runs[i], SolverError)
+            assert str(runs[i]) == "singular Jacobian at iteration 0 (cond estimate inf)"
+        assert len(ends) == 14 and all(r.converged for r in ends)
+    if case == "split":
+        assert block_rows(spec.T) < len(starts)
+        assert all(r.converged for r in ends)
 
 
 def test_extragradient_gradient_norm_monotone_after_warmup():
