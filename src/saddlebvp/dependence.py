@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import GridFunction, h_norm, random_in_ball
-from .problem import (ParameterFunction, integrand_sum_i, make_candidate, parameter_values,
-                      real_numbers, row_blocks)
+from .grid import GridFunction, random_interior
+from .problem import (ParameterFunction, h_norm_i, integrand_sum_i, make_candidate,
+                      parameter_values, real_numbers, row_blocks)
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
                       saddle_set, verify_saddle)
 
@@ -131,7 +131,7 @@ def _check_tolerance(tol, name):
 def _sampled_gaps(spec, terms, u0, box, samples, seed):
     """``uniform_gap(spec, u, u0, box, samples, seed)`` for every ``u`` in ``terms``.
 
-    Each draw takes ``x`` and then ``y`` from ``random_in_ball``; the even
+    Each draw takes ``x`` and then ``y`` from ``random_interior``; the even
     draws are pushed to the ball boundaries, where linear-in-u integrands
     attain the sup.  One pass over the blocks of draws evaluates the limit's
     integrand sums once per block and each term's once.  ``np.fmax`` skips
@@ -144,11 +144,10 @@ def _sampled_gaps(spec, terms, u0, box, samples, seed):
 
     def pairs():
         for i in range(max(1, samples)):
-            x = random_in_ball(spec.T, rx, rng)
-            y = random_in_ball(spec.T, ry, rng)
-            xv, yv = x.interior, y.interior
+            xv = random_interior(spec.T, rx, rng)
+            yv = random_interior(spec.T, ry, rng)
             if i % 2 == 0:  # push to the boundary for a tighter estimate
-                nx, ny = h_norm(x), h_norm(y)
+                nx, ny = h_norm_i(xv), h_norm_i(yv)
                 if nx > 0:
                     xv = xv * (rx / nx)
                 if ny > 0:
@@ -183,13 +182,13 @@ def parameter_lipschitz(spec, box, samples=256, seed=0) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(max(1, samples)):
-        x = random_in_ball(spec.T, rx, rng)
-        y = random_in_ball(spec.T, ry, rng)
+        xv = random_interior(spec.T, rx, rng)
+        yv = random_interior(spec.T, ry, rng)
         u1, u2 = rng.uniform(-spec.D, spec.D, size=2)
         if u1 == u2:
             continue
-        (f1,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u1)
-        (f2,) = spec.field.value_kernel(spec.nodes(), x.interior, y.interior, u2)
+        (f1,) = spec.field.value_kernel(spec.nodes(), xv, yv, u1)
+        (f2,) = spec.field.value_kernel(spec.nodes(), xv, yv, u2)
         f1 = np.broadcast_to(np.asarray(f1, float), (spec.T,))
         f2 = np.broadcast_to(np.asarray(f2, float), (spec.T,))
         worst = max(worst, float(np.max(np.abs(f1 - f2)) / abs(u1 - u2)))

@@ -41,7 +41,7 @@ class GridFunction:
             raise GridError(f"need a 1-d array of length T+2 with T >= 1, got shape {v.shape}")
         if v[0] != 0.0 or v[-1] != 0.0:
             raise GridError(f"boundary values must be exactly zero, got ({v[0]!r}, {v[-1]!r})")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise GridError("grid values must be finite")
         object.__setattr__(self, "values", _freeze(v))
 
@@ -182,21 +182,27 @@ class DirichletLaplacian:
         e = np.full(self.dimension - 1, -1.0)
         return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0])
 
-    def _coupled_band(self, shift_x, coupling, shift_y):
+    def _coupled_band(self, shift_x, coupling, shift_y, rows=(), gap=0):
         """LAPACK ``gbsv`` band storage of the coupled matrix of :meth:`solve_coupled`.
 
         Unknowns are interleaved as ``(x_1, y_1, x_2, y_2, ...)``, which puts
         the ``2T x 2T`` matrix in a band of two diagonals on each side; row
         ``4 + i - j`` of the result holds entry ``(i, j)``, and rows 0 and 1
-        are the zero fill rows that pivoting writes into.
+        are the zero fill rows that pivoting writes into.  With ``rows = (B,)``
+        and ``(B, T)`` inputs the ``B`` matrices follow each other down the
+        diagonal, each followed by ``gap`` unknowns of an identity block.
         """
-        ab = np.zeros((7, 2 * self.dimension), order="F")
-        ab[2, 2:] = ab[6, :-2] = -1.0
-        ab[3, 1::2] = coupling
-        ab[4, 0::2] = 2.0 + np.asarray(shift_x, dtype=float)
-        ab[4, 1::2] = 2.0 + np.asarray(shift_y, dtype=float)
-        ab[5, 0::2] = -np.asarray(coupling, dtype=float)
-        return ab
+        T = self.dimension
+        coupling = np.asarray(coupling, dtype=float)
+        # C-order (B, 2T + gap, 7) is the Fortran-order (7, B (2T + gap)) band, built in place
+        ab = np.zeros(rows + (2 * T + gap, 7))
+        ab[..., 2:2 * T, 2] = ab[..., :2 * T - 2, 6] = -1.0
+        ab[..., 1:2 * T:2, 3] = coupling
+        ab[..., 0:2 * T:2, 4] = 2.0 + np.asarray(shift_x, dtype=float)
+        ab[..., 1:2 * T:2, 4] = 2.0 + np.asarray(shift_y, dtype=float)
+        ab[..., 0:2 * T:2, 5] = -coupling
+        ab[..., 2 * T:, 4] = 1.0
+        return ab.reshape(-1, 7).T
 
     def solve_coupled(self, shift_x, coupling, shift_y, rhs_x, rhs_y):
         """Solve ``[[L + diag(shift_x), diag(c)], [-diag(c), L + diag(shift_y)]] v = rhs``.
@@ -206,15 +212,44 @@ class DirichletLaplacian:
         ``scipy.linalg.solve_banded`` returns on the same band.  Raises
         ``LinAlgError`` on an exactly singular matrix; may return non-finite
         values for a singular or non-finite one.
+
+        ``(B, T)`` blocks of the five arrays solve ``B`` systems, row ``i``
+        of each output from row ``i`` of each input, in one ``gbsv`` call on
+        the systems stacked down one band.  Four identity unknowns between
+        consecutive systems keep the LU of each system away from its
+        neighbours' entries, zeros included, so each row equals its 1-d solve
+        bit for bit.  When a system is singular or a value is not finite the
+        rows are solved one at a time instead; a row whose 1-d solve raises
+        ``LinAlgError`` holds nan.
         """
-        rhs = np.empty(2 * self.dimension)
-        rhs[0::2] = rhs_x
-        rhs[1::2] = rhs_y
-        _, _, v, info = lapack.dgbsv(2, 2, self._coupled_band(shift_x, coupling, shift_y), rhs,
-                                     overwrite_ab=True, overwrite_b=True)
-        if info > 0:
-            raise LinAlgError("singular matrix")
-        return v[0::2], v[1::2]
+        T = self.dimension
+        rhs_x = np.asarray(rhs_x, dtype=float)
+        gap = 4 if rhs_x.ndim == 2 else 0
+        rhs = np.zeros(rhs_x.shape[:-1] + (2 * T + gap,))
+        rhs[..., 0:2 * T:2] = rhs_x
+        rhs[..., 1:2 * T:2] = rhs_y
+        ab = self._coupled_band(shift_x, coupling, shift_y, rhs_x.shape[:-1], gap)
+        _, _, v, info = lapack.dgbsv(2, 2, ab, rhs.reshape(-1), overwrite_ab=True,
+                                     overwrite_b=True)
+        if rhs_x.ndim == 1:
+            if info > 0:
+                raise LinAlgError("singular matrix")
+            return v[0::2], v[1::2]
+        v = v.reshape(rhs.shape)
+        if info > 0 or not np.isfinite(v).all():
+            return self._solve_rows(shift_x, coupling, shift_y, rhs_x, rhs_y)
+        return v[:, 0:2 * T:2], v[:, 1:2 * T:2]
+
+    def _solve_rows(self, *blocks):
+        """:meth:`solve_coupled` on ``(B, T)`` blocks one row at a time; singular rows hold nan."""
+        blocks = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in blocks))
+        out = np.full((2,) + blocks[0].shape, np.nan)
+        for i, row in enumerate(zip(*blocks)):
+            try:
+                out[:, i] = self.solve_coupled(*row)
+            except LinAlgError:
+                pass
+        return out[0], out[1]
 
     def coupled_condition(self, shift_x, coupling, shift_y) -> float:
         """1-norm condition estimate of the coupled matrix (LAPACK ``gbtrf``/``gbcon``)."""
@@ -234,20 +269,26 @@ def laplacian(T: int) -> DirichletLaplacian:
     return DirichletLaplacian(dimension=T)
 
 
-def random_in_ball(T, radius, rng):
-    """Draw a grid function uniformly from the ball ``h_norm(x) <= radius``.
+def random_interior(T, radius, rng):
+    """Interior values of a draw uniform in the ball ``h_norm(x) <= radius``.
 
     Direction is isotropic in the difference norm; the radial law
     ``r = radius * U**(1/T)`` makes the draw uniform over the T-dimensional ball.
     """
     padded = np.zeros(T + 2)
-    padded[1:-1] = rng.standard_normal(T)
-    d = np.diff(padded)
-    n = float(np.sqrt(d @ d))
+    v = rng.standard_normal(out=padded[1:-1])
+    d = padded[1:] - padded[:-1]
+    n = math.sqrt(d @ d)
     if n == 0.0:
-        return GridFunction.zeros(T)
-    r = radius * rng.uniform() ** (1.0 / T)
-    return GridFunction(padded * (r / n))
+        return v
+    r = radius * rng.random() ** (1.0 / T)  # uniform() on [0, 1), the same stream and bits
+    v *= r / n
+    return v
+
+
+def random_in_ball(T, radius, rng):
+    """:func:`random_interior` as a grid function, from the same ``rng`` calls."""
+    return GridFunction.from_interior(random_interior(T, radius, rng))
 
 
 @dataclass(frozen=True)

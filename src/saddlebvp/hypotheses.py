@@ -15,9 +15,10 @@ such that every saddle point lies in the product of the corresponding balls.
 The growth bounds are sampled on grids, which cannot prove them globally;
 reports carry the box and densities used.  Curvature is decided per node:
 the Hessian blocks are the tridiagonal ``L`` plus a diagonal, so the worst
-case over the box is one tridiagonal eigenvalue at the per-node grid minima
-(padded for the gaps between grid points), and exact when the curvature
-does not depend on the free slot.
+case over the box is estimated by one tridiagonal eigenvalue at the
+per-node grid minima (with a second-difference pad for the gaps between
+grid points), and is exact when the curvature does not depend on the free
+slot.
 """
 
 import json
@@ -26,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import compile_trees, depends_on
+from .expressions import ExprError, compile_trees, depends_on
 from .grid import GridFunction, embedding_constant, h_norm
 from .problem import real_numbers
 
 DEFAULT_TOL = 1e-9
+_NODE_BLOCK_VALUES = 2 ** 14  # samples per kernel call of the growth checks, one node at least
 
 
 class HypothesisError(ValueError):
@@ -137,7 +139,13 @@ def certificate_to_dict(cert: GrowthCertificate) -> dict:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """``worst_margin`` bounds the smallest Hessian eigenvalue over the box from below."""
+    """``worst_margin`` estimates the smallest Hessian eigenvalue over the box from grid samples.
+
+    It is exact when the curvature does not depend on the free slot.
+    Otherwise it comes from the per-node grid minima with a second-difference
+    pad, which is no bound: a dip narrower than the grid spacing can fall
+    between the samples and go unseen.
+    """
 
     passed: bool
     exact: bool
@@ -151,10 +159,12 @@ def check_convexity_x(spec, u, fixed, box, density=201, tol=DEFAULT_TOL) -> Conv
     The x-Hessian is ``L + diag(F_xx)`` and its smallest eigenvalue does not
     decrease when a diagonal entry grows (Weyl), so its minimum over the box
     is ``lambda_min(L + diag(m))`` with ``m_k`` the minimum of ``F_xx`` over
-    ``x_k``.  ``m_k`` is taken on ``density`` grid points of ``[-box, box]``
-    and lowered by half the largest second difference of that node's column,
-    which bounds how far the true minimum can sit between grid points.  The
-    check is ``exact`` when ``F_xx`` does not depend on ``x``.
+    ``x_k``.  ``m_k`` is estimated on ``density`` grid points of
+    ``[-box, box]`` and lowered by a pad of half the largest second
+    difference of that node's column, an estimate of how far the true
+    minimum can sit between grid points; a dip narrower than the spacing can
+    escape both.  The check is ``exact`` when ``F_xx`` does not depend on
+    ``x``.
     """
     return _check_curvature(spec, u, fixed, box, density, tol, convex=True)
 
@@ -234,34 +244,33 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201, tol=DEFAULT_T
             box_radius=cert.box_radius, densities=(grid_density,))
 
     R = cert.box_radius
-    n_u = max(5, n_free // 8)
-    n_other = max(5, n_free // 8)
-    s = np.linspace(-R, R, n_free)
-    us = np.linspace(-spec.D, spec.D, n_u)
-    other = np.linspace(-R, R, n_other)
+    grid = _GrowthGrid(spec, R, n_free)
 
     def side_margin(lower):
+        # The witness is the first smallest margin in node order; a node
+        # whose margins hold a nan is skipped.
         worst = np.inf
         witness = None
         alpha, beta, gamma = ((cert.alpha1, cert.beta1, cert.gamma1) if lower
                               else (cert.alpha2, cert.beta2, cert.gamma2))
         anchor = cert.anchor_y if lower else cert.anchor_x
-        for k in range(1, spec.T + 1):
-            free = s[:, None, None]
-            uu = us[None, :, None]
-            anchored = (np.float64(anchor(k)) if anchor is not None
-                        else other[None, None, :])
-            xy = (free, anchored) if lower else (anchored, free)
-            (F,) = spec.field.value_kernel(float(k), *xy, uu)
-            bound = (-alpha if lower else alpha) * free ** 2 + beta * free + gamma[k - 1]
-            margin = np.asarray(F - bound if lower else bound - F, dtype=float)
-            margin = np.broadcast_to(margin, (n_free, n_u, 1 if anchor is not None else n_other))
-            idx = np.unravel_index(np.argmin(margin), margin.shape)
-            if margin[idx] < worst:
-                worst = float(margin[idx])
-                witness = {"k": k, "s": float(s[idx[0]]), "u": float(us[idx[1]]),
+        free = grid.free
+
+        def margins(nodes):
+            F = grid.integrand(nodes, lower, anchor)
+            bound = (-alpha if lower else alpha) * free ** 2 + beta * free + _column(gamma[nodes])
+            return grid.per_node(nodes, F - bound if lower else bound - F)
+
+        for nodes, margin in grid.blocks((anchor,), margins):
+            low = margin.min(axis=(1, 2, 3))
+            j = int(np.argmin(np.where(np.isnan(low), np.inf, low)))
+            if low[j] < worst:
+                worst = float(low[j])
+                idx = np.unravel_index(np.argmin(margin[j]), margin[j].shape)
+                k = nodes.start + j + 1
+                witness = {"k": k, "s": float(grid.s[idx[0]]), "u": float(grid.us[idx[1]]),
                            "anchored": float(anchor(k)) if anchor is not None
-                           else float(other[idx[2]])}
+                           else float(grid.other[idx[2]])}
         return worst, witness
 
     lower_margin, lower_witness = side_margin(lower=True)
@@ -276,7 +285,69 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201, tol=DEFAULT_T
     return GrowthReport(
         passed=counterexample is None, alpha_ok=True, alpha_margins=margins,
         worst_lower_margin=lower_margin, worst_upper_margin=upper_margin,
-        counterexample=counterexample, box_radius=R, densities=(n_free, n_u, n_other))
+        counterexample=counterexample, box_radius=R,
+        densities=(n_free, grid.us.size, grid.other.size))
+
+
+def _column(v):
+    """Values per node as a ``(K, 1, 1, 1)`` array, the node axis of a growth block."""
+    return v[:, None, None, None]
+
+
+class _GrowthGrid:
+    """The sample grid of the growth bounds, evaluated in blocks of nodes.
+
+    Per node the free slot runs over ``n`` points ``s`` of ``[-R, R]``, the
+    parameter over ``max(5, n // 8)`` points ``us`` of ``[-D, D]`` and an
+    unanchored other slot over as many points ``other`` of ``[-R, R]``.  A
+    block of ``K`` nodes holds ``(K, n, n_u, n_other)`` samples (``n_other``
+    is 1 when the other slot is anchored), each computed as the node alone
+    computes it.
+    """
+
+    def __init__(self, spec, R, n):
+        self.spec = spec
+        self.s = np.linspace(-R, R, n)
+        self.us = np.linspace(-spec.D, spec.D, max(5, n // 8))
+        self.other = np.linspace(-R, R, max(5, n // 8))
+        self.free = self.s[None, :, None, None]
+
+    def integrand(self, nodes, lower, anchor):
+        """``F`` at the nodes of the slice ``nodes`` of ``0..T-1``; the free slot is ``x`` if ``lower``."""
+        fixed = (self.other[None, None, None, :] if anchor is None
+                 else _column(anchor.values[1:-1][nodes]))
+        xy = (self.free, fixed) if lower else (fixed, self.free)
+        (F,) = self.spec.field.value_kernel(_column(self.spec.nodes()[nodes]), *xy,
+                                            self.us[None, None, :, None])
+        return F
+
+    def per_node(self, nodes, values):
+        """``values`` with its node axis as long as ``nodes``, without copying."""
+        values = np.asarray(values, dtype=float)
+        return np.broadcast_to(values, (nodes.stop - nodes.start,) + values.shape[1:])
+
+    def blocks(self, anchors, evaluate):
+        """``(nodes, evaluate(nodes))`` for consecutive node slices, in node order.
+
+        A slice holds as many nodes as keep the samples of each side, its
+        other slot fixed by ``anchors``, within ``_NODE_BLOCK_VALUES``, and
+        one node at least.  When ``evaluate`` raises ``ExprError`` on a slice,
+        its nodes are evaluated one at a time, so the error raised is the
+        first that a loop over the nodes meets.
+        """
+        T = self.spec.T
+        anchored = all(a is not None for a in anchors)
+        per_node = self.s.size * self.us.size * (1 if anchored else self.other.size)
+        size = max(1, _NODE_BLOCK_VALUES // per_node)
+        for start in range(0, T, size):
+            nodes = slice(start, min(start + size, T))
+            try:
+                out = evaluate(nodes)
+            except ExprError:
+                for i in range(nodes.start, nodes.stop):
+                    evaluate(slice(i, i + 1))
+                raise
+            yield nodes, out
 
 
 @dataclass(frozen=True)
@@ -345,14 +416,13 @@ def ball_radii(cert: GrowthCertificate, c2: float, T: int) -> BallRadii:
 
 
 def _grid_gap_pad(vals):
-    # Second differences bound how far the sampled extreme can sit below the
+    # Second differences estimate how far the sampled extreme can sit below the
     # true one between grid points (midpoint error ~ f'' h^2 / 8, kinks ~ jump h / 2).
-    pad = 0.0
-    for axis in range(vals.ndim):
+    # One pad per node of a (K, n, n_u, n_other) block.
+    pad = np.zeros(len(vals))
+    for axis in (1, 2, 3):
         if vals.shape[axis] >= 3:
-            d2 = np.diff(vals, n=2, axis=axis)
-            if d2.size:
-                pad = max(pad, 0.5 * float(np.max(np.abs(d2))))
+            pad = np.maximum(pad, 0.5 * np.abs(np.diff(vals, n=2, axis=axis)).max(axis=(1, 2, 3)))
     return pad
 
 
@@ -375,24 +445,18 @@ def fit_growth_certificate(spec, box_radius, alpha1=None, alpha2=None,
     if alpha2 is None:
         alpha2 = 0.25 / c2
     R = float(box_radius)
-    n = int(density)
-    s = np.linspace(-R, R, n)
-    us = np.linspace(-spec.D, spec.D, max(5, n // 8))
-    other = np.linspace(-R, R, max(5, n // 8))
+    grid = _GrowthGrid(spec, R, int(density))
+    free = grid.free
+
+    def sides(nodes):
+        return (grid.per_node(nodes, grid.integrand(nodes, True, anchor_y) + alpha1 * free ** 2),
+                grid.per_node(nodes, grid.integrand(nodes, False, anchor_x) - alpha2 * free ** 2))
 
     gamma1 = np.empty(spec.T)
     gamma2 = np.empty(spec.T)
-    for k in range(1, spec.T + 1):
-        free = s[:, None, None]
-        uu = us[None, :, None]
-        y_slot = np.float64(anchor_y(k)) if anchor_y is not None else other[None, None, :]
-        (F,) = spec.field.value_kernel(float(k), free, y_slot, uu)
-        vals = np.asarray(F + alpha1 * free ** 2, dtype=float)
-        gamma1[k - 1] = float(np.min(vals)) - _grid_gap_pad(vals) - slack
-        x_slot = np.float64(anchor_x(k)) if anchor_x is not None else other[None, None, :]
-        (F,) = spec.field.value_kernel(float(k), x_slot, free, uu)
-        vals = np.asarray(F - alpha2 * free ** 2, dtype=float)
-        gamma2[k - 1] = float(np.max(vals)) + _grid_gap_pad(vals) + slack
+    for nodes, (lower, upper) in grid.blocks((anchor_y, anchor_x), sides):
+        gamma1[nodes] = lower.min(axis=(1, 2, 3)) - _grid_gap_pad(lower) - slack
+        gamma2[nodes] = upper.max(axis=(1, 2, 3)) + _grid_gap_pad(upper) + slack
     return GrowthCertificate(alpha1=alpha1, beta1=0.0, gamma1=gamma1,
                              alpha2=alpha2, beta2=0.0, gamma2=gamma2,
                              box_radius=R, anchor_y=anchor_y, anchor_x=anchor_x)

@@ -214,6 +214,12 @@ def _differences(v):
     return d
 
 
+def h_norm_i(v):
+    """``grid.h_norm`` at interior values, bit for bit; a ``(B, T)`` block gives ``B`` row norms."""
+    n = np.sqrt(squared_norm(_differences(v)))
+    return float(n) if v.ndim == 1 else n
+
+
 def action_i(spec, u, xv, yv):
     """The action at interior values; a ``(B, T)`` block gives the ``B`` row values."""
     dx = _differences(xv)

@@ -19,11 +19,13 @@ one run per row.
 ``extragradient_runs`` and ``newton_runs`` advance many starts in lockstep,
 as the rows of ``(B, T)`` (newton: ``(B, 2T)``) arrays: each row keeps its
 own step, iterate and stop, and one kernel call per iteration serves every
-live row; only the band solves of newton go row by row.  The problem layer
-evaluates a block row by row bit for bit as alone, and after a domain error
-a block is evaluated one row at a time, so each start ends exactly where its
-own run ends and only the rows that leave the domain fail.  Nested starts
-run one by one, each level of each as a one-row block.
+live row, as one band solve per iteration serves newton's.  The starts
+arrive as arrays of interior values, and the candidates of a block come
+from one gradient and one action call.  The problem layer and the band
+solve treat a block row by row bit for bit as alone, and after a domain
+error a block is evaluated one row at a time, so each start ends exactly
+where its own run ends and only the rows that leave the domain fail.
+Nested starts run one by one, each level of each as a one-row block.
 
 ``verify_saddle`` checks a candidate a posteriori: small system defect,
 sampled saddle inequalities, and the second-order test that ``x -> J(x, y*)``
@@ -35,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ExprError
-from .grid import GridFunction, h_norm, random_in_ball
-from .problem import (SaddleCandidate, action_i, block_rows, grad_i, make_candidate, residual,
-                      residual_from_grad, row_blocks, second_partials_i, squared_norm)
+from .grid import GridFunction, h_norm, random_interior
+from .problem import (SaddleCandidate, action_i, block_rows, grad_i, h_norm_i, make_candidate,
+                      residual, residual_from_grad, row_blocks, second_partials_i, squared_norm)
 
 INNER_MAX_ITER = 200
 INNER_TOL_FACTOR = 1e-2     # nested inner solves stop at this fraction of the outer tolerance
@@ -92,7 +94,8 @@ def radii_pair(radii, default=None):
 
 def product_distance(a, b) -> float:
     """Distance between two candidate points in the product difference norm."""
-    return float(np.hypot(h_norm(a.x - b.x), h_norm(a.y - b.y)))
+    return float(np.hypot(h_norm_i(a.x.values[1:-1] - b.x.values[1:-1]),
+                          h_norm_i(a.y.values[1:-1] - b.y.values[1:-1])))
 
 
 def _action_or_nan(spec, u, xv, yv):
@@ -133,6 +136,39 @@ def _rows(kernel, outputs, spec, u, X, Y):
     return out, errors
 
 
+def _finish(spec, u, method, finished, traces, ends):
+    """Put into ``ends`` each finished run's candidate, or the ``ExprError`` that making it raises.
+
+    ``finished`` holds ``(start, x, y, iterations, converged)`` per run, with
+    interior values ``x`` and ``y``.  One ``grad_i`` and one ``action_i``
+    call on the stacked rows give every candidate ``make_candidate``'s bits;
+    after a domain error each candidate is made alone.
+    """
+    if not finished:
+        return
+    starts, xs, ys, iterations, converged = zip(*finished)
+    X, Y = np.array(xs), np.array(ys)
+    try:
+        GX, GY = grad_i(spec, u, X, Y)
+        values = action_i(spec, u, X, Y).tolist()
+    except ExprError:
+        for i, x, y, it, conv in finished:
+            try:
+                ends[i] = make_candidate(spec, u, GridFunction.from_interior(x),
+                                         GridFunction.from_interior(y), method,
+                                         iterations=it, converged=conv, trace=traces[i])
+            except ExprError as exc:
+                ends[i] = exc
+        return
+    grad_norms = np.sqrt(squared_norm(GX) + squared_norm(GY)).tolist()
+    residuals = residual_from_grad(GX, GY).tolist()
+    for r, i in enumerate(starts):
+        ends[i] = SaddleCandidate(
+            x=GridFunction.from_interior(X[r]), y=GridFunction.from_interior(Y[r]),
+            value=values[r], grad_norm=grad_norms[r], residual_norm=residuals[r],
+            method=method, iterations=iterations[r], converged=converged[r], trace=traces[i])
+
+
 def extragradient(spec, u, z0, cfg: SolverConfig):
     """Extragradient on ``G = (grad_x J, -grad_y J)`` with a local step rule.
 
@@ -150,12 +186,13 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
 
     This is the one-start case of :func:`extragradient_runs`.
     """
-    (end,) = extragradient_runs(spec, u, [z0], cfg)
+    x0, y0 = z0
+    (end,) = extragradient_runs(spec, u, x0.values[None, 1:-1], y0.values[None, 1:-1], cfg)
     return _raise_or_return(end)
 
 
-def extragradient_runs(spec, u, starts, cfg: SolverConfig):
-    """:func:`extragradient` from every ``(x0, y0)`` in ``starts``, in lockstep.
+def extragradient_runs(spec, u, X0, Y0, cfg: SolverConfig):
+    """:func:`extragradient` from each row of the ``(S, T)`` interior values ``X0``, ``Y0``, in lockstep.
 
     The starts advance together as the rows of ``(B, T)`` arrays, in groups
     of ``block_rows(T)``, so one kernel call per iteration serves every run
@@ -163,31 +200,24 @@ def extragradient_runs(spec, u, starts, cfg: SolverConfig):
     Returns, per start, its candidate or the ``ExprError`` it raises alone.
     """
     size = block_rows(spec.T)
-    return [end for i in range(0, len(starts), size)
-            for end in _lockstep(spec, u, starts[i:i + size], cfg)]
+    return [end for i in range(0, len(X0), size)
+            for end in _lockstep(spec, u, X0[i:i + size], Y0[i:i + size], cfg)]
 
 
-def _lockstep(spec, u, starts, cfg):
-    # Row r of the arrays below is the run from starts[rows[r]].  Every row
+def _lockstep(spec, u, X, Y, cfg):
+    # Row r of the arrays below is the run from start rows[r].  Every row
     # has its own step, best iterate and stop; a row that stops leaves the
     # arrays, so the rows left are the runs that took the corrector step.
-    X = np.array([x.values[1:-1] for x, _ in starts])
-    Y = np.array([y.values[1:-1] for _, y in starts])
-    rows = np.arange(len(starts))
-    gamma = np.full(len(starts), 1.0 / spec.lap.norm_inf)
-    best_gn, best_X, best_Y = np.full(len(starts), np.inf), X, Y
-    best_it = np.zeros(len(starts), dtype=int)
-    traces = [[] if cfg.record_trace else None for _ in starts]
-    ends = [None] * len(starts)
+    rows = np.arange(len(X))
+    gamma = np.full(len(X), 1.0 / spec.lap.norm_inf)
+    best_gn, best_X, best_Y = np.full(len(X), np.inf), X, Y
+    best_it = np.zeros(len(X), dtype=int)
+    traces = [[] if cfg.record_trace else None for _ in rows]
+    ends = [None] * len(X)
+    finished = []
 
     def finish(r, xv, yv, iterations, converged):
-        try:
-            ends[rows[r]] = make_candidate(
-                spec, u, GridFunction.from_interior(xv), GridFunction.from_interior(yv),
-                "extragradient", iterations=iterations, converged=converged,
-                trace=traces[rows[r]])
-        except ExprError as exc:
-            ends[rows[r]] = exc
+        finished.append((rows[r], xv.copy(), yv.copy(), iterations, converged))
 
     for it in range(cfg.max_iter):
         if not rows.size:
@@ -239,6 +269,7 @@ def _lockstep(spec, u, starts, cfg):
             a[accepted] for a in (rows, best_gn, best_X, best_Y, best_it))
     for r in range(rows.size):
         finish(r, best_X[r], best_Y[r], cfg.max_iter, False)
+    _finish(spec, u, "extragradient", finished, traces, ends)
     return ends
 
 
@@ -366,45 +397,41 @@ def newton(spec, u, z0, cfg: SolverConfig):
 
     This is the one-start case of :func:`newton_runs`.
     """
-    (end,) = newton_runs(spec, u, [z0], cfg)
+    x0, y0 = z0
+    (end,) = newton_runs(spec, u, x0.values[None, 1:-1], y0.values[None, 1:-1], cfg)
     return _raise_or_return(end)
 
 
-def newton_runs(spec, u, starts, cfg: SolverConfig):
-    """:func:`newton` from every ``(x0, y0)`` in ``starts``, in lockstep.
+def newton_runs(spec, u, X0, Y0, cfg: SolverConfig):
+    """:func:`newton` from each row of the ``(S, T)`` interior values ``X0``, ``Y0``, in lockstep.
 
     The starts advance together as the rows of one ``(B, 2T)`` block of
     :func:`_damped_newton`, in groups of ``block_rows(T)``, so one gradient
-    and one second-partials kernel call per iteration, and one gradient call
-    per line-search round, serve every run that is still going; the band
-    solves go row by row.  Each run ends bit for bit where it ends alone.
+    and one second-partials kernel call and one band solve per iteration,
+    and one gradient call per line-search round, serve every run that is
+    still going.  Each run ends bit for bit where it ends alone.
     Returns, per start, its candidate or the ``SolverError`` or ``ExprError``
     it raises alone.
     """
     size = block_rows(spec.T)
-    return [end for i in range(0, len(starts), size)
-            for end in _newton_block(spec, u, starts[i:i + size], cfg)]
+    return [end for i in range(0, len(X0), size)
+            for end in _newton_block(spec, u, X0[i:i + size], Y0[i:i + size], cfg)]
 
 
-def _newton_block(spec, u, starts, cfg):
+def _newton_block(spec, u, X0, Y0, cfg):
     T = spec.T
-    traces = [[] if cfg.record_trace else None for _ in starts]
+    traces = [[] if cfg.record_trace else None for _ in X0]
 
     def system(V):
         (GX, GY), errors = _rows(grad_i, 2, spec, u, V[:, :T], V[:, T:])
         return np.concatenate((GX, -GY), axis=1), errors
 
     def step(V, R):
+        # The nan partials of a row outside the domain only send the band
+        # solve to its row-by-row path; a nan row of D fails as singular.
         (FXX, FXY, FYY), errors = _rows(second_partials_i, 3, spec, u, V[:, :T], V[:, T:])
-        D = np.full_like(V, np.nan)
-        for i in range(len(V)):
-            if i in errors:
-                continue
-            try:
-                D[i, :T], D[i, T:] = spec.lap.solve_coupled(FXX[i], FXY[i], -FYY[i],
-                                                            -R[i, :T], -R[i, T:])
-            except np.linalg.LinAlgError:
-                pass  # the nan row fails as singular
+        D = np.empty_like(V)
+        D[:, :T], D[:, T:] = spec.lap.solve_coupled(FXX, FXY, -FYY, -R[:, :T], -R[:, T:])
         return D, errors
 
     def condition(v):
@@ -417,21 +444,12 @@ def _newton_block(spec, u, starts, cfg):
         for r, row in zip(rows, values):
             traces[r].append((it, *row))
 
-    V = np.array([np.concatenate((x.interior, y.interior)) for x, y in starts])
-    ends = _damped_newton(system, step, V, cfg.tol, cfg.max_iter,
-                          record if cfg.record_trace else None, condition)
-    results = []
-    for end, trace in zip(ends, traces):
-        if not isinstance(end, Exception):
-            v, it, converged = end
-            try:
-                end = make_candidate(spec, u, GridFunction.from_interior(v[:T]),
-                                     GridFunction.from_interior(v[T:]), "newton",
-                                     iterations=it, converged=converged, trace=trace)
-            except ExprError as exc:
-                end = exc
-        results.append(end)
-    return results
+    ends = _damped_newton(system, step, np.concatenate((X0, Y0), axis=1), cfg.tol,
+                          cfg.max_iter, record if cfg.record_trace else None, condition)
+    finished = [(i, end[0][:T], end[0][T:], end[1], end[2])
+                for i, end in enumerate(ends) if not isinstance(end, Exception)]
+    _finish(spec, u, "newton", finished, traces, ends)
+    return ends
 
 
 def _order(outer):
@@ -582,9 +600,9 @@ def verify_saddle(spec, u, cand, probes=64, eps=1e-8, radii=None, seed=0, tol_re
 
     def draws():
         for _ in range(max(1, probes)):
-            py = random_in_ball(spec.T, ry, rng)
-            px = random_in_ball(spec.T, rx, rng)
-            yield py.values[1:-1], px.values[1:-1]
+            py = random_interior(spec.T, ry, rng)
+            px = random_interior(spec.T, rx, rng)
+            yield py, px
 
     # Python's max, in draw order, skips the nan gap of a probe outside the domain.
     worst_y = worst_x = -np.inf
@@ -646,24 +664,25 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     starts run one by one.
     """
     rx, ry = radii_pair(radii, DEFAULT_RADII)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.multistart)
-    starts = []
-    for child in seeds:
+    X0, Y0 = np.empty((2, cfg.multistart, spec.T))
+    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.multistart)):
         rng = np.random.default_rng(child)
-        starts.append((random_in_ball(spec.T, rx, rng), random_in_ball(spec.T, ry, rng)))
+        X0[i] = random_interior(spec.T, rx, rng)
+        Y0[i] = random_interior(spec.T, ry, rng)
 
-    def run(z0):
+    def run(x0, y0):
         try:
-            return solve(spec, u, z0, cfg)
+            return solve(spec, u, (GridFunction.from_interior(x0),
+                                   GridFunction.from_interior(y0)), cfg)
         except (SolverError, ExprError):
             return None
 
     if cfg.method == "extragradient":
-        results = extragradient_runs(spec, u, starts, cfg)
+        results = extragradient_runs(spec, u, X0, Y0, cfg)
     elif cfg.method == "newton":
-        results = newton_runs(spec, u, starts, cfg)
+        results = newton_runs(spec, u, X0, Y0, cfg)
     else:
-        results = [run(z0) for z0 in starts]
+        results = [run(x0, y0) for x0, y0 in zip(X0, Y0)]
 
     converged = [c for c in results if isinstance(c, SaddleCandidate) and c.converged]
     failures = len(results) - len(converged)

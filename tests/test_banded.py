@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
@@ -89,6 +89,52 @@ def test_lapack_solves_equal_solve_banded(T, seed, scale):
         assert v.tobytes() == expected.tobytes()
     # the solves work on copies of their inputs
     assert np.array_equal(np.array([shift_x, coupling, shift_y, rhs_x, rhs_y]), inputs)
+
+
+def _row_solves(lap, blocks):
+    # each row alone through the 1-d solve; a row whose solve raises holds nan
+    rows = []
+    for row in zip(*blocks):
+        try:
+            rows.append(np.concatenate(lap.solve_coupled(*row)))
+        except LinAlgError:
+            rows.append(np.full(2 * lap.dimension, np.nan))
+    return np.array(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(T=st.sampled_from((1, 2, 5, 100, 801)), B=st.integers(1, 17),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from((0.0, 0.5, 1.0, 1e3)),
+       zeros=st.booleans(), broken=st.sampled_from((None, "singular", "inf", "nan")))
+@example(T=1, B=2, seed=3, scale=0.5, zeros=True, broken=None)  # flips a zero's sign with a gap < 4
+def test_block_solves_equal_row_solves(T, B, seed, scale, zeros, broken):
+    rng = np.random.default_rng(seed)
+    inputs = scale * rng.standard_normal((5, B, T))
+    if zeros:
+        # integral values, no coupling and signed zeros on the right: the
+        # exact zeros a stacked LU would meet from a neighbouring system
+        inputs = np.round(inputs)
+        inputs[1] = 0.0
+        inputs[3:] *= rng.choice((-1.0, 0.0, 1.0), size=(2, B, T))
+    bad = int(rng.integers(B))
+    if broken == "singular":
+        # the path-graph Laplacian on x, uncoupled: its last LU pivot is exactly 0
+        inputs[0, bad] = 0.0
+        inputs[0, bad, 0] -= 1.0
+        inputs[0, bad, -1] -= 1.0
+        inputs[1, bad] = 0.0
+    elif broken is not None:
+        value = np.inf if broken == "inf" else np.nan
+        inputs[int(rng.integers(5)), bad, int(rng.integers(T))] = value
+    given_inputs = inputs.copy()
+    lap = laplacian(T)
+    with np.errstate(all="ignore"):
+        expected = _row_solves(lap, inputs)
+        vx, vy = lap.solve_coupled(*inputs)
+    assert np.concatenate((vx, vy), axis=1).tobytes() == expected.tobytes()
+    if broken == "singular":
+        assert np.isnan(expected[bad]).all()
+    assert inputs.tobytes() == given_inputs.tobytes()
 
 
 def test_lapack_solves_on_singular_matrices():

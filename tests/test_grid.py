@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from conftest import dirichlet_matrix
 from saddlebvp import (GridFunction, delta, embedding_constant, embedding_estimate,
                        h_norm, laplacian, second_difference)
-from saddlebvp.grid import GridError, random_in_ball
+from saddlebvp.grid import GridError, random_in_ball, random_interior
 
 
 def test_delta_zero_function():
@@ -267,3 +267,24 @@ def test_random_in_ball_stays_inside():
         x = random_in_ball(7, 2.5, rng)
         assert h_norm(x) <= 2.5 * (1 + 1e-12)
         assert x.values[0] == 0.0 and x.values[-1] == 0.0
+
+
+def _ball_draw(T, radius, rng):
+    # a uniform draw of the ball from its definition: an isotropic normal
+    # direction in the difference norm, scaled to radius * U^(1/T)
+    g = rng.standard_normal(T)
+    d = np.diff(np.concatenate(([0.0], g, [0.0])))
+    return g * (radius * rng.uniform() ** (1.0 / T) / np.sqrt(d @ d))
+
+
+@pytest.mark.parametrize("T", [1, 2, 100])
+def test_random_in_ball_wraps_random_interior(T):
+    # the same values from the same rng calls, so the rng ends in the same state
+    a, b, c = (np.random.default_rng(T) for _ in range(3))
+    for radius in (0.5, 3.0, 20.5):
+        for _ in range(20):
+            x = random_in_ball(T, radius, a)
+            v = random_interior(T, radius, b)
+            assert x.values.tobytes() == GridFunction.from_interior(v).values.tobytes()
+            assert v.tobytes() == _ball_draw(T, radius, c).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state

@@ -7,6 +7,7 @@ from conftest import dirichlet_matrix, nonlinear_instance
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, ball_radii,
                        check_concavity_y, check_convexity_x, embedding_constant,
                        fit_growth_certificate, verify_growth)
+from saddlebvp.expressions import ExprError
 from saddlebvp.hypotheses import (DEFAULT_TOL, GrowthCertificate, HypothesisError,
                                   certificate_from_dict, certificate_to_dict)
 
@@ -225,6 +226,144 @@ def test_verify_growth_anchored_vs_uniform():
     rep = verify_growth(spec, uniform)
     assert not rep.passed
     assert rep.counterexample["kind"] == "upper growth bound violated"
+
+
+def _sample_grid(R, D, n):
+    return (np.linspace(-R, R, n), np.linspace(-D, D, max(5, n // 8)),
+            np.linspace(-R, R, max(5, n // 8)))
+
+
+def _node_by_node(spec, lower, anchor, n, R, values):
+    """``values(k, free, F)`` at one node after another on the growth grid.
+
+    The free slot runs over ``s[:, None, None]``, the parameter over ``us``
+    and an unanchored other slot over ``other``, one kernel call per node.
+    """
+    s, us, other = _sample_grid(R, spec.D, n)
+    free = s[:, None, None]
+    for k in range(1, spec.T + 1):
+        fixed = other[None, None, :] if anchor is None else np.float64(anchor(k))
+        xy = (free, fixed) if lower else (fixed, free)
+        (F,) = spec.field.value_kernel(float(k), *xy, us[None, :, None])
+        yield k, values(k, free, F)
+
+
+def _growth_node_loop(spec, cert, n):
+    """Worst margin and its witness per side, node by node: the first strict minimum."""
+    s, us, other = _sample_grid(cert.box_radius, spec.D, n)
+    sides = []
+    for lower in (True, False):
+        alpha, beta, gamma = ((cert.alpha1, cert.beta1, cert.gamma1) if lower
+                              else (cert.alpha2, cert.beta2, cert.gamma2))
+        anchor = cert.anchor_y if lower else cert.anchor_x
+        shape = (n, us.size, 1 if anchor is not None else other.size)
+
+        def margin(k, free, F):
+            bound = (-alpha if lower else alpha) * free ** 2 + beta * free + gamma[k - 1]
+            return np.broadcast_to(np.asarray(F - bound if lower else bound - F, dtype=float),
+                                   shape)
+
+        worst, witness = np.inf, None
+        for k, m in _node_by_node(spec, lower, anchor, n, cert.box_radius, margin):
+            idx = np.unravel_index(np.argmin(m), m.shape)
+            if m[idx] < worst:
+                worst = float(m[idx])
+                witness = {"k": k, "s": float(s[idx[0]]), "u": float(us[idx[1]]),
+                           "anchored": float(anchor(k)) if anchor is not None
+                           else float(other[idx[2]])}
+        sides.append((worst, witness))
+    return sides
+
+
+def _fit_node_loop(spec, R, n, anchor_y=None, anchor_x=None, slack=1e-6):
+    """fit_growth_certificate's gammas node by node, each with its own second-difference pad."""
+    alpha = 0.25 / embedding_constant(2, spec.T)
+
+    def pad(vals):
+        out = 0.0
+        for axis in range(vals.ndim):
+            if vals.shape[axis] >= 3:
+                out = max(out, 0.5 * float(np.max(np.abs(np.diff(vals, n=2, axis=axis)))))
+        return out
+
+    lower = _node_by_node(spec, True, anchor_y, n, R,
+                          lambda k, free, F: np.asarray(F + alpha * free ** 2, dtype=float))
+    upper = _node_by_node(spec, False, anchor_x, n, R,
+                          lambda k, free, F: np.asarray(F - alpha * free ** 2, dtype=float))
+    gamma1, gamma2 = [], []
+    for (_, lo), (_, up) in zip(lower, upper):
+        gamma1.append(float(np.min(lo)) - pad(lo) - slack)
+        gamma2.append(float(np.max(up)) + pad(up) + slack)
+    return gamma1, gamma2
+
+
+def _growth_cases():
+    # the study integrand and certificate (T = 100, anchors 0; three nodes per
+    # kernel call), the same failing below, an anchorless certificate failing
+    # above, and a field that is nan at the nodes k >= 6 (exp(900) - exp(900))
+    study = ProblemSpec.create(
+        100, 1.0, "0.4*x^2 - 0.4*y^2 + 0.2*x*y + 0.25*sin(x) + 0.25*cos(y) + u*(x - y)")
+    zeros = GridFunction.zeros(100)
+    cert = GrowthCertificate.constant(100, 0.0, 0.0, -(1.25 ** 2) / 1.6 - 0.25, 0.0, 0.0,
+                                      1.0 / 1.6 + 0.25, 6.0, anchor_y=zeros, anchor_x=zeros)
+    failing = GrowthCertificate.constant(100, 0.0, 0.0, -0.5, 0.0, 0.0, 0.5, 6.0,
+                                         anchor_y=zeros, anchor_x=zeros)
+    bilinear = ProblemSpec.create(7, 1.0, "x^2 - y^2 + 3*u*x*y + sin(k*x)")
+    anchorless = GrowthCertificate.constant(7, 0.0, 0.1, -40.0, 0.0, -0.1, 1.0, 3.0)
+    nan_field = ProblemSpec.create(9, 1.0, "x^2 - y^2 + u*x + exp(300*(k - 3)) - exp(300*(k - 3))")
+    ramp = GridFunction.from_interior(np.linspace(-1, 1, 9))
+    nan_cert = GrowthCertificate.constant(9, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 2.0, anchor_y=ramp)
+    return [(study, cert, 201, None), (study, failing, 201, "lower"),
+            (bilinear, anchorless, 41, "upper"), (nan_field, nan_cert, 201, "lower")]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_node_blocked_growth_margins_equal_the_node_loop(case):
+    spec, cert, n, fails = _growth_cases()[case]
+    with np.errstate(invalid="ignore", over="ignore"):
+        rep = verify_growth(spec, cert, grid_density=n)
+        (lower, lower_witness), (upper, upper_witness) = _growth_node_loop(spec, cert, n)
+    assert rep.worst_lower_margin.hex() == lower.hex()
+    assert rep.worst_upper_margin.hex() == upper.hex()
+    if fails is None:
+        assert rep.passed and rep.counterexample is None
+    else:
+        witness, margin = ((lower_witness, lower) if fails == "lower"
+                           else (upper_witness, upper))
+        assert rep.counterexample["kind"] == f"{fails} growth bound violated"
+        assert {key: rep.counterexample[key] for key in witness} == witness
+        assert rep.counterexample["margin"].hex() == margin.hex()
+    if case == 3:
+        # the nan nodes k >= 6 are skipped: the witness sits at a node before them
+        assert rep.counterexample["k"] <= 5
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_node_blocked_fit_equals_the_node_loop(case):
+    spec, cert, n, _ = _growth_cases()[case]
+    kwargs = {"anchor_y": cert.anchor_y, "anchor_x": cert.anchor_x}
+    with np.errstate(invalid="ignore", over="ignore"):
+        gamma1, gamma2 = _fit_node_loop(spec, cert.box_radius, n, **kwargs)
+        if case == 3:  # nan gammas at the nan nodes, which a certificate rejects
+            assert np.isnan(gamma1[5:]).all() and not np.isnan(gamma1[:5]).any()
+            with pytest.raises(HypothesisError, match="gamma1 must be finite"):
+                fit_growth_certificate(spec, cert.box_radius, density=n, **kwargs)
+            return
+        fitted = fit_growth_certificate(spec, cert.box_radius, density=n, **kwargs)
+    assert [g.hex() for g in fitted.gamma1] == [g.hex() for g in gamma1]
+    assert [g.hex() for g in fitted.gamma2] == [g.hex() for g in gamma2]
+
+
+def test_node_blocked_growth_raises_the_node_loop_domain_error():
+    # node 1 divides by zero; node 3 takes log(0), a guard that comes first in
+    # the tree, so a block of all nodes alone would raise the log error
+    spec = ProblemSpec.create(5, 1.0, "x^2 - y^2 + log(3 - k) + 1/(k - 1)")
+    cert = GrowthCertificate.constant(5, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 2.0,
+                                      anchor_y=GridFunction.zeros(5))
+    for check in (lambda: verify_growth(spec, cert, grid_density=9),
+                  lambda: fit_growth_certificate(spec, 2.0, density=9)):
+        with pytest.raises(ExprError, match="division by zero"):
+            check()
 
 
 # --- ball radii ------------------------------------------------------------------

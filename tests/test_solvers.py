@@ -148,6 +148,12 @@ def _starts(T, n, seed, radii=(4.0, 4.0)):
             for _ in range(n)]
 
 
+def _block(starts):
+    # the starts' interior values as the (S, T) arrays X0, Y0 of the *_runs functions
+    return (np.array([x.interior for x, _ in starts]),
+            np.array([y.interior for _, y in starts]))
+
+
 def _solo(run, spec, u, z0, cfg):
     try:
         return run(spec, u, z0, cfg)
@@ -192,7 +198,7 @@ def test_lockstep_runs_equal_solo_runs(case):
         starts = _starts(3, 16, 3)
     else:
         spec, u, starts, floor = _step_floor_batch()
-    runs = extragradient_runs(spec, u, starts, cfg)
+    runs = extragradient_runs(spec, u, *_block(starts), cfg)
     solos = [_solo(extragradient, spec, u, z0, cfg) for z0 in starts]
     for lockstep, solo in zip(runs, solos):
         _assert_same_run(lockstep, solo)
@@ -255,7 +261,7 @@ def test_newton_lockstep_runs_equal_solo_runs(case, monkeypatch):
             raise
 
     monkeypatch.setattr(solvers, "grad_i", counted)
-    runs = newton_runs(spec, u, starts, cfg)
+    runs = newton_runs(spec, u, *_block(starts), cfg)
     solos = [_solo(newton, spec, u, z0, cfg) for z0 in starts]
     for lockstep, solo in zip(runs, solos):
         _assert_same_run(lockstep, solo)
@@ -281,6 +287,58 @@ def test_newton_lockstep_runs_equal_solo_runs(case, monkeypatch):
     if case == "split":
         assert block_rows(spec.T) < len(starts)
         assert all(r.converged for r in ends)
+
+
+def _made_alone(spec, u, x, y, method, iterations, converged):
+    try:
+        return make_candidate(spec, u, x, y, method, iterations=iterations, converged=converged)
+    except ExprError as exc:
+        return exc
+
+
+def _assert_same_candidate(block, alone):
+    if isinstance(alone, Exception):
+        assert type(block) is type(alone) and str(block) == str(alone)
+        return
+    assert block.x.values.tobytes() == alone.x.values.tobytes()
+    assert block.y.values.tobytes() == alone.y.values.tobytes()
+    for name in ("value", "grad_norm", "residual_norm"):
+        assert getattr(block, name).hex() == getattr(alone, name).hex()
+    assert ((block.method, block.iterations, block.converged)
+            == (alone.method, alone.iterations, alone.converged))
+
+
+@pytest.mark.parametrize("method, max_iter", [("newton", 2), ("newton", 50),
+                                              ("extragradient", 10), ("extragradient", 180)])
+def test_block_built_candidates_equal_make_candidate(method, max_iter):
+    # every candidate of a lockstep block carries make_candidate's bits at its
+    # point: far from the saddle point (the first caps) and at it
+    spec, u, radii, seed = study_instance_91()
+    starts = _starts(100, 16, seed, radii=radii_pair(radii))
+    runs = {"newton": newton_runs, "extragradient": extragradient_runs}[method](
+        spec, u, *_block(starts), SolverConfig(method=method, max_iter=max_iter))
+    if max_iter == 180:
+        # extragradient starts converge in 177-183 iterations: some run out here
+        assert len({r.converged for r in runs}) == 2
+    for run in runs:
+        _assert_same_candidate(run, _made_alone(spec, u, run.x, run.y, method,
+                                                run.iterations, run.converged))
+
+
+def test_block_built_candidates_with_a_row_outside_the_domain():
+    # log(x + 1.5) is undefined at one node of row 2 and its gradient is not: the
+    # block's action raises, every row is made alone and only row 2 fails
+    spec, u = log_problem()
+    X, Y = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 4, 3))
+    X[2, 1] = -1.7
+    finished = [(i, X[i], Y[i], 7 + i, i % 2 == 0) for i in range(4)]
+    ends = [None] * 4
+    solvers._finish(spec, u, "newton", finished, [None] * 4, ends)
+    assert isinstance(ends[2], ExprError)
+    for (_, x, y, it, converged), end in zip(finished, ends):
+        _assert_same_candidate(end, _made_alone(spec, u, GridFunction.from_interior(x),
+                                                GridFunction.from_interior(y), "newton",
+                                                it, converged))
 
 
 def test_extragradient_gradient_norm_monotone_after_warmup():
