@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import GridFunction, random_interior
-from .problem import (ParameterFunction, h_norm_i, integrand_sum_i, make_candidate,
-                      parameter_values, real_numbers, row_blocks)
+from .grid import GridFunction, h_norm_i, random_interior
+from .problem import (ParameterFunction, integrand_sum_i, make_candidate, parameter_values,
+                      real_numbers, row_blocks)
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
                       saddle_set, verify_saddle)
 

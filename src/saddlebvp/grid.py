@@ -85,9 +85,22 @@ class GridFunction:
         return float(self.values[k])
 
 
+def delta_i(v):
+    """:func:`delta` at interior values ``v``; a ``(B, T)`` block gives ``(B, T+1)`` rows.
+
+    The differences of ``v`` padded with the zero boundary values, without
+    the padding copy.
+    """
+    d = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    d[..., 0] = v[..., 0]
+    np.subtract(v[..., 1:], v[..., :-1], out=d[..., 1:-1])
+    d[..., -1] = 0.0 - v[..., -1]
+    return d
+
+
 def delta(x: GridFunction) -> np.ndarray:
     """Forward differences ``x(k) - x(k-1)`` for ``k = 1..T+1``."""
-    return np.diff(x.values)
+    return delta_i(x.values[1:-1])
 
 
 def second_difference(x: GridFunction, k: int) -> float:
@@ -102,10 +115,25 @@ def second_difference(x: GridFunction, k: int) -> float:
     return float(v[k + 1] - 2.0 * v[k] + v[k - 1])
 
 
+def squared_norm(v):
+    """``v @ v``, or for a ``(B, T)`` block the ``B`` row values.
+
+    A stacked ``matmul`` sums each row in the order of the 1-d product, so
+    every row equals its own ``v @ v`` bit for bit; ``einsum`` and
+    ``(v * v).sum(-1)`` do not.
+    """
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def h_norm_i(v):
+    """:func:`h_norm` at interior values; a ``(B, T)`` block gives the ``B`` row norms."""
+    n = np.sqrt(squared_norm(delta_i(v)))
+    return float(n) if v.ndim == 1 else n
+
+
 def h_norm(x: GridFunction) -> float:
     """Difference norm ``sqrt(sum_k |x(k) - x(k-1)|^2)``."""
-    d = np.diff(x.values)
-    return float(np.sqrt(d @ d))
+    return h_norm_i(x.values[1:-1])
 
 
 @dataclass(frozen=True)
@@ -275,20 +303,13 @@ def random_interior(T, radius, rng):
     Direction is isotropic in the difference norm; the radial law
     ``r = radius * U**(1/T)`` makes the draw uniform over the T-dimensional ball.
     """
-    padded = np.zeros(T + 2)
-    v = rng.standard_normal(out=padded[1:-1])
-    d = padded[1:] - padded[:-1]
-    n = math.sqrt(d @ d)
+    v = rng.standard_normal(T)
+    n = h_norm_i(v)
     if n == 0.0:
         return v
     r = radius * rng.random() ** (1.0 / T)  # uniform() on [0, 1), the same stream and bits
     v *= r / n
     return v
-
-
-def random_in_ball(T, radius, rng):
-    """:func:`random_interior` as a grid function, from the same ``rng`` calls."""
-    return GridFunction.from_interior(random_interior(T, radius, rng))
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,7 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201, tol=DEFAULT_T
         def margins(nodes):
             F = grid.integrand(nodes, lower, anchor)
             bound = (-alpha if lower else alpha) * free ** 2 + beta * free + _column(gamma[nodes])
-            return grid.per_node(nodes, F - bound if lower else bound - F)
+            return F - bound if lower else bound - F
 
         for nodes, margin in grid.blocks((anchor,), margins):
             low = margin.min(axis=(1, 2, 3))
@@ -320,11 +320,6 @@ class _GrowthGrid:
         (F,) = self.spec.field.value_kernel(_column(self.spec.nodes()[nodes]), *xy,
                                             self.us[None, None, :, None])
         return F
-
-    def per_node(self, nodes, values):
-        """``values`` with its node axis as long as ``nodes``, without copying."""
-        values = np.asarray(values, dtype=float)
-        return np.broadcast_to(values, (nodes.stop - nodes.start,) + values.shape[1:])
 
     def blocks(self, anchors, evaluate):
         """``(nodes, evaluate(nodes))`` for consecutive node slices, in node order.
@@ -449,8 +444,8 @@ def fit_growth_certificate(spec, box_radius, alpha1=None, alpha2=None,
     free = grid.free
 
     def sides(nodes):
-        return (grid.per_node(nodes, grid.integrand(nodes, True, anchor_y) + alpha1 * free ** 2),
-                grid.per_node(nodes, grid.integrand(nodes, False, anchor_x) - alpha2 * free ** 2))
+        return (grid.integrand(nodes, True, anchor_y) + alpha1 * free ** 2,
+                grid.integrand(nodes, False, anchor_x) - alpha2 * free ** 2)
 
     gamma1 = np.empty(spec.T)
     gamma2 = np.empty(spec.T)

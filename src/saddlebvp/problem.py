@@ -22,8 +22,8 @@ from itertools import islice
 
 import numpy as np
 
-from .expressions import ScalarField, evaluate, parse, variables
-from .grid import DirichletLaplacian, GridFunction, laplacian
+from .expressions import ExprError, ScalarField, evaluate, parse, variables
+from .grid import DirichletLaplacian, GridFunction, delta_i, laplacian, squared_norm
 
 
 class ProblemError(ValueError):
@@ -195,35 +195,10 @@ def integrand_sum_i(spec, u, xv, yv):
     return float(s) if xv.ndim == 1 else s
 
 
-def squared_norm(v):
-    """``v @ v``, or for a ``(B, T)`` block the ``B`` row values.
-
-    A stacked ``matmul`` sums each row in the order of the 1-d product, so
-    every row equals its own ``v @ v`` bit for bit; ``einsum`` and
-    ``(v * v).sum(-1)`` do not.
-    """
-    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
-
-
-def _differences(v):
-    # np.diff of v padded with the zero boundary values, without the padding copy.
-    d = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
-    d[..., 0] = v[..., 0]
-    np.subtract(v[..., 1:], v[..., :-1], out=d[..., 1:-1])
-    d[..., -1] = 0.0 - v[..., -1]
-    return d
-
-
-def h_norm_i(v):
-    """``grid.h_norm`` at interior values, bit for bit; a ``(B, T)`` block gives ``B`` row norms."""
-    n = np.sqrt(squared_norm(_differences(v)))
-    return float(n) if v.ndim == 1 else n
-
-
 def action_i(spec, u, xv, yv):
     """The action at interior values; a ``(B, T)`` block gives the ``B`` row values."""
-    dx = _differences(xv)
-    dy = _differences(yv)
+    dx = delta_i(xv)
+    dy = delta_i(yv)
     a = 0.5 * (squared_norm(dx) - squared_norm(dy)) + integrand_sum_i(spec, u, xv, yv)
     return float(a) if xv.ndim == 1 else a
 
@@ -302,16 +277,40 @@ class SaddleCandidate:
     trace: list = field(default=None, repr=False, compare=False)
 
 
+def make_candidates_i(spec, u, X, Y, method, iterations, converged, traces):
+    """Candidates at the rows of the ``(B, T)`` interior values ``X``, ``Y``.
+
+    Value and norms are recomputed from each point, by one ``grad_i`` and
+    one ``action_i`` call on the block; ``iterations``, ``converged`` and
+    ``traces`` hold one entry per row.  A domain guard tests every row at
+    once, so after an ``ExprError`` each row is made alone, and a row that
+    raises gets its ``ExprError`` in place of a candidate.
+    """
+    try:
+        GX, GY = grad_i(spec, u, X, Y)
+        values = action_i(spec, u, X, Y).tolist()
+    except ExprError as exc:
+        if len(X) == 1:
+            return [exc]
+        return [make_candidates_i(spec, u, X[r:r + 1], Y[r:r + 1], method, iterations[r:r + 1],
+                                  converged[r:r + 1], traces[r:r + 1])[0] for r in range(len(X))]
+    grad_norms = np.sqrt(squared_norm(GX) + squared_norm(GY)).tolist()
+    residuals = residual_from_grad(GX, GY).tolist()
+    return [SaddleCandidate(x=GridFunction.from_interior(X[r]), y=GridFunction.from_interior(Y[r]),
+                            value=values[r], grad_norm=grad_norms[r], residual_norm=residuals[r],
+                            method=method, iterations=iterations[r], converged=converged[r],
+                            trace=traces[r])
+            for r in range(len(X))]
+
+
 def make_candidate(spec, u, x, y, method, iterations, converged=True, trace=None):
     """Assemble a candidate; value and norms are recomputed from the point."""
-    gx, gy = grad(spec, u, x, y)
-    return SaddleCandidate(
-        x=x, y=y,
-        value=action(spec, u, x, y),
-        grad_norm=float(np.sqrt(gx @ gx + gy @ gy)),
-        residual_norm=residual_from_grad(gx, gy),
-        method=method, iterations=iterations, converged=converged, trace=trace,
-    )
+    _check_dims(spec, u, x, y)
+    (cand,) = make_candidates_i(spec, u, x.values[None, 1:-1], y.values[None, 1:-1], method,
+                                [iterations], [converged], [trace])
+    if isinstance(cand, ExprError):
+        raise cand
+    return cand
 
 
 # --- problem files ---------------------------------------------------------

@@ -37,9 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ExprError
-from .grid import GridFunction, h_norm, random_interior
-from .problem import (SaddleCandidate, action_i, block_rows, grad_i, h_norm_i, make_candidate,
-                      residual, residual_from_grad, row_blocks, second_partials_i, squared_norm)
+from .grid import GridFunction, h_norm, h_norm_i, random_interior, squared_norm
+from .problem import (SaddleCandidate, action_i, block_rows, grad_i, make_candidate,
+                      make_candidates_i, residual, residual_from_grad, row_blocks,
+                      second_partials_i)
 
 INNER_MAX_ITER = 200
 INNER_TOL_FACTOR = 1e-2     # nested inner solves stop at this fraction of the outer tolerance
@@ -140,33 +141,15 @@ def _finish(spec, u, method, finished, traces, ends):
     """Put into ``ends`` each finished run's candidate, or the ``ExprError`` that making it raises.
 
     ``finished`` holds ``(start, x, y, iterations, converged)`` per run, with
-    interior values ``x`` and ``y``.  One ``grad_i`` and one ``action_i``
-    call on the stacked rows give every candidate ``make_candidate``'s bits;
-    after a domain error each candidate is made alone.
+    interior values ``x`` and ``y``; the candidates come from one block.
     """
     if not finished:
         return
     starts, xs, ys, iterations, converged = zip(*finished)
-    X, Y = np.array(xs), np.array(ys)
-    try:
-        GX, GY = grad_i(spec, u, X, Y)
-        values = action_i(spec, u, X, Y).tolist()
-    except ExprError:
-        for i, x, y, it, conv in finished:
-            try:
-                ends[i] = make_candidate(spec, u, GridFunction.from_interior(x),
-                                         GridFunction.from_interior(y), method,
-                                         iterations=it, converged=conv, trace=traces[i])
-            except ExprError as exc:
-                ends[i] = exc
-        return
-    grad_norms = np.sqrt(squared_norm(GX) + squared_norm(GY)).tolist()
-    residuals = residual_from_grad(GX, GY).tolist()
-    for r, i in enumerate(starts):
-        ends[i] = SaddleCandidate(
-            x=GridFunction.from_interior(X[r]), y=GridFunction.from_interior(Y[r]),
-            value=values[r], grad_norm=grad_norms[r], residual_norm=residuals[r],
-            method=method, iterations=iterations[r], converged=converged[r], trace=traces[i])
+    cands = make_candidates_i(spec, u, np.array(xs), np.array(ys), method, iterations, converged,
+                              [traces[i] for i in starts])
+    for i, cand in zip(starts, cands):
+        ends[i] = cand
 
 
 def extragradient(spec, u, z0, cfg: SolverConfig):

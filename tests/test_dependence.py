@@ -8,7 +8,7 @@ from saddlebvp import (GridFunction, ParameterFunction, ParameterSequence,
                        ProblemSpec, SolverConfig, action, h_norm, parameter_lipschitz,
                        run_sequence, uniform_gap, upper_limit_check)
 from saddlebvp.dependence import DependenceError, geometric_schedule, sequence_from_dict
-from saddlebvp.grid import random_in_ball
+from saddlebvp.grid import random_interior
 from saddlebvp.problem import ProblemError
 from saddlebvp.solvers import SolverError
 
@@ -161,8 +161,8 @@ def test_uniform_gap_equals_full_action_difference():
     draws = np.random.default_rng(6)
     worst = 0.0
     for i in range(16):
-        x = random_in_ball(spec.T, r, draws)
-        y = random_in_ball(spec.T, r, draws)
+        x = GridFunction.from_interior(random_interior(spec.T, r, draws))
+        y = GridFunction.from_interior(random_interior(spec.T, r, draws))
         if i % 2 == 0:
             x, y = (r / h_norm(x)) * x, (r / h_norm(y)) * y
         worst = max(worst, abs(action(spec, u0, x, y) - action(spec, u1, x, y)))

@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from conftest import dirichlet_matrix
 from saddlebvp import (GridFunction, delta, embedding_constant, embedding_estimate,
                        h_norm, laplacian, second_difference)
-from saddlebvp.grid import GridError, random_in_ball, random_interior
+from saddlebvp.grid import GridError, delta_i, h_norm_i, random_interior
 
 
 def test_delta_zero_function():
@@ -264,7 +264,7 @@ def test_embedding_constant_input_validation():
 def test_random_in_ball_stays_inside():
     rng = np.random.default_rng(6)
     for _ in range(200):
-        x = random_in_ball(7, 2.5, rng)
+        x = GridFunction.from_interior(random_interior(7, 2.5, rng))
         assert h_norm(x) <= 2.5 * (1 + 1e-12)
         assert x.values[0] == 0.0 and x.values[-1] == 0.0
 
@@ -278,13 +278,23 @@ def _ball_draw(T, radius, rng):
 
 
 @pytest.mark.parametrize("T", [1, 2, 100])
-def test_random_in_ball_wraps_random_interior(T):
+def test_random_interior_follows_its_definition(T):
     # the same values from the same rng calls, so the rng ends in the same state
-    a, b, c = (np.random.default_rng(T) for _ in range(3))
+    b, c = (np.random.default_rng(T) for _ in range(2))
     for radius in (0.5, 3.0, 20.5):
         for _ in range(20):
-            x = random_in_ball(T, radius, a)
-            v = random_interior(T, radius, b)
-            assert x.values.tobytes() == GridFunction.from_interior(v).values.tobytes()
-            assert v.tobytes() == _ball_draw(T, radius, c).tobytes()
-    assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+            assert random_interior(T, radius, b).tobytes() == _ball_draw(T, radius, c).tobytes()
+    assert b.bit_generator.state == c.bit_generator.state
+
+
+def test_interior_norms_equal_the_padded_definition():
+    # h_norm, delta and the rows of a block carry the bits of np.diff of the padded values
+    rng = np.random.default_rng(8)
+    for T in (1, 2, 7, 100):
+        V = rng.standard_normal((5, T)) * 10.0 ** rng.integers(-3, 4, (5, 1))
+        norms = h_norm_i(V)
+        for v, n in zip(V, norms):
+            d = np.diff(np.concatenate(([0.0], v, [0.0])))
+            x = GridFunction.from_interior(v)
+            assert delta(x).tobytes() == delta_i(v).tobytes() == d.tobytes()
+            assert h_norm(x).hex() == h_norm_i(v).hex() == float(n).hex() == np.sqrt(d @ d).hex()

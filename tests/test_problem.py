@@ -10,9 +10,10 @@ from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, action, gra
                        hessian_blocks, load_problem, make_candidate, residual)
 from saddlebvp.expressions import (Call, DomainError, Neg, Num, Pow, ScalarField, Var,
                                    evaluate, parse)
+from saddlebvp.grid import squared_norm
 from saddlebvp.problem import (ProblemError, action_i, grad_i, integrand_sum_i,
                                parameter_values, problem_from_dict, read_json,
-                               residual_from_grad, second_partials_i, squared_norm)
+                               residual_from_grad, second_partials_i)
 
 
 def closed_form_instance():

@@ -7,13 +7,13 @@ import pytest
 
 from conftest import (dirichlet_matrix, direct_quadratic_solve, nonlinear_instance,
                       quadratic_instance)
-from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, SolverConfig,
-                       embedding_constant, h_norm, load_problem, make_candidate,
-                       product_distance, solvers)
+from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, SaddleCandidate,
+                       SolverConfig, action, embedding_constant, grad, h_norm, load_problem,
+                       make_candidate, product_distance, solvers)
 from saddlebvp.hypotheses import ball_radii, certificate_from_dict
 from saddlebvp.expressions import ExprError
-from saddlebvp.grid import random_in_ball
-from saddlebvp.problem import action_i, block_rows
+from saddlebvp.grid import random_interior
+from saddlebvp.problem import action_i, block_rows, make_candidates_i, residual_from_grad
 from saddlebvp.solvers import (SolverError, extragradient, extragradient_runs, nested_minimax,
                                newton, newton_runs, radii_pair, saddle_set, verify_saddle)
 
@@ -144,8 +144,11 @@ def test_extragradient_memory_is_linear():
 
 def _starts(T, n, seed, radii=(4.0, 4.0)):
     rng = np.random.default_rng(seed)
-    return [(random_in_ball(T, radii[0], rng), random_in_ball(T, radii[1], rng))
-            for _ in range(n)]
+    return [(_draw(T, radii[0], rng), _draw(T, radii[1], rng)) for _ in range(n)]
+
+
+def _draw(T, radius, rng):
+    return GridFunction.from_interior(random_interior(T, radius, rng))
 
 
 def _block(starts):
@@ -290,10 +293,15 @@ def test_newton_lockstep_runs_equal_solo_runs(case, monkeypatch):
 
 
 def _made_alone(spec, u, x, y, method, iterations, converged):
+    # a candidate from its definition, at the point alone
     try:
-        return make_candidate(spec, u, x, y, method, iterations=iterations, converged=converged)
+        gx, gy = grad(spec, u, x, y)
+        value = action(spec, u, x, y)
     except ExprError as exc:
         return exc
+    return SaddleCandidate(x=x, y=y, value=value, grad_norm=float(np.sqrt(gx @ gx + gy @ gy)),
+                           residual_norm=residual_from_grad(gx, gy), method=method,
+                           iterations=iterations, converged=converged)
 
 
 def _assert_same_candidate(block, alone):
@@ -310,9 +318,10 @@ def _assert_same_candidate(block, alone):
 
 @pytest.mark.parametrize("method, max_iter", [("newton", 2), ("newton", 50),
                                               ("extragradient", 10), ("extragradient", 180)])
-def test_block_built_candidates_equal_make_candidate(method, max_iter):
-    # every candidate of a lockstep block carries make_candidate's bits at its
-    # point: far from the saddle point (the first caps) and at it
+def test_block_built_candidates_equal_one_point_candidates(method, max_iter):
+    # every candidate of a lockstep block, and make_candidate at its point,
+    # carries the bits of the point alone: far from the saddle point (the
+    # first caps) and at it
     spec, u, radii, seed = study_instance_91()
     starts = _starts(100, 16, seed, radii=radii_pair(radii))
     runs = {"newton": newton_runs, "extragradient": extragradient_runs}[method](
@@ -321,8 +330,10 @@ def test_block_built_candidates_equal_make_candidate(method, max_iter):
         # extragradient starts converge in 177-183 iterations: some run out here
         assert len({r.converged for r in runs}) == 2
     for run in runs:
-        _assert_same_candidate(run, _made_alone(spec, u, run.x, run.y, method,
-                                                run.iterations, run.converged))
+        alone = _made_alone(spec, u, run.x, run.y, method, run.iterations, run.converged)
+        _assert_same_candidate(run, alone)
+        _assert_same_candidate(make_candidate(spec, u, run.x, run.y, method, run.iterations,
+                                              run.converged), alone)
 
 
 def test_block_built_candidates_with_a_row_outside_the_domain():
@@ -331,14 +342,16 @@ def test_block_built_candidates_with_a_row_outside_the_domain():
     spec, u = log_problem()
     X, Y = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 4, 3))
     X[2, 1] = -1.7
-    finished = [(i, X[i], Y[i], 7 + i, i % 2 == 0) for i in range(4)]
-    ends = [None] * 4
-    solvers._finish(spec, u, "newton", finished, [None] * 4, ends)
+    iterations, converged = [7, 8, 9, 10], [True, False, True, False]
+    ends = make_candidates_i(spec, u, X, Y, "newton", iterations, converged, [None] * 4)
     assert isinstance(ends[2], ExprError)
-    for (_, x, y, it, converged), end in zip(finished, ends):
+    for x, y, it, conv, end in zip(X, Y, iterations, converged, ends):
         _assert_same_candidate(end, _made_alone(spec, u, GridFunction.from_interior(x),
                                                 GridFunction.from_interior(y), "newton",
-                                                it, converged))
+                                                it, conv))
+    with pytest.raises(ExprError):
+        make_candidate(spec, u, GridFunction.from_interior(X[2]), GridFunction.from_interior(Y[2]),
+                       "newton", 9)
 
 
 def test_extragradient_gradient_norm_monotone_after_warmup():
@@ -551,8 +564,8 @@ def _probe_gaps_one_at_a_time(spec, u, cand, probes, radii, seed):
     worst = {1.0: -np.inf, -1.0: -np.inf}
     skipped = 0
     for _ in range(probes):
-        py = random_in_ball(spec.T, radii[1], rng)
-        px = random_in_ball(spec.T, radii[0], rng)
+        py = _draw(spec.T, radii[1], rng)
+        px = _draw(spec.T, radii[0], rng)
         for sign, xs, ys in ((1.0, xv, py.interior), (-1.0, px.interior, yv)):
             try:
                 gap = sign * (action_i(spec, u, xs, ys) - value)
