@@ -13,6 +13,7 @@ routes arguments and writes outputs.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -285,7 +286,9 @@ def cmd_constants(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="saddlebvp",
         description="Saddle-point solvers for second-order discrete boundary value systems")

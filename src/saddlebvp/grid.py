@@ -6,13 +6,41 @@ whose quadratic form is realized by the tridiagonal matrix with 2 on the
 diagonal and -1 off it.  The embedding constants ``c_m`` of the norm,
 ``sum |x(k)|^m <= c_m sum |dx(k-1)|^m``, are exact: a closed form for
 ``m = 2`` and a shooting test for ``m > 2`` (:func:`embedding_estimate`).
+
+The band solves and the shifted eigenvalue call LAPACK routines (``dgtsv``,
+``dgbsv``, ``dgbtrf``, ``dgbcon``, ``dstebz``) in scipy's f2py extension
+``scipy/linalg/_flapack``, loaded from its file by :func:`_load_flapack`
+without importing the ``scipy.linalg`` package.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvalsh_tridiagonal, lapack
+from numpy.linalg import LinAlgError
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, without running ``scipy.linalg/__init__``.
+
+    It holds the routine objects that ``scipy.linalg.lapack`` exports.  The
+    package import it skips would cost most of ``import saddlebvp.cli``: its
+    array-API shim imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    path = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", path)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {path}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 
 class GridError(ValueError):
@@ -185,7 +213,7 @@ class DirichletLaplacian:
         return float(min(self.dimension + 1, 4))
 
     def solve_shifted(self, shift, rhs):
-        """Solve ``(L + diag(shift)) v = rhs`` by tridiagonal LU (LAPACK ``gtsv``).
+        """Solve ``(L + diag(shift)) v = rhs`` by tridiagonal LU (``_flapack.dgtsv``).
 
         Raises ``LinAlgError`` on an exactly singular matrix; may return a
         non-finite ``v`` for a singular or non-finite one.  For ``T = 1`` the
@@ -205,10 +233,21 @@ class DirichletLaplacian:
         return v
 
     def smallest_eigenvalue_shifted(self, shift) -> float:
-        """Smallest eigenvalue of ``L + diag(shift)`` by tridiagonal bisection."""
-        d = 2.0 + np.asarray(shift, dtype=float)
+        """Smallest eigenvalue of ``L + diag(shift)`` by bisection (``_flapack.dstebz``).
+
+        The call is the one
+        ``scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))``
+        makes, with that function's checks: ``ValueError`` on a non-finite shift, ``d[0]``
+        itself for ``T = 1`` and ``LinAlgError`` when ``dstebz`` reports failure.
+        """
+        d = np.asarray_chkfinite(2.0 + np.asarray(shift, dtype=float))
+        if self.dimension == 1:
+            return float(d[0])
         e = np.full(self.dimension - 1, -1.0)
-        return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0])
+        _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+        if info != 0:
+            raise LinAlgError(f"dstebz did not converge (LAPACK info={info})")
+        return float(w[0])
 
     def _coupled_band(self, shift_x, coupling, shift_y, rows=(), gap=0):
         """LAPACK ``gbsv`` band storage of the coupled matrix of :meth:`solve_coupled`.
@@ -236,7 +275,7 @@ class DirichletLaplacian:
         """Solve ``[[L + diag(shift_x), diag(c)], [-diag(c), L + diag(shift_y)]] v = rhs``.
 
         Returns ``(v_x, v_y)``.  Banded LU with partial pivoting on the
-        interleaved unknowns (LAPACK ``gbsv``), equal bit for bit to what
+        interleaved unknowns (``_flapack.dgbsv``), equal bit for bit to what
         ``scipy.linalg.solve_banded`` returns on the same band.  Raises
         ``LinAlgError`` on an exactly singular matrix; may return non-finite
         values for a singular or non-finite one.
@@ -280,7 +319,7 @@ class DirichletLaplacian:
         return out[0], out[1]
 
     def coupled_condition(self, shift_x, coupling, shift_y) -> float:
-        """1-norm condition estimate of the coupled matrix (LAPACK ``gbtrf``/``gbcon``)."""
+        """1-norm condition estimate of the coupled matrix (``_flapack.dgbtrf``/``dgbcon``)."""
         ab = self._coupled_band(shift_x, coupling, shift_y)
         anorm = float(np.max(np.sum(np.abs(ab[2:]), axis=0)))
         lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=True)

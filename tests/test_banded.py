@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, eigvalsh_tridiagonal, lapack, solve_banded
 
 from conftest import dirichlet_matrix, nonlinear_instance
-from saddlebvp import GridFunction, ParameterFunction, ProblemSpec, laplacian
+from saddlebvp import GridFunction, ParameterFunction, ProblemSpec, grid, laplacian
 from saddlebvp.hypotheses import check_concavity_y, check_convexity_x
 from saddlebvp.problem import grad_i, second_partials_i
 from saddlebvp.solvers import _schur_solve
@@ -193,6 +193,43 @@ def test_smallest_shifted_eigenvalue_matches_eigvalsh(T):
     lam = laplacian(T).smallest_eigenvalue_shifted(shift)
     expected = np.linalg.eigvalsh(dirichlet_matrix(T) + np.diag(shift))[0]
     assert lam == pytest.approx(expected, abs=1e-12)
+
+
+def _tridiagonal_reference(shift):
+    # scipy's tridiagonal eigenvalue by index, or the error it raises
+    T = len(shift)
+    try:
+        return eigvalsh_tridiagonal(2.0 + shift, np.full(T - 1, -1.0), select="i",
+                                    select_range=(0, 0))[0]
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=80, deadline=None)
+@given(T=st.sampled_from((1, 2, 5, 100, 801)), seed=st.integers(0, 2 ** 32 - 1),
+       exponent=st.floats(-8.0, 3.0))
+def test_smallest_shifted_eigenvalue_equals_eigvalsh_tridiagonal(T, seed, exponent):
+    shift = 10.0 ** exponent * np.random.default_rng(seed).standard_normal(T)
+    lam = laplacian(T).smallest_eigenvalue_shifted(shift)
+    assert isinstance(lam, float)
+    assert lam.hex() == float(_tridiagonal_reference(shift)).hex()
+
+
+@pytest.mark.parametrize("T", SIZES)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_smallest_shifted_eigenvalue_rejects_nonfinite_shifts(T, value):
+    shift = np.zeros(T)
+    shift[T // 2] = value
+    expected = _tridiagonal_reference(shift)
+    assert isinstance(expected, ValueError)
+    with pytest.raises(ValueError) as info:
+        laplacian(T).smallest_eigenvalue_shifted(shift)
+    assert str(info.value) == str(expected)
+
+
+def test_lapack_routines_are_scipys():
+    for name in ("dgbsv", "dgtsv", "dgbtrf", "dgbcon", "dstebz"):
+        assert getattr(grid.lapack, name) is getattr(lapack, name)
 
 
 @pytest.mark.parametrize("T", SIZES)

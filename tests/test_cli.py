@@ -1,11 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from saddlebvp import expressions, hypotheses
-from saddlebvp.cli import _json_text, main
+from saddlebvp.cli import _json_text, build_parser, main
 from saddlebvp.expressions import evaluate
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -271,6 +273,33 @@ def test_usage_errors_exit_1(capsys, argv):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    problem = zero_problem(tmp_path)
+    for d in ("a", "b"):
+        assert main(["solve", problem, "--out", str(tmp_path / d), "--seed", "1"]) == 0
+    assert (tmp_path / "a.saddle.json").read_bytes() == (tmp_path / "b.saddle.json").read_bytes()
+    assert main(["constants", "--T", "5", "-m", "2", "4"]) == 0
+    capsys.readouterr()
+    # a usage error after successful calls still exits 1
+    assert main(["solve", problem, "--multistart", "abc"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    # and the next call sees the defaults again, not the earlier arguments
+    assert main(["constants", "--T", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].split()[:2] == ["2", "5"]
+
+
+def test_cli_import_skips_scipy_packages():
+    # either package import would cost more start-up than the rest of the CLI's import
+    code = ("import saddlebvp.cli, sys; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 # --- sweep -----------------------------------------------------------------------
