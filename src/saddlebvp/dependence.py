@@ -20,6 +20,8 @@ from .problem import (ParameterFunction, integrand_sum_i, make_candidate, parame
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
                       saddle_set, verify_saddle)
 
+GAP_SAMPLES = 128  # ball pairs of the sampled gap of each sweep term
+
 
 class DependenceError(ValueError):
     pass
@@ -176,25 +178,6 @@ def uniform_gap(spec, u_a, u_b, box, samples=256, seed=0) -> float:
     return _sampled_gaps(spec, [u_a], u_b, box, samples, seed)[0]
 
 
-def parameter_lipschitz(spec, box, samples=256, seed=0) -> float:
-    """Sampled Lipschitz constant of the integrand in its parameter slot."""
-    rx, ry = radii_pair(box)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(max(1, samples)):
-        xv = random_interior(spec.T, rx, rng)
-        yv = random_interior(spec.T, ry, rng)
-        u1, u2 = rng.uniform(-spec.D, spec.D, size=2)
-        if u1 == u2:
-            continue
-        (f1,) = spec.field.value_kernel(spec.nodes(), xv, yv, u1)
-        (f2,) = spec.field.value_kernel(spec.nodes(), xv, yv, u2)
-        f1 = np.broadcast_to(np.asarray(f1, float), (spec.T,))
-        f2 = np.broadcast_to(np.asarray(f2, float), (spec.T,))
-        worst = max(worst, float(np.max(np.abs(f1 - f2)) / abs(u1 - u2)))
-    return worst
-
-
 @dataclass(frozen=True)
 class SequenceEntry:
     n: int
@@ -246,14 +229,13 @@ def _set_distance(saddles, baseline):
     return (max(dists) if dists else np.inf), dists
 
 
-def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4,
-                 gap_samples=128) -> DependenceReport:
+def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4) -> DependenceReport:
     """Solve the limit problem and every scheduled term of the sequence.
 
     Records per ``n`` the saddle value, the one-sided set distance to the
     limit's saddle set, and the sampled functional gap; solver failures at
     individual terms leave a partial report rather than aborting.  The gaps
-    of all solved terms come from one draw set of ``gap_samples`` ball pairs
+    of all solved terms come from one draw set of ``GAP_SAMPLES`` ball pairs
     at ``cfg.seed``, evaluated after the last term is solved; each equals
     ``uniform_gap`` of that term and the limit.
     """
@@ -284,7 +266,7 @@ def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4,
                                      gap=np.nan, clamped=clamped))
     solved = [i for i, e in enumerate(entries) if e.error is None]
     gaps = _sampled_gaps(spec, [entries[i].u for i in solved], seq.u0, box,
-                         gap_samples, cfg.seed)
+                         GAP_SAMPLES, cfg.seed)
     for i, gap in zip(solved, gaps):
         entries[i] = replace(entries[i], gap=gap)
     good = [e for e in entries if e.error is None]

@@ -47,12 +47,6 @@ class GridError(ValueError):
     """Invalid grid function or operator input."""
 
 
-def _freeze(a):
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Real values at nodes ``0..T+1`` with ``values[0] = values[T+1] = 0``.
@@ -71,7 +65,8 @@ class GridFunction:
             raise GridError(f"boundary values must be exactly zero, got ({v[0]!r}, {v[-1]!r})")
         if not np.isfinite(v).all():
             raise GridError("grid values must be finite")
-        object.__setattr__(self, "values", _freeze(v))
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def from_interior(cls, interior):
@@ -131,18 +126,6 @@ def delta(x: GridFunction) -> np.ndarray:
     return delta_i(x.values[1:-1])
 
 
-def second_difference(x: GridFunction, k: int) -> float:
-    """Second difference ``x(k+1) - 2 x(k) + x(k-1)`` at an interior node.
-
-    Equals minus the k-th row of the Dirichlet matrix applied to the
-    interior values.
-    """
-    if not 1 <= k <= x.T:
-        raise GridError(f"index k={k} outside interior range 1..{x.T}")
-    v = x.values
-    return float(v[k + 1] - 2.0 * v[k] + v[k - 1])
-
-
 def squared_norm(v):
     """``v @ v``, or for a ``(B, T)`` block the ``B`` row values.
 
@@ -176,12 +159,6 @@ class DirichletLaplacian:
 
     dimension: int
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense ``T x T`` copy, built on each access (for small ``T``)."""
-        T = self.dimension
-        return _freeze(2.0 * np.eye(T) - np.eye(T, k=1) - np.eye(T, k=-1))
-
     def apply(self, interior):
         """Matrix-vector product on interior values.
 
@@ -192,16 +169,6 @@ class DirichletLaplacian:
         out[..., :-1] -= v[..., 1:]
         out[..., 1:] -= v[..., :-1]
         return out
-
-    def quadratic_form(self, x: GridFunction) -> float:
-        """``0.5 * x_int @ L @ x_int``."""
-        v = x.values[1:-1]
-        return 0.5 * float(v @ self.apply(v))
-
-    def eigenvalues(self) -> np.ndarray:
-        """Closed-form spectrum ``4 sin^2(j pi / (2(T+1)))``, ``j = 1..T``."""
-        j = np.arange(1, self.dimension + 1)
-        return 4.0 * np.sin(j * np.pi / (2.0 * (self.dimension + 1))) ** 2
 
     @property
     def smallest_eigenvalue(self) -> float:
@@ -362,9 +329,6 @@ class EmbeddingEstimate:
     T: int
     value: float
     maximizer: GridFunction
-
-    def __float__(self):
-        return self.value
 
 
 def _shoot(m, T, lam):

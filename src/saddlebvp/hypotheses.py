@@ -31,7 +31,7 @@ from .expressions import ExprError, compile_trees, depends_on
 from .grid import GridFunction, embedding_constant, h_norm
 from .problem import real_numbers
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # a growth or curvature margin below -DEFAULT_TOL fails the check
 _NODE_BLOCK_VALUES = 2 ** 14  # samples per kernel call of the growth checks, one node at least
 
 
@@ -127,16 +127,6 @@ def certificate_from_dict(data, T) -> GrowthCertificate:
         raise HypothesisError(f"certificate missing key {exc.args[0]!r}") from exc
 
 
-def certificate_to_dict(cert: GrowthCertificate) -> dict:
-    return {
-        "alpha1": cert.alpha1, "beta1": cert.beta1, "gamma1": list(cert.gamma1),
-        "alpha2": cert.alpha2, "beta2": cert.beta2, "gamma2": list(cert.gamma2),
-        "box": cert.box_radius,
-        "anchor_y": None if cert.anchor_y is None else list(cert.anchor_y.interior),
-        "anchor_x": None if cert.anchor_x is None else list(cert.anchor_x.interior),
-    }
-
-
 @dataclass(frozen=True)
 class ConvexityReport:
     """``worst_margin`` estimates the smallest Hessian eigenvalue over the box from grid samples.
@@ -153,7 +143,7 @@ class ConvexityReport:
     counterexample: dict = None
 
 
-def check_convexity_x(spec, u, fixed, box, density=201, tol=DEFAULT_TOL) -> ConvexityReport:
+def check_convexity_x(spec, u, fixed, box, density=201) -> ConvexityReport:
     """Check convexity of ``x -> action(spec, u, x, fixed)`` on the box ``|x_k| <= box``.
 
     The x-Hessian is ``L + diag(F_xx)`` and its smallest eigenvalue does not
@@ -166,12 +156,12 @@ def check_convexity_x(spec, u, fixed, box, density=201, tol=DEFAULT_TOL) -> Conv
     escape both.  The check is ``exact`` when ``F_xx`` does not depend on
     ``x``.
     """
-    return _check_curvature(spec, u, fixed, box, density, tol, convex=True)
+    return _check_curvature(spec, u, fixed, box, density, convex=True)
 
 
-def check_concavity_y(spec, u, fixed, box, density=201, tol=DEFAULT_TOL) -> ConvexityReport:
+def check_concavity_y(spec, u, fixed, box, density=201) -> ConvexityReport:
     """Mirror image of :func:`check_convexity_x`: ``-L + diag(F_yy)`` must be negative semidefinite."""
-    return _check_curvature(spec, u, fixed, box, density, tol, convex=False)
+    return _check_curvature(spec, u, fixed, box, density, convex=False)
 
 
 def _grid_points(density):
@@ -181,7 +171,7 @@ def _grid_points(density):
     return int(density)
 
 
-def _check_curvature(spec, u, fixed, box, density, tol, convex):
+def _check_curvature(spec, u, fixed, box, density, convex):
     node, free, other = ((spec.field.fxx, "x", "y") if convex
                          else (spec.field.fyy, "y", "x"))
     exact = not depends_on(node, free)
@@ -197,7 +187,7 @@ def _check_curvature(spec, u, fixed, box, density, tol, convex):
     low = curv[idx, np.arange(spec.T)]
     pad = 0.0 if exact else 0.5 * np.max(np.abs(np.diff(curv, n=2, axis=0)), axis=0)
     margin = spec.lap.smallest_eigenvalue_shifted(low - pad)
-    if margin >= -tol:
+    if margin >= -DEFAULT_TOL:
         return ConvexityReport(passed=True, exact=exact, worst_margin=margin)
     return ConvexityReport(
         passed=False, exact=exact, worst_margin=margin,
@@ -221,13 +211,13 @@ class GrowthReport:
         return min(self.worst_lower_margin, self.worst_upper_margin)
 
 
-def verify_growth(spec, cert: GrowthCertificate, grid_density=201, tol=DEFAULT_TOL) -> GrowthReport:
+def verify_growth(spec, cert: GrowthCertificate, grid_density=201) -> GrowthReport:
     """Sample both growth bounds densely over the certificate's box.
 
     The free slot of each inequality runs over ``grid_density`` points in
     ``[-R, R]``; the parameter and (for anchorless certificates) the other
     slot run over coarser grids.  Reports the worst margin found; any margin
-    below ``-tol`` is a counterexample.
+    below ``-DEFAULT_TOL`` is a counterexample.
     """
     if cert.T != spec.T:
         raise HypothesisError(f"certificate is for T={cert.T}, problem has T={spec.T}")
@@ -276,10 +266,10 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201, tol=DEFAULT_T
     lower_margin, lower_witness = side_margin(lower=True)
     upper_margin, upper_witness = side_margin(lower=False)
     counterexample = None
-    if lower_margin < -tol:
+    if lower_margin < -DEFAULT_TOL:
         counterexample = {"kind": "lower growth bound violated", **lower_witness,
                           "margin": lower_margin}
-    elif upper_margin < -tol:
+    elif upper_margin < -DEFAULT_TOL:
         counterexample = {"kind": "upper growth bound violated", **upper_witness,
                           "margin": upper_margin}
     return GrowthReport(
@@ -321,13 +311,13 @@ class _GrowthGrid:
                                             self.us[None, None, :, None])
         return F
 
-    def blocks(self, anchors, evaluate):
-        """``(nodes, evaluate(nodes))`` for consecutive node slices, in node order.
+    def blocks(self, anchors, compute):
+        """``(nodes, compute(nodes))`` for consecutive node slices, in node order.
 
         A slice holds as many nodes as keep the samples of each side, its
         other slot fixed by ``anchors``, within ``_NODE_BLOCK_VALUES``, and
-        one node at least.  When ``evaluate`` raises ``ExprError`` on a slice,
-        its nodes are evaluated one at a time, so the error raised is the
+        one node at least.  When ``compute`` raises ``ExprError`` on a slice,
+        its nodes are computed one at a time, so the error raised is the
         first that a loop over the nodes meets.
         """
         T = self.spec.T
@@ -337,10 +327,10 @@ class _GrowthGrid:
         for start in range(0, T, size):
             nodes = slice(start, min(start + size, T))
             try:
-                out = evaluate(nodes)
+                out = compute(nodes)
             except ExprError:
                 for i in range(nodes.start, nodes.stop):
-                    evaluate(slice(i, i + 1))
+                    compute(slice(i, i + 1))
                 raise
             yield nodes, out
 

@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .expressions import ExprError, ScalarField, evaluate, parse, variables
+from .expressions import ExprError, ScalarField, compile_trees, parse, variables
 from .grid import DirichletLaplacian, GridFunction, delta_i, laplacian, squared_norm
 
 
@@ -54,7 +54,7 @@ def parameter_values(value, T, name):
         if extra:
             raise ProblemError(f"{name} may only use k, found {sorted(extra)}")
         k = np.arange(1, T + 1, dtype=float)
-        value = np.broadcast_to(evaluate(ast, {"k": k, "x": 0.0, "y": 0.0, "u": 0.0}), (T,))
+        value = np.broadcast_to(compile_trees((ast,))(k, 0.0, 0.0, 0.0)[0], (T,))
     if not real_numbers(value):
         raise ProblemError(f"{name} must be an expression in k or {T} numbers")
     vals = np.asarray(value, dtype=float)
@@ -90,18 +90,9 @@ class ParameterFunction:
     def constant(cls, c, T, bound):
         return cls(np.full(T, float(c)), bound)
 
-    @classmethod
-    def from_expression(cls, text, T, bound):
-        """Evaluate an expression in ``k`` at the nodes ``1..T``."""
-        return cls(parameter_values(text, T, "expression"), bound)
-
     @property
     def T(self):
         return self.values.size
-
-    @property
-    def max_norm(self):
-        return float(np.max(np.abs(self.values)))
 
 
 @dataclass(frozen=True)
@@ -249,17 +240,6 @@ def residual(spec: ProblemSpec, u: ParameterFunction, x: GridFunction, y: GridFu
     ``x`` match ``F_x`` and those of ``y`` match ``-F_y`` at every node.
     """
     return residual_from_grad(*grad(spec, u, x, y))
-
-
-def hessian_blocks(spec: ProblemSpec, u: ParameterFunction, x: GridFunction, y: GridFunction):
-    """Second-derivative blocks ``(L + diag(F_xx), diag(F_xy), -L + diag(F_yy))``.
-
-    Dense ``T x T`` arrays, for small ``T``; the solvers work on the band.
-    """
-    _check_dims(spec, u, x, y)
-    fxx, fxy, fyy = second_partials_i(spec, u, x.values[1:-1], y.values[1:-1])
-    L = spec.lap.matrix
-    return L + np.diag(fxx), np.diag(fxy), -L + np.diag(fyy)
 
 
 @dataclass(frozen=True)

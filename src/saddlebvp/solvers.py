@@ -50,6 +50,7 @@ EG_GROWTH = 1.1             # extragradient step growth after an accepted step
 EG_MIN_STEP = 1e-12         # extragradient halving floor; below it the start stops
 EG_PATIENCE = 50            # extragradient stops after this many iterations without a new best |G|
 DEFAULT_RADII = (4.0, 4.0)  # multistart ball radii when no certificate gives them
+CLUSTER_RADIUS = 1e-4       # saddle_set merges converged candidates closer than this
 
 
 class SolverError(RuntimeError):
@@ -65,7 +66,6 @@ class SolverConfig:
     max_iter: int = 20000
     multistart: int = 8
     seed: int = 0
-    cluster_radius: float = 1e-4
     record_trace: bool = False
 
     def __post_init__(self):
@@ -77,8 +77,6 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.multistart < 1:
             raise ValueError("multistart must be >= 1")
-        if self.cluster_radius <= 0:
-            raise ValueError("cluster_radius must be positive")
 
 
 def radii_pair(radii, default=None):
@@ -531,15 +529,6 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
                           iterations=it, converged=converged, trace=trace)
 
 
-def solve(spec, u, z0, cfg: SolverConfig):
-    """Dispatch one solve from a starting pair according to ``cfg.method``."""
-    if cfg.method == "extragradient":
-        return extragradient(spec, u, z0, cfg)
-    if cfg.method == "newton":
-        return newton(spec, u, z0, cfg)
-    return nested_minimax(spec, u, z0[1], cfg)
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     """Outcome of the a posteriori saddle checks; failures are listed, not raised."""
@@ -636,7 +625,7 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     """Multistart solve and clustering of the distinct saddle points found.
 
     Starts are uniform in the product ball (radii from a certificate when
-    available); converged candidates closer than ``cluster_radius`` in the
+    available); converged candidates closer than ``CLUSTER_RADIUS`` in the
     product norm collapse to the best-resolved representative.  A start that
     raises :class:`SolverError` or leaves the expression domain (``ExprError``)
     counts as failed.  Results are deterministic for a fixed seed.
@@ -644,7 +633,7 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     Extragradient and newton starts run in one :func:`extragradient_runs` or
     :func:`newton_runs` call, in lockstep; each ends exactly as it does
     alone, so the set does not depend on how the starts are grouped.  Nested
-    starts run one by one.
+    starts run one by one from their ``y`` draws.
     """
     rx, ry = radii_pair(radii, DEFAULT_RADII)
     X0, Y0 = np.empty((2, cfg.multistart, spec.T))
@@ -653,10 +642,9 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
         X0[i] = random_interior(spec.T, rx, rng)
         Y0[i] = random_interior(spec.T, ry, rng)
 
-    def run(x0, y0):
+    def nested(y0):
         try:
-            return solve(spec, u, (GridFunction.from_interior(x0),
-                                   GridFunction.from_interior(y0)), cfg)
+            return nested_minimax(spec, u, GridFunction.from_interior(y0), cfg)
         except (SolverError, ExprError):
             return None
 
@@ -665,14 +653,14 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     elif cfg.method == "newton":
         results = newton_runs(spec, u, X0, Y0, cfg)
     else:
-        results = [run(x0, y0) for x0, y0 in zip(X0, Y0)]
+        results = [nested(y0) for y0 in Y0]
 
     converged = [c for c in results if isinstance(c, SaddleCandidate) and c.converged]
     failures = len(results) - len(converged)
     reps = []
     for cand in sorted(converged, key=lambda c: c.residual_norm):
-        if all(product_distance(cand, rep) > cfg.cluster_radius for rep in reps):
+        if all(product_distance(cand, rep) > CLUSTER_RADIUS for rep in reps):
             reps.append(cand)
     reps.sort(key=lambda c: (c.value, tuple(c.x.interior)))
-    return SaddleSet(points=tuple(reps), cluster_radius=cfg.cluster_radius,
+    return SaddleSet(points=tuple(reps), cluster_radius=CLUSTER_RADIUS,
                      attempts=cfg.multistart, failures=failures)

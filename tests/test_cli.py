@@ -449,6 +449,40 @@ def test_compiled_kernels_write_the_interpreters_bytes(tmp_path, monkeypatch):
         assert compiled[1][name] == data, name
 
 
+# The T = 100 study problem.  With the other slot at 0, F >= 0.4 x^2 - 1.25 |x| - 0.25 and
+# F <= -0.4 y^2 + |y| + 0.25, which give the gammas.
+STUDY = {
+    "T": 100, "D": 1.0, "u": "0.5*sin(3*k)",
+    "F": "0.4*x^2 - 0.4*y^2 + 0.2*x*y + 0.25*sin(x) + 0.25*cos(y) + u*(x - y)",
+    "certificate": {"alpha1": 0.0, "beta1": 0.0, "gamma1": -1.2265625, "alpha2": 0.0,
+                    "beta2": 0.0, "gamma2": 0.875, "box": 6.0,
+                    "anchor_y": [0.0] * 100, "anchor_x": [0.0] * 100},
+    "sequence": {"direction": "0.5*cos(k)", "N": 16},
+}
+
+
+def test_no_library_path_runs_the_interpreter(tmp_path, monkeypatch):
+    # evaluate is the tests' reference for the compiled kernels, not a library path
+    def interpreter(*args):
+        raise AssertionError("expressions.evaluate called")
+
+    rebound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "saddlebvp" or name.startswith("saddlebvp."):
+            for attr, value in list(vars(module).items()):
+                if value is evaluate:
+                    monkeypatch.setattr(module, attr, interpreter)
+                    rebound += 1
+    assert rebound >= 2  # saddlebvp.evaluate and expressions.evaluate at least
+    problem = write_json(tmp_path / "study.json", STUDY)
+    out = str(tmp_path / "study")
+    assert main(["check", problem, "--out", out]) == 0
+    for method in ("newton", "nested", "extragradient"):
+        assert main(["solve", problem, "--method", method, "--multistart", "2",
+                     "--max-iter", "20", "--out", out]) in (0, 2)
+    assert main(["sweep", problem, "--multistart", "4", "--out", out]) == 0
+
+
 def test_float_array_serializes_like_its_list():
     values = np.array([0.0, -0.1, 1.0 / 3.0, 1e-300, np.inf, 2.5e17, 0.0])
     doc = {"x": values, "n": [1, 2]}

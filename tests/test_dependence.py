@@ -5,9 +5,10 @@ import pytest
 
 from conftest import dirichlet_matrix, nonlinear_instance, per_pair_gap
 from saddlebvp import (GridFunction, ParameterFunction, ParameterSequence,
-                       ProblemSpec, SolverConfig, action, h_norm, parameter_lipschitz,
-                       run_sequence, uniform_gap, upper_limit_check)
-from saddlebvp.dependence import DependenceError, geometric_schedule, sequence_from_dict
+                       ProblemSpec, SolverConfig, action, h_norm, run_sequence, uniform_gap,
+                       upper_limit_check)
+from saddlebvp.dependence import (GAP_SAMPLES, DependenceError, geometric_schedule,
+                                  sequence_from_dict)
 from saddlebvp.grid import random_interior
 from saddlebvp.problem import ProblemError
 from saddlebvp.solvers import SolverError
@@ -170,14 +171,17 @@ def test_uniform_gap_equals_full_action_difference():
 
 
 def test_uniform_gap_bounded_by_parameter_lipschitz():
+    # F holds u only in u*(x - y), so node k changes by at most |du(k)| (|x(k)| + |y(k)|),
+    # and |x(k)| <= r sqrt(k (T + 1 - k) / (T + 1)) on the ball of radius r.
     rng = np.random.default_rng(21)
-    spec, u0 = nonlinear_instance(rng, 4)
+    T = 4
+    spec, u0 = nonlinear_instance(rng, T)
     u1 = ParameterFunction(np.clip(u0.values + 0.3, -1, 1), 1.0)
     box = (3.0, 3.0)
     gap = uniform_gap(spec, u0, u1, box, samples=500, seed=4)
-    lip = parameter_lipschitz(spec, box, samples=500, seed=5)
-    du = np.max(np.abs(u1.values - u0.values))
-    assert gap <= lip * du * spec.T * (1 + 1e-9)
+    k = np.arange(1, T + 1)
+    lip = sum(box) * np.sqrt(k * (T + 1 - k) / (T + 1))
+    assert 0 < gap <= np.abs(u1.values - u0.values) @ lip * (1 + 1e-9)
 
 
 def nan_field(c):
@@ -205,21 +209,22 @@ def test_uniform_gap_matches_the_per_pair_loop(T, samples, c):
 # --- run_sequence --------------------------------------------------------------------
 
 def test_run_sequence_gaps_match_the_per_pair_loop():
-    # 128 draws at T = 100 are 4 blocks of at most 40 rows, shared by every
-    # term; the integrand is nan on part of the ball.
+    # The GAP_SAMPLES = 128 draws at T = 100 are 4 blocks of at most 40 rows,
+    # shared by every term; the integrand is nan on part of the ball.
     T = 100
     spec = ProblemSpec.create(T, 1.0, nan_field(1050))
-    u0 = ParameterFunction.from_expression("0.5*sin(3*k)", T, 1.0)
+    u0 = ParameterFunction(0.5 * np.sin(3 * np.arange(1, T + 1)), 1.0)
     seq = ParameterSequence.rule(u0, 0.5 * np.cos(np.arange(1, T + 1)), N=8)
     cfg = SolverConfig(method="newton", multistart=2, seed=11)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = run_sequence(spec, seq, cfg, radii=(4.0, 4.0), gap_samples=128)
+        report = run_sequence(spec, seq, cfg, radii=(4.0, 4.0))
         assert [e.error for e in report.entries] == [None] * 4
         for entry in report.entries:
-            want, differences = per_pair_gap(spec, entry.u, u0, (4.0, 4.0), 128, 11)
+            want, differences = per_pair_gap(spec, entry.u, u0, (4.0, 4.0), GAP_SAMPLES, 11)
             assert np.isnan(differences).any() and not np.isnan(differences).all()
             assert entry.gap == want, entry.n
-            assert entry.gap == uniform_gap(spec, entry.u, u0, (4.0, 4.0), samples=128, seed=11)
+            assert entry.gap == uniform_gap(spec, entry.u, u0, (4.0, 4.0), samples=GAP_SAMPLES,
+                                            seed=11)
 
 
 def test_constant_sequence_is_exact():

@@ -6,7 +6,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from conftest import dirichlet_matrix
 from saddlebvp import (GridFunction, delta, embedding_constant, embedding_estimate,
-                       h_norm, laplacian, second_difference)
+                       h_norm, laplacian)
 from saddlebvp.grid import GridError, delta_i, h_norm_i, random_interior
 
 
@@ -25,35 +25,13 @@ def test_delta_direct_subtraction():
     assert np.array_equal(delta(x), [1.0, 1.0, -2.0])
 
 
-def test_second_difference_zero():
-    assert second_difference(GridFunction.zeros(4), 2) == 0.0
-
-
-def test_second_difference_t1():
-    x = GridFunction.from_interior([0.7])
-    assert second_difference(x, 1) == pytest.approx(-1.4, abs=1e-15)
-
-
-def test_second_difference_arithmetic():
-    x = GridFunction(np.array([0.0, 1.0, 4.0, 9.0, 0.0]))
-    assert second_difference(x, 2) == 2.0
-
-
-def test_second_difference_index_error():
-    x = GridFunction.zeros(3)
-    with pytest.raises(GridError):
-        second_difference(x, 0)
-    with pytest.raises(GridError):
-        second_difference(x, 4)
-
-
 def test_second_difference_is_minus_matrix_row():
     rng = np.random.default_rng(0)
     x = GridFunction.from_interior(rng.standard_normal(6))
-    L = laplacian(6)
-    Lx = L.apply(x.interior)
+    Lx = laplacian(6).apply(x.interior)
     for k in range(1, 7):
-        assert second_difference(x, k) == pytest.approx(-Lx[k - 1], abs=1e-14)
+        second_difference = x(k + 1) - 2.0 * x(k) + x(k - 1)
+        assert second_difference == pytest.approx(-Lx[k - 1], abs=1e-14)
 
 
 def test_h_norm_zero():
@@ -100,14 +78,16 @@ def test_gridfunction_immutable():
 
 
 def test_laplacian_small_matrices():
-    assert np.array_equal(laplacian(1).matrix, [[2.0]])
-    assert np.array_equal(laplacian(2).matrix, [[2.0, -1.0], [-1.0, 2.0]])
+    # applied to the rows of the identity, row by row, it gives its own matrix
+    assert np.array_equal(laplacian(1).apply(np.eye(1)), [[2.0]])
+    assert np.array_equal(laplacian(2).apply(np.eye(2)), [[2.0, -1.0], [-1.0, 2.0]])
+    assert np.array_equal(laplacian(5).apply(np.eye(5)), dirichlet_matrix(5))
 
 
 def test_laplacian_t3_eigenvalues():
     # closed form 4 sin^2(j pi / 8): {2 - sqrt(2), 2, 2 + sqrt(2)}
     expected = np.array([2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)])
-    assert np.allclose(sorted(laplacian(3).eigenvalues()), expected, atol=1e-12)
+    assert laplacian(3).smallest_eigenvalue == pytest.approx(expected[0], abs=1e-12)
     # cross-check against an eigensolver on the raw matrix
     assert np.allclose(np.linalg.eigvalsh(dirichlet_matrix(3)), expected, atol=1e-12)
 
@@ -123,7 +103,8 @@ def test_quadratic_form_identity():
     for _ in range(50):
         T = int(rng.integers(1, 201))
         x = GridFunction.from_interior(rng.standard_normal(T) * rng.uniform(0.1, 10))
-        q = laplacian(T).quadratic_form(x)
+        v = x.interior
+        q = 0.5 * float(v @ laplacian(T).apply(v))
         d = np.diff(x.values)
         assert abs(q - 0.5 * np.sum(d * d)) <= 1e-12 * (1 + h_norm(x) ** 2)
 
@@ -170,7 +151,7 @@ def _power_ratio(x, m):
 def test_embedding_estimate_maximizer_is_normalised():
     for m in (2, 3, 6):
         est = embedding_estimate(m, 6)
-        assert (est.m, est.T, float(est)) == (m, 6, est.value)
+        assert (est.m, est.T) == (m, 6)
         assert np.linalg.norm(est.maximizer.interior) == pytest.approx(1.0, rel=1e-15)
         assert np.all(est.maximizer.interior > 0)
 

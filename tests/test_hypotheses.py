@@ -9,7 +9,7 @@ from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, ball_radii,
                        fit_growth_certificate, verify_growth)
 from saddlebvp.expressions import ExprError
 from saddlebvp.hypotheses import (DEFAULT_TOL, GrowthCertificate, HypothesisError,
-                                  certificate_from_dict, certificate_to_dict)
+                                  certificate_from_dict)
 
 
 def zero_u(T, D=1.0):
@@ -478,12 +478,15 @@ def test_fitted_certificate_rejects_a_density_below_9():
         assert [g.hex() for g in cert.gamma2] == [gamma2] * 2
 
 def test_certificate_dict_roundtrip():
+    data = {"alpha1": 0.1, "beta1": -0.2, "gamma1": [0.3, 0.3], "alpha2": 0.4, "beta2": 0.5,
+            "gamma2": -0.6, "box": 7.0, "anchor_y": [0.0, 0.0], "anchor_x": None}
+    back = certificate_from_dict(data, 2)
     cert = GrowthCertificate.constant(2, 0.1, -0.2, 0.3, 0.4, 0.5, -0.6,
                                       box_radius=7.0, anchor_y=GridFunction.zeros(2))
-    data = certificate_to_dict(cert)
-    back = certificate_from_dict(data, 2)
-    assert back.alpha1 == cert.alpha1 and back.beta2 == cert.beta2
+    scalars = ("alpha1", "beta1", "alpha2", "beta2", "box_radius")
+    assert [getattr(back, f) for f in scalars] == [getattr(cert, f) for f in scalars]
     assert np.array_equal(back.gamma1, cert.gamma1)
+    assert np.array_equal(back.gamma2, cert.gamma2)
     assert np.array_equal(back.anchor_y.values, cert.anchor_y.values)
     assert back.anchor_x is None
 

@@ -509,6 +509,25 @@ def test_nested_singular_inner_hessian_fails_every_start():
     assert sset.attempts == 8 and sset.failures == 8
     assert sset.all_failed
 
+
+def test_nested_start_that_leaves_the_domain_counts_as_failed():
+    # sqrt(y + 1) has no value below y = -1, which one of the 8 starts reaches
+    spec = ProblemSpec.create(3, 1.0, "x^2 - y^2 + sqrt(y + 1)")
+    u = ParameterFunction.constant(0.0, 3, 1.0)
+    cfg = SolverConfig(method="nested", multistart=8)
+    sset = saddle_set(spec, u, cfg)
+    assert sset.attempts == 8 and sset.failures == 1 and len(sset.points) == 1
+    errors = 0
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.multistart):
+        rng = np.random.default_rng(child)
+        random_interior(3, 4.0, rng)  # the start's x draw, which nested does not use
+        y0 = GridFunction.from_interior(random_interior(3, 4.0, rng))
+        try:
+            nested_minimax(spec, u, y0, cfg)
+        except ExprError:
+            errors += 1
+    assert errors == 1
+
 # --- verification --------------------------------------------------------------------
 
 def test_verify_saddle_zero_field():
@@ -623,11 +642,11 @@ def test_verify_saddle_residual_tolerance_scaling():
 
 # --- saddle sets ----------------------------------------------------------------------
 
-def test_saddle_set_unique_under_strict_convexity():
+def test_saddle_set_unique_under_strict_convexity(monkeypatch):
     spec = ProblemSpec.create(4, 1.0, "x^2 - y^2 + 0.5*x*y")
     u = ParameterFunction.constant(0.0, 4, 1.0)
-    cfg = SolverConfig(method="newton", multistart=32, cluster_radius=1e-6,
-                       tol=1e-12)
+    monkeypatch.setattr(solvers, "CLUSTER_RADIUS", 1e-6)  # every start ends within 1e-6
+    cfg = SolverConfig(method="newton", multistart=32, tol=1e-12)
     sset = saddle_set(spec, u, cfg, radii=(3.0, 3.0))
     assert len(sset.points) == 1
     assert sset.failures == 0
@@ -663,11 +682,12 @@ def test_saddle_set_all_starts_fail_is_flagged():
 def test_saddle_set_representatives_well_separated():
     rng = np.random.default_rng(19)
     spec, u, _ = quadratic_instance(rng, 3)
-    cfg = SolverConfig(method="newton", multistart=16, cluster_radius=1e-4)
+    cfg = SolverConfig(method="newton", multistart=16)
     sset = saddle_set(spec, u, cfg, radii=(3.0, 3.0))
+    assert sset.cluster_radius == solvers.CLUSTER_RADIUS
     for i, a in enumerate(sset.points):
         for b in sset.points[i + 1:]:
-            assert product_distance(a, b) > cfg.cluster_radius
+            assert product_distance(a, b) > sset.cluster_radius
 
 
 def test_all_three_methods_agree_pairwise():
