@@ -185,7 +185,6 @@ class SequenceEntry:
     saddles: object
     value: float
     dist: float
-    candidate_distances: tuple
     gap: float
     clamped: bool
     error: str = None
@@ -223,10 +222,8 @@ def _set_value(saddles):
 
 
 def _set_distance(saddles, baseline):
-    dists = tuple(
-        min(product_distance(c, rep) for rep in baseline.points)
-        for c in saddles.points)
-    return (max(dists) if dists else np.inf), dists
+    return max((min(product_distance(c, rep) for rep in baseline.points)
+                for c in saddles.points), default=np.inf)
 
 
 def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4) -> DependenceReport:
@@ -257,13 +254,12 @@ def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4) ->
         except SolverError as exc:
             partial = True
             entries.append(SequenceEntry(n=n, u=u_n, saddles=None, value=np.nan,
-                                         dist=np.inf, candidate_distances=(),
-                                         gap=np.nan, clamped=clamped, error=str(exc)))
+                                         dist=np.inf, gap=np.nan, clamped=clamped,
+                                         error=str(exc)))
             continue
-        dist, per_cand = _set_distance(sads, baseline)
         entries.append(SequenceEntry(n=n, u=u_n, saddles=sads, value=_set_value(sads),
-                                     dist=dist, candidate_distances=per_cand,
-                                     gap=np.nan, clamped=clamped))
+                                     dist=_set_distance(sads, baseline), gap=np.nan,
+                                     clamped=clamped))
     solved = [i for i, e in enumerate(entries) if e.error is None]
     gaps = _sampled_gaps(spec, [entries[i].u for i in solved], seq.u0, box,
                          GAP_SAMPLES, cfg.seed)

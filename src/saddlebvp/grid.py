@@ -58,7 +58,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy: the caller's array stays writable
         if v.ndim != 1 or v.size < 3:
             raise GridError(f"need a 1-d array of length T+2 with T >= 1, got shape {v.shape}")
         if v[0] != 0.0 or v[-1] != 0.0:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ExprError, compile_trees, depends_on
+from .expressions import compile_trees, depends_on
 from .grid import GridFunction, embedding_constant, h_norm
-from .problem import real_numbers
+from .problem import real_numbers, rows_apart
 
 DEFAULT_TOL = 1e-9  # a growth or curvature margin below -DEFAULT_TOL fails the check
 _NODE_BLOCK_VALUES = 2 ** 14  # samples per kernel call of the growth checks, one node at least
@@ -249,9 +249,9 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201) -> GrowthRepo
         def margins(nodes):
             F = grid.integrand(nodes, lower, anchor)
             bound = (-alpha if lower else alpha) * free ** 2 + beta * free + _column(gamma[nodes])
-            return F - bound if lower else bound - F
+            return (F - bound if lower else bound - F,)
 
-        for nodes, margin in grid.blocks((anchor,), margins):
+        for nodes, (margin,) in grid.blocks((anchor,), margins):
             low = margin.min(axis=(1, 2, 3))
             j = int(np.argmin(np.where(np.isnan(low), np.inf, low)))
             if low[j] < worst:
@@ -314,24 +314,23 @@ class _GrowthGrid:
     def blocks(self, anchors, compute):
         """``(nodes, compute(nodes))`` for consecutive node slices, in node order.
 
-        A slice holds as many nodes as keep the samples of each side, its
-        other slot fixed by ``anchors``, within ``_NODE_BLOCK_VALUES``, and
-        one node at least.  When ``compute`` raises ``ExprError`` on a slice,
-        its nodes are computed one at a time, so the error raised is the
-        first that a loop over the nodes meets.
+        ``compute`` returns one array per side, the other slot of each fixed
+        by its entry of ``anchors``.  A slice holds as many nodes as keep
+        these samples within ``_NODE_BLOCK_VALUES``, and one node at least.
+        Its nodes are the rows of :func:`~saddlebvp.problem.rows_apart`, so
+        the error raised is the first that a loop over the nodes meets.
         """
         T = self.spec.T
-        anchored = all(a is not None for a in anchors)
-        per_node = self.s.size * self.us.size * (1 if anchored else self.other.size)
-        size = max(1, _NODE_BLOCK_VALUES // per_node)
+        shapes = tuple((self.s.size, self.us.size, 1 if a is not None else self.other.size)
+                       for a in anchors)
+        size = max(1, _NODE_BLOCK_VALUES // max(n * n_u * n_o for n, n_u, n_o in shapes))
         for start in range(0, T, size):
             nodes = slice(start, min(start + size, T))
-            try:
-                out = compute(nodes)
-            except ExprError:
-                for i in range(nodes.start, nodes.stop):
-                    compute(slice(i, i + 1))
-                raise
+            out, errors = rows_apart(
+                lambda i: compute(nodes if isinstance(i, slice) else slice(start + i, start + i + 1)),
+                nodes.stop - start, shapes)
+            if errors:
+                raise errors[min(errors)]
             yield nodes, out
 
 

@@ -170,6 +170,32 @@ def row_blocks(T, rows):
         yield tuple(np.array(column) for column in zip(*block))
 
 
+def rows_apart(fn, n, shapes):
+    """``fn`` on a block of ``n`` rows, and ``{row: ExprError}`` for the rows outside the domain.
+
+    ``fn(slice(None))`` evaluates the whole block and ``fn(i)`` row ``i``
+    alone, as a 1-d call; each returns one array per entry of ``shapes``,
+    the shape of one row's value.  A domain guard tests every row at once,
+    so after an ``ExprError`` each row is evaluated alone and only the rows
+    that raise fail, each with its own error and nan values.  A one-row
+    block's error is its row's, so that row is not evaluated again.
+    """
+    try:
+        return fn(slice(None)), {}
+    except ExprError as exc:
+        errors = {0: exc}
+    out = tuple(np.full((n, *shape), np.nan) for shape in shapes)
+    if n > 1:
+        errors = {}
+        for i in range(n):
+            try:
+                for block, row in zip(out, fn(i)):
+                    block[i] = row
+            except ExprError as exc:
+                errors[i] = exc
+    return out, errors
+
+
 def integrand_sum_i(spec, u, xv, yv):
     """``sum_k F(k, x(k), y(k), u(k))``: the action without its quadratic terms.
 
@@ -261,22 +287,20 @@ def make_candidates_i(spec, u, X, Y, method, iterations, converged, traces):
     """Candidates at the rows of the ``(B, T)`` interior values ``X``, ``Y``.
 
     Value and norms are recomputed from each point, by one ``grad_i`` and
-    one ``action_i`` call on the block; ``iterations``, ``converged`` and
-    ``traces`` hold one entry per row.  A domain guard tests every row at
-    once, so after an ``ExprError`` each row is made alone, and a row that
-    raises gets its ``ExprError`` in place of a candidate.
+    one ``action_i`` call on the block (:func:`rows_apart`); ``iterations``,
+    ``converged`` and ``traces`` hold one entry per row.  A row outside the
+    integrand's domain gets its gradient's ``ExprError``, else its action's,
+    in place of a candidate.
     """
-    try:
-        GX, GY = grad_i(spec, u, X, Y)
-        values = action_i(spec, u, X, Y).tolist()
-    except ExprError as exc:
-        if len(X) == 1:
-            return [exc]
-        return [make_candidates_i(spec, u, X[r:r + 1], Y[r:r + 1], method, iterations[r:r + 1],
-                                  converged[r:r + 1], traces[r:r + 1])[0] for r in range(len(X))]
+    def point(i):
+        return (*grad_i(spec, u, X[i], Y[i]), action_i(spec, u, X[i], Y[i]))
+
+    (GX, GY, values), errors = rows_apart(point, len(X), (X.shape[1:], X.shape[1:], ()))
+    values = values.tolist()
     grad_norms = np.sqrt(squared_norm(GX) + squared_norm(GY)).tolist()
     residuals = residual_from_grad(GX, GY).tolist()
-    return [SaddleCandidate(x=GridFunction.from_interior(X[r]), y=GridFunction.from_interior(Y[r]),
+    return [errors[r] if r in errors else
+            SaddleCandidate(x=GridFunction.from_interior(X[r]), y=GridFunction.from_interior(Y[r]),
                             value=values[r], grad_norm=grad_norms[r], residual_norm=residuals[r],
                             method=method, iterations=iterations[r], converged=converged[r],
                             trace=traces[r])

@@ -22,8 +22,8 @@ own step, iterate and stop, and one kernel call per iteration serves every
 live row, as one band solve per iteration serves newton's.  The starts
 arrive as arrays of interior values, and the candidates of a block come
 from one gradient and one action call.  The problem layer and the band
-solve treat a block row by row bit for bit as alone, and after a domain
-error a block is evaluated one row at a time, so each start ends exactly
+solve treat a block row by row bit for bit as alone, and every block goes
+through :func:`~saddlebvp.problem.rows_apart`, so each start ends exactly
 where its own run ends and only the rows that leave the domain fail.
 Nested starts run one by one, each level of each as a one-row block.
 
@@ -39,7 +39,7 @@ import numpy as np
 from .expressions import ExprError
 from .grid import GridFunction, h_norm, h_norm_i, random_interior, squared_norm
 from .problem import (SaddleCandidate, action_i, block_rows, grad_i, make_candidate,
-                      make_candidates_i, residual, residual_from_grad, row_blocks,
+                      make_candidates_i, residual, residual_from_grad, row_blocks, rows_apart,
                       second_partials_i)
 
 INNER_MAX_ITER = 200
@@ -97,42 +97,18 @@ def product_distance(a, b) -> float:
                           h_norm_i(a.y.values[1:-1] - b.y.values[1:-1])))
 
 
-def _action_or_nan(spec, u, xv, yv):
-    """Action, ``nan`` outside the integrand's domain; traces and probes read it.
+def _action_or_nan(spec, u, X, Y):
+    """Action at each row of a ``(B, T)`` block, ``nan`` outside the integrand's domain.
 
-    On a ``(B, T)`` block a domain guard tests every row at once, so after an
-    ``ExprError`` each row is evaluated alone and only the rows that raise
-    hold ``nan``.  Recording a trace cannot fail a start.
+    Traces and probes read it (:func:`~saddlebvp.problem.rows_apart`), so
+    recording a trace cannot fail a start.
     """
-    try:
-        return action_i(spec, u, xv, yv)
-    except ExprError:
-        if xv.ndim == 1:
-            return np.nan
-        return np.array([_action_or_nan(spec, u, x, y) for x, y in zip(xv, yv)])
+    return rows_apart(lambda i: (action_i(spec, u, X[i], Y[i]),), len(X), ((),))[0][0]
 
 
 def _rows(kernel, outputs, spec, u, X, Y):
-    """``kernel(spec, u, X, Y)`` on a ``(B, T)`` block, and ``{row: ExprError}`` for the rows that raise.
-
-    ``kernel`` is ``grad_i`` or ``second_partials_i``, with ``outputs``
-    arrays.  A domain guard tests every row at once, so after an
-    ``ExprError`` each row is evaluated alone, exactly as in a one-row call;
-    rows that raise hold nan.
-    """
-    try:
-        return kernel(spec, u, X, Y), {}
-    except ExprError:
-        pass
-    out = tuple(np.full_like(X, np.nan) for _ in range(outputs))
-    errors = {}
-    for i in range(len(X)):
-        try:
-            for block, row in zip(out, kernel(spec, u, X[i], Y[i])):
-                block[i] = row
-        except ExprError as exc:
-            errors[i] = exc
-    return out, errors
+    """``kernel(spec, u, X, Y)``, ``outputs`` arrays, by :func:`~saddlebvp.problem.rows_apart`."""
+    return rows_apart(lambda i: kernel(spec, u, X[i], Y[i]), len(X), (X.shape[1:],) * outputs)
 
 
 def _finish(spec, u, method, finished, traces, ends):
@@ -344,17 +320,17 @@ def _damped_newton(residual, direction, V, tol, max_iter, on_iterate=None, condi
 def _one_row(fn, width):
     """``fn`` on 1-d arrays as a ``residual`` or ``direction`` of :func:`_damped_newton`.
 
-    The block has one row, and the result ``width`` values.  An ``ExprError``
-    of ``fn`` is the row's, and a ``LinAlgError`` (a singular solve) gives a
-    nan row.
+    The block has one row, and the result ``width`` values.  A ``LinAlgError``
+    (a singular solve) gives a nan row; an ``ExprError`` is the row's.
     """
     def block(V, *R):
-        try:
-            return fn(V[0], *(r[0] for r in R))[None], {}
-        except ExprError as exc:
-            return np.full((1, width), np.nan), {0: exc}
-        except np.linalg.LinAlgError:
-            return np.full((1, width), np.nan), {}
+        def row(_):  # a one-row block is evaluated once, as its row
+            try:
+                return (fn(V[0], *(r[0] for r in R))[None],)
+            except np.linalg.LinAlgError:
+                return (np.full((1, width), np.nan),)
+        (out,), errors = rows_apart(row, 1, ((width,),))
+        return out, errors
     return block
 
 
@@ -488,7 +464,7 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
     trace = [] if cfg.record_trace else None
 
     def at(z):
-        return _pair(slot, z[:T], z[T:])
+        return _pair(slot, z[..., :T], z[..., T:])
 
     def inner_min(w, v0):
         def gradient(v):
@@ -515,7 +491,7 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
 
     def record(it, rows, Z, G, gn):
         trace.append((it, float(gn[0]), residual_from_grad(*grad_i(spec, u, *at(Z[0]))),
-                      _action_or_nan(spec, u, *at(Z[0]))))
+                      float(_action_or_nan(spec, u, *at(Z))[0])))
 
     (end,) = _damped_newton(
         _one_row(reduced_gradient, T), _one_row(step, 2 * T),

@@ -77,6 +77,14 @@ def test_gridfunction_immutable():
         x.values[1] = 1.0
 
 
+def test_gridfunction_leaves_the_callers_array_writable():
+    a = np.zeros(5)
+    x = GridFunction(a)
+    a[2] = 1.0
+    assert a[2] == 1.0
+    assert np.array_equal(x.values, np.zeros(5)) and not x.values.flags.writeable
+
+
 def test_laplacian_small_matrices():
     # applied to the rows of the identity, row by row, it gives its own matrix
     assert np.array_equal(laplacian(1).apply(np.eye(1)), [[2.0]])

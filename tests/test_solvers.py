@@ -292,6 +292,27 @@ def test_newton_lockstep_runs_equal_solo_runs(case, monkeypatch):
         assert all(r.converged for r in ends)
 
 
+def test_one_row_block_outside_the_domain_is_evaluated_once(monkeypatch):
+    # sqrt(x + 2) has no value at x = -3: a one-start newton block raises at
+    # its start, and that first gradient call is the row's own
+    spec = ProblemSpec.create(3, 1.0, "x^2 - y^2 + sqrt(x + 2)")
+    u = ParameterFunction.constant(0.0, 3, 1.0)
+    raised = []
+    grad_i = solvers.grad_i
+
+    def counted(*args):
+        try:
+            return grad_i(*args)
+        except ExprError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(solvers, "grad_i", counted)
+    with pytest.raises(ExprError) as info:
+        newton(spec, u, start([-3.0, 0.5, 0.5], [0.0, 0.0, 0.0]), SolverConfig(method="newton"))
+    assert raised == [info.value]
+
+
 def _made_alone(spec, u, x, y, method, iterations, converged):
     # a candidate from its definition, at the point alone
     try:
