@@ -10,7 +10,7 @@ from .grid import (DirichletLaplacian, GridFunction, delta, embedding_constant,
 from .hypotheses import (BallRadii, GrowthCertificate, ball_radii, check_concavity_y,
                          check_convexity_x, fit_growth_certificate, verify_growth)
 from .problem import (ParameterFunction, ProblemSpec, SaddleCandidate, action, grad,
-                      load_problem, make_candidate, residual)
+                      load_problem, residual)
 from .solvers import (SaddleSet, SolverConfig, extragradient, nested_minimax, newton,
                       product_distance, saddle_set, verify_saddle)
 
@@ -20,7 +20,7 @@ __all__ = [
     "ScalarField", "SolverConfig",
     "action", "ball_radii", "check_concavity_y", "check_convexity_x", "compile_trees", "delta",
     "differentiate", "embedding_constant", "embedding_estimate", "evaluate", "extragradient",
-    "fit_growth_certificate", "grad", "h_norm", "laplacian", "load_problem", "make_candidate",
+    "fit_growth_certificate", "grad", "h_norm", "laplacian", "load_problem",
     "nested_minimax", "newton", "parse", "product_distance", "residual", "run_sequence",
     "saddle_set", "to_string", "uniform_gap", "upper_limit_check", "verify_growth",
     "verify_saddle",

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import GridFunction, h_norm_i, random_interior
-from .problem import (ParameterFunction, integrand_sum_i, make_candidate, parameter_values,
-                      real_numbers, row_blocks)
+from .expressions import ExprError
+from .grid import h_norm_i, random_interior
+from .problem import (ParameterFunction, integrand_sum_i, make_candidates_i, parameter_values,
+                      real_numbers, row_blocks, row_values)
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
                       saddle_set, verify_saddle)
 
@@ -136,8 +137,9 @@ def _sampled_gaps(spec, terms, u0, box, samples, seed):
     Each draw takes ``x`` and then ``y`` from ``random_interior``; the even
     draws are pushed to the ball boundaries, where linear-in-u integrands
     attain the sup.  One pass over the blocks of draws evaluates the limit's
-    integrand sums once per block and each term's once.  ``np.fmax`` skips
-    a nan difference exactly as ``max(worst, nan)`` keeps ``worst``.
+    integrand sums once per block and each term's once.  A draw outside the
+    domain holds nan, and ``np.fmax`` skips a nan difference exactly as
+    ``max(worst, nan)`` keeps ``worst``, as ``verify_saddle``'s probes do.
     """
     if not terms:
         return []
@@ -158,9 +160,9 @@ def _sampled_gaps(spec, terms, u0, box, samples, seed):
 
     worst = np.zeros(len(terms))
     for X, Y in row_blocks(spec.T, pairs()):
-        f0 = integrand_sum_i(spec, u0, X, Y)
+        f0 = row_values(integrand_sum_i, spec, u0, X, Y)
         for j, u in enumerate(terms):
-            worst[j] = np.fmax.reduce(np.abs(integrand_sum_i(spec, u, X, Y) - f0),
+            worst[j] = np.fmax.reduce(np.abs(row_values(integrand_sum_i, spec, u, X, Y) - f0),
                                       initial=worst[j])
     return [float(w) for w in worst]
 
@@ -294,7 +296,7 @@ def upper_limit_check(report: DependenceReport, tol) -> LimitCheck:
     extrapolates the ``1/n`` trend to its limit (the candidate itself when
     only one tail index exists).  Each limit must lie within ``tol`` of the
     baseline set and re-verify as a saddle of the limit problem at
-    ``tol``-level tolerances.
+    ``tol``-level tolerances; a limit outside the integrand's domain fails.
     """
     _check_tolerance(tol, "tol")
     N = max(report.schedule)
@@ -309,28 +311,32 @@ def upper_limit_check(report: DependenceReport, tol) -> LimitCheck:
     spec, u0 = report.spec, report.u0
     violations = []
     limits = []
-    for cand in last.saddles.points:
-        if prev is not None and prev.saddles.points and prev.n != last.n:
-            partner = min(prev.saddles.points, key=lambda c: product_distance(c, cand))
-            n2, n1 = last.n, prev.n
-            lx = (n2 * cand.x.interior - n1 * partner.x.interior) / (n2 - n1)
-            ly = (n2 * cand.y.interior - n1 * partner.y.interior) / (n2 - n1)
+    X = np.array([c.x.interior for c in last.saddles.points])
+    Y = np.array([c.y.interior for c in last.saddles.points])
+    if prev is not None and prev.saddles.points and prev.n != last.n:
+        partners = [min(prev.saddles.points, key=lambda c: product_distance(c, cand))
+                    for cand in last.saddles.points]
+        n2, n1 = last.n, prev.n
+        X = (n2 * X - n1 * np.array([p.x.interior for p in partners])) / (n2 - n1)
+        Y = (n2 * Y - n1 * np.array([p.y.interior for p in partners])) / (n2 - n1)
+    made = make_candidates_i(spec, u0, X, Y, "extrapolated-limit", [0] * len(X),
+                             [True] * len(X), [None] * len(X))
+    for lx, ly, limit in zip(X, Y, made):
+        dist = min(float(np.hypot(h_norm_i(lx - rep.x.values[1:-1]),
+                                  h_norm_i(ly - rep.y.values[1:-1])))
+                   for rep in report.baseline.points)
+        if isinstance(limit, ExprError):
+            passed, failure = False, f"lies outside the integrand's domain: {limit}"
         else:
-            lx, ly = cand.x.interior, cand.y.interior
-        limit = make_candidate(spec, u0, GridFunction.from_interior(lx),
-                               GridFunction.from_interior(ly),
-                               method="extrapolated-limit", iterations=0)
-        dist = min(product_distance(limit, rep) for rep in report.baseline.points)
-        check = verify_saddle(spec, u0, limit, probes=32, eps=tol,
-                              radii=report.radii, seed=report.cfg.seed,
-                              tol_res=tol * (1.0 + spec.lap.norm_inf))
-        limits.append({"n": last.n, "distance_to_baseline": float(dist),
-                       "verified": check.passed})
+            check = verify_saddle(spec, u0, limit, probes=32, eps=tol,
+                                  radii=report.radii, seed=report.cfg.seed,
+                                  tol_res=tol * (1.0 + spec.lap.norm_inf))
+            passed, failure = check.passed, f"fails verification: {'; '.join(check.failures)}"
+        limits.append({"n": last.n, "distance_to_baseline": dist, "verified": passed})
         if dist > tol:
             violations.append(
                 f"limit of branch at n={last.n} is {dist:.3e} from the baseline set (tol {tol:.1e})")
-        if not check.passed:
-            violations.append(
-                f"limit of branch at n={last.n} fails verification: {'; '.join(check.failures)}")
+        if not passed:
+            violations.append(f"limit of branch at n={last.n} {failure}")
     return LimitCheck(passed=not violations, limits=tuple(limits),
                       violations=tuple(violations))

@@ -186,7 +186,11 @@ class DirichletLaplacian:
         non-finite ``v`` for a singular or non-finite one.  For ``T = 1`` the
         solve is one division, so a zero pivot gives ``inf``, not an error.
         The result equals ``scipy.linalg.solve_banded``'s on the same band bit for bit.
+        ``(B, T)`` blocks solve ``B`` systems one row at a time; a row whose
+        solve raises ``LinAlgError`` holds nan.
         """
+        if np.ndim(rhs) == 2:
+            return self._solve_rows(self.solve_shifted, 1, shift, rhs)[0]
         d = 2.0 + np.asarray(shift, dtype=float)
         b = np.array(rhs, dtype=float)
         if self.dimension == 1:
@@ -271,19 +275,21 @@ class DirichletLaplacian:
             return v[0::2], v[1::2]
         v = v.reshape(rhs.shape)
         if info > 0 or not np.isfinite(v).all():
-            return self._solve_rows(shift_x, coupling, shift_y, rhs_x, rhs_y)
+            return tuple(self._solve_rows(self.solve_coupled, 2, shift_x, coupling, shift_y,
+                                          rhs_x, rhs_y))
         return v[:, 0:2 * T:2], v[:, 1:2 * T:2]
 
-    def _solve_rows(self, *blocks):
-        """:meth:`solve_coupled` on ``(B, T)`` blocks one row at a time; singular rows hold nan."""
-        blocks = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in blocks))
-        out = np.full((2,) + blocks[0].shape, np.nan)
+    @staticmethod
+    def _solve_rows(solve, outputs, *blocks):
+        """``outputs`` arrays of ``solve`` on ``(B, T)`` blocks by rows; singular rows hold nan."""
+        blocks = np.broadcast_arrays(*blocks)
+        out = np.empty((outputs,) + blocks[0].shape)
         for i, row in enumerate(zip(*blocks)):
             try:
-                out[:, i] = self.solve_coupled(*row)
+                out[:, i] = solve(*row)
             except LinAlgError:
-                pass
-        return out[0], out[1]
+                out[:, i] = np.nan
+        return out
 
     def coupled_condition(self, shift_x, coupling, shift_y) -> float:
         """1-norm condition estimate of the coupled matrix (``_flapack.dgbtrf``/``dgbcon``)."""

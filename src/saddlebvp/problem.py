@@ -196,6 +196,14 @@ def rows_apart(fn, n, shapes):
     return out, errors
 
 
+def row_values(kernel, spec, u, X, Y):
+    """The float ``kernel(spec, u, x, y)`` (an action or integrand sum) at each row of ``X``, ``Y``.
+
+    A row outside the integrand's domain holds nan (:func:`rows_apart`).
+    """
+    return rows_apart(lambda i: (kernel(spec, u, X[i], Y[i]),), len(X), ((),))[0][0]
+
+
 def integrand_sum_i(spec, u, xv, yv):
     """``sum_k F(k, x(k), y(k), u(k))``: the action without its quadratic terms.
 
@@ -305,16 +313,6 @@ def make_candidates_i(spec, u, X, Y, method, iterations, converged, traces):
                             method=method, iterations=iterations[r], converged=converged[r],
                             trace=traces[r])
             for r in range(len(X))]
-
-
-def make_candidate(spec, u, x, y, method, iterations, converged=True, trace=None):
-    """Assemble a candidate; value and norms are recomputed from the point."""
-    _check_dims(spec, u, x, y)
-    (cand,) = make_candidates_i(spec, u, x.values[None, 1:-1], y.values[None, 1:-1], method,
-                                [iterations], [converged], [trace])
-    if isinstance(cand, ExprError):
-        raise cand
-    return cand
 
 
 # --- problem files ---------------------------------------------------------

@@ -16,16 +16,16 @@ Three routes to a saddle point of the action:
 residual falls by the Armijo fraction.  The loop works on a block of rows,
 one run per row.
 
-``extragradient_runs`` and ``newton_runs`` advance many starts in lockstep,
-as the rows of ``(B, T)`` (newton: ``(B, 2T)``) arrays: each row keeps its
-own step, iterate and stop, and one kernel call per iteration serves every
-live row, as one band solve per iteration serves newton's.  The starts
-arrive as arrays of interior values, and the candidates of a block come
-from one gradient and one action call.  The problem layer and the band
-solve treat a block row by row bit for bit as alone, and every block goes
-through :func:`~saddlebvp.problem.rows_apart`, so each start ends exactly
-where its own run ends and only the rows that leave the domain fail.
-Nested starts run one by one, each level of each as a one-row block.
+``extragradient_runs``, ``newton_runs`` and ``nested_runs`` advance many
+starts in lockstep, as the rows of ``(B, T)`` (newton and nested:
+``(B, 2T)``) arrays: each row keeps its own step, iterate and stop, and one
+kernel call per iteration serves every live row, as one band solve per
+iteration serves newton's and nested's outer step.  The starts arrive as
+arrays of interior values, and the candidates of a block come from one
+gradient and one action call.  The problem layer and the band solve treat a
+block row by row bit for bit as alone, and every block goes through
+:func:`~saddlebvp.problem.rows_apart`, so each start ends exactly where its
+own run ends and only the rows that leave the domain fail.
 
 ``verify_saddle`` checks a candidate a posteriori: small system defect,
 sampled saddle inequalities, and the second-order test that ``x -> J(x, y*)``
@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ExprError
-from .grid import GridFunction, h_norm, h_norm_i, random_interior, squared_norm
-from .problem import (SaddleCandidate, action_i, block_rows, grad_i, make_candidate,
-                      make_candidates_i, residual, residual_from_grad, row_blocks, rows_apart,
+from .grid import h_norm, h_norm_i, random_interior, squared_norm
+from .problem import (SaddleCandidate, action_i, block_rows, grad_i, make_candidates_i,
+                      residual, residual_from_grad, row_blocks, row_values, rows_apart,
                       second_partials_i)
 
 INNER_MAX_ITER = 200
@@ -97,33 +97,29 @@ def product_distance(a, b) -> float:
                           h_norm_i(a.y.values[1:-1] - b.y.values[1:-1])))
 
 
-def _action_or_nan(spec, u, X, Y):
-    """Action at each row of a ``(B, T)`` block, ``nan`` outside the integrand's domain.
-
-    Traces and probes read it (:func:`~saddlebvp.problem.rows_apart`), so
-    recording a trace cannot fail a start.
-    """
-    return rows_apart(lambda i: (action_i(spec, u, X[i], Y[i]),), len(X), ((),))[0][0]
-
-
 def _rows(kernel, outputs, spec, u, X, Y):
     """``kernel(spec, u, X, Y)``, ``outputs`` arrays, by :func:`~saddlebvp.problem.rows_apart`."""
     return rows_apart(lambda i: kernel(spec, u, X[i], Y[i]), len(X), (X.shape[1:],) * outputs)
 
 
-def _finish(spec, u, method, finished, traces, ends):
-    """Put into ``ends`` each finished run's candidate, or the ``ExprError`` that making it raises.
+def _record(traces, spec, u, it, rows, norms, GX, GY, X, Y):
+    """Append ``(it, |G|_2, residual, action)`` to each trace in ``rows``; nan outside the domain."""
+    values = zip(norms.tolist(), residual_from_grad(GX, GY).tolist(),
+                 row_values(action_i, spec, u, X, Y).tolist())
+    for r, row in zip(rows, values):
+        traces[r].append((it, *row))
 
-    ``finished`` holds ``(start, x, y, iterations, converged)`` per run, with
-    interior values ``x`` and ``y``; the candidates come from one block.
+
+def _finish(spec, u, method, X, Y, iterations, converged, errors, traces):
+    """Per run, the exception in ``errors`` that ended it, else its candidate at ``X[r]``, ``Y[r]``.
+
+    The candidates come from one block (:func:`~saddlebvp.problem.make_candidates_i`);
+    a row outside the integrand's domain gets its ``ExprError`` instead.
     """
-    if not finished:
-        return
-    starts, xs, ys, iterations, converged = zip(*finished)
-    cands = make_candidates_i(spec, u, np.array(xs), np.array(ys), method, iterations, converged,
-                              [traces[i] for i in starts])
-    for i, cand in zip(starts, cands):
-        ends[i] = cand
+    made = [r for r in range(len(X)) if r not in errors]
+    cands = iter(make_candidates_i(spec, u, X[made], Y[made], method, iterations[made].tolist(),
+                                   converged[made].tolist(), [traces[r] for r in made]))
+    return [errors[r] if r in errors else next(cands) for r in range(len(X))]
 
 
 def extragradient(spec, u, z0, cfg: SolverConfig):
@@ -170,11 +166,10 @@ def _lockstep(spec, u, X, Y, cfg):
     best_gn, best_X, best_Y = np.full(len(X), np.inf), X, Y
     best_it = np.zeros(len(X), dtype=int)
     traces = [[] if cfg.record_trace else None for _ in rows]
-    ends = [None] * len(X)
-    finished = []
-
-    def finish(r, xv, yv, iterations, converged):
-        finished.append((rows[r], xv.copy(), yv.copy(), iterations, converged))
+    end_X, end_Y = np.empty((2,) + X.shape)
+    iterations = np.full(len(X), cfg.max_iter)
+    ended_converged = np.zeros(len(X), dtype=bool)
+    failed = {}
 
     for it in range(cfg.max_iter):
         if not rows.size:
@@ -182,11 +177,8 @@ def _lockstep(spec, u, X, Y, cfg):
         (GX, GY), errors = _rows(grad_i, 2, spec, u, X, Y)
         gn = np.sqrt(squared_norm(GX) + squared_norm(GY))
         if cfg.record_trace:
-            values = zip(gn.tolist(), residual_from_grad(GX, GY).tolist(),
-                         _action_or_nan(spec, u, X, Y).tolist())
-            for r, (g, res, value) in enumerate(values):
-                if r not in errors:
-                    traces[rows[r]].append((it, g, res, value))
+            ok = [r for r in range(rows.size) if r not in errors] if errors else slice(None)
+            _record(traces, spec, u, it, rows[ok], gn[ok], GX[ok], GY[ok], X[ok], Y[ok])
         better = gn < best_gn
         best_gn = np.where(better, gn, best_gn)
         best_X = np.where(better[:, None], X, best_X)
@@ -211,59 +203,58 @@ def _lockstep(spec, u, X, Y, cfg):
             gamma[s[~passed]] *= 0.5
             search[s] = ~passed & (gamma[s] >= EG_MIN_STEP)
 
-        for r in np.flatnonzero(~accepted):  # step floor reached, or stopped above
-            if r in errors:
-                ends[rows[r]] = errors[r]
-            elif converged[r]:
-                finish(r, X[r], Y[r], it, True)
-            else:
-                finish(r, best_X[r], best_Y[r], it, False)
+        stop = ~accepted  # step floor reached, or stopped above
+        if stop.any():  # a converged run ends where it is, the others at their best
+            end_X[rows[stop]] = np.where(converged[stop, None], X[stop], best_X[stop])
+            end_Y[rows[stop]] = np.where(converged[stop, None], Y[stop], best_Y[stop])
+            iterations[rows[stop]], ended_converged[rows[stop]] = it, converged[stop]
+            failed.update((rows[r], exc) for r, exc in errors.items())
         step = gamma[accepted, None]
         X = X[accepted] - step * GXH[accepted]
         Y = Y[accepted] + step * GYH[accepted]
         gamma = gamma[accepted] * EG_GROWTH
         rows, best_gn, best_X, best_Y, best_it = (
             a[accepted] for a in (rows, best_gn, best_X, best_Y, best_it))
-    for r in range(rows.size):
-        finish(r, best_X[r], best_Y[r], cfg.max_iter, False)
-    _finish(spec, u, "extragradient", finished, traces, ends)
-    return ends
+    end_X[rows], end_Y[rows] = best_X, best_Y
+    return _finish(spec, u, "extragradient", end_X, end_Y, iterations, ended_converged, failed,
+                   traces)
 
 
 def _damped_newton(residual, direction, V, tol, max_iter, on_iterate=None, condition=None):
     """Damped Newton on ``residual(v) = 0`` from every row ``v`` of the ``(B, n)`` block ``V``.
 
-    ``residual(V)`` returns ``(R, errors)``: the residual at each row and
-    ``{row: ExprError}`` for the rows outside the integrand's domain, whose
-    rows of ``R`` are not read.  ``direction(V, R)`` returns ``(D, errors)``
+    The callbacks get ``rows``, the block indices of the rows they are given.
+    ``residual(rows, V)`` returns ``(R, errors)``: the residual at each row
+    and ``{row: exception}`` for the rows where it failed, whose rows of
+    ``R`` are not read.  ``direction(rows, V, R)`` returns ``(D, errors)``
     in the same way, each row of ``D`` solving ``J d = -r`` with ``J`` the
     residual's Jacobian at that row, or nan where the solve failed.
 
     Every row runs on its own.  Each iteration calls
-    ``on_iterate(it, rows, V, R, |R|_2)`` on the live rows, ``rows`` being
-    their indices in the block; a row then stops if the max-norm of its
-    residual is at most ``tol``.  Its step ``t`` halves from 1 down to
-    ``1e-12`` until ``|r(v + t d)|_2 <= (1 - ARMIJO t) |r(v)|_2``; a trial
-    point outside the domain is a rejected step, and a row whose line search
-    finds no step stops flagged as not converged.  One ``residual`` call per
-    line-search round and one ``direction`` call per iteration serve every
-    live row.  A singular or non-finite direction ends its row with
-    :class:`SolverError`, with the estimate ``condition(v)`` in the message
-    when given; a row outside the domain at its start or where its direction
-    is evaluated ends with that ``ExprError``.
+    ``on_iterate(it, rows, V, R, |R|_2)`` on the live rows; a row then stops
+    if the max-norm of its residual is at most ``tol``.  Its step ``t``
+    halves from 1 down to ``1e-12`` until
+    ``|r(v + t d)|_2 <= (1 - ARMIJO t) |r(v)|_2``; a trial point outside the
+    domain (an ``ExprError``) is a rejected step, and a row whose line
+    search finds no step stops flagged as not converged.  One ``residual``
+    call per line-search round and one ``direction`` call per iteration
+    serve every live row.  A singular or non-finite direction ends its row
+    with :class:`SolverError`, with the estimate ``condition(v)`` in the
+    message when given; any other error ends its row too.
 
-    Returns, per row, ``(v, iterations, converged)`` or the exception that
-    ended it.
+    Returns ``(V, iterations, converged, errors)``: each row's last iterate,
+    iteration count and flag, and ``{row: exception}`` for the rows that an
+    exception ended.
     """
     V = np.array(V, dtype=float)  # residual may write into its rows, as nested does
-    ends = [None] * len(V)
+    end = np.full_like(V, np.nan)
+    iterations = np.full(len(V), max_iter)
+    converged = np.zeros(len(V), dtype=bool)
     rows = np.arange(len(V))
-    R, errors = residual(V)
-    for r, exc in errors.items():
-        ends[r] = exc
-    if errors:
+    R, ended = residual(rows, V)
+    if ended:
         live = np.ones(len(V), dtype=bool)
-        live[list(errors)] = False
+        live[list(ended)] = False
         rows, V, R = rows[live], V[live], R[live]
     for it in range(max_iter):
         if not rows.size:
@@ -273,69 +264,54 @@ def _damped_newton(residual, direction, V, tol, max_iter, on_iterate=None, condi
             on_iterate(it, rows, V, R, rn)
         done = np.abs(R).max(axis=1) <= tol
         if done.any():
-            for r in np.flatnonzero(done):
-                ends[rows[r]] = (V[r], it, True)
+            end[rows[done]], iterations[rows[done]], converged[rows[done]] = V[done], it, True
             rows, V, R, rn = rows[~done], V[~done], R[~done], rn[~done]
             if not rows.size:
                 break
 
-        D, errors = direction(V, R)
+        D, errors = direction(rows, V, R)
         failed = ~np.isfinite(D).all(axis=1)
         if errors:
             failed[list(errors)] = True
         if failed.any():
             for r in np.flatnonzero(failed):
                 if r in errors:
-                    ends[rows[r]] = errors[r]
+                    ended[rows[r]] = errors[r]
                     continue
                 detail = "" if condition is None else f" (cond estimate {condition(V[r]):.3e})"
-                ends[rows[r]] = SolverError(f"singular Jacobian at iteration {it}{detail}")
+                ended[rows[r]] = SolverError(f"singular Jacobian at iteration {it}{detail}")
             rows, V, R, rn, D = (a[~failed] for a in (rows, V, R, rn, D))
 
         # The rows still searching have all halved their step as often, so
         # one t is the step of each of them.
         t = 1.0
         search = np.arange(rows.size)
+        fatal = []
         while search.size and t >= 1e-12:
             VT = V[search] + t * D[search]
-            RT, errors = residual(VT)
-            # a trial point outside the domain is rejected
+            RT, errors = residual(rows[search], VT)
             passed = np.sqrt(squared_norm(RT)) <= (1.0 - ARMIJO * t) * rn[search]
-            if errors:
-                passed[list(errors)] = False
+            retry = ~passed
+            for i, exc in errors.items():
+                # a trial point outside the domain is a rejected step; other errors end the row
+                passed[i], retry[i] = False, isinstance(exc, ExprError)
+                if not retry[i]:
+                    ended[rows[search[i]]] = exc
+                    fatal.append(search[i])
             V[search[passed]], R[search[passed]] = VT[passed], RT[passed]
-            search = search[~passed]
+            search = search[retry]
             t *= 0.5
-        if search.size:  # line search stall
-            for r in search:
-                ends[rows[r]] = (V[r], it, False)
+        if search.size or fatal:  # a line search stall, or an error
+            end[rows[search]], iterations[rows[search]] = V[search], it
             going = np.ones(rows.size, dtype=bool)
-            going[search] = False
+            going[search] = going[fatal] = False
             rows, V, R = rows[going], V[going], R[going]
-    for r in range(rows.size):
-        ends[rows[r]] = (V[r], max_iter, False)
-    return ends
-
-
-def _one_row(fn, width):
-    """``fn`` on 1-d arrays as a ``residual`` or ``direction`` of :func:`_damped_newton`.
-
-    The block has one row, and the result ``width`` values.  A ``LinAlgError``
-    (a singular solve) gives a nan row; an ``ExprError`` is the row's.
-    """
-    def block(V, *R):
-        def row(_):  # a one-row block is evaluated once, as its row
-            try:
-                return (fn(V[0], *(r[0] for r in R))[None],)
-            except np.linalg.LinAlgError:
-                return (np.full((1, width), np.nan),)
-        (out,), errors = rows_apart(row, 1, ((width,),))
-        return out, errors
-    return block
+    end[rows] = V
+    return end, iterations, converged, ended
 
 
 def _raise_or_return(end):
-    """A run's end as :func:`_damped_newton` or a ``*_runs`` function gives it; exceptions raise."""
+    """A run's end as a ``*_runs`` function gives it; exceptions raise."""
     if isinstance(end, Exception):
         raise end
     return end
@@ -379,11 +355,11 @@ def _newton_block(spec, u, X0, Y0, cfg):
     T = spec.T
     traces = [[] if cfg.record_trace else None for _ in X0]
 
-    def system(V):
+    def system(rows, V):
         (GX, GY), errors = _rows(grad_i, 2, spec, u, V[:, :T], V[:, T:])
         return np.concatenate((GX, -GY), axis=1), errors
 
-    def step(V, R):
+    def step(rows, V, R):
         # The nan partials of a row outside the domain only send the band
         # solve to its row-by-row path; a nan row of D fails as singular.
         (FXX, FXY, FYY), errors = _rows(second_partials_i, 3, spec, u, V[:, :T], V[:, T:])
@@ -396,17 +372,12 @@ def _newton_block(spec, u, X0, Y0, cfg):
         return spec.lap.coupled_condition(fxx, fxy, -fyy)
 
     def record(it, rows, V, R, rn):
-        values = zip(rn.tolist(), residual_from_grad(R[:, :T], R[:, T:]).tolist(),
-                     _action_or_nan(spec, u, V[:, :T], V[:, T:]).tolist())
-        for r, row in zip(rows, values):
-            traces[r].append((it, *row))
+        _record(traces, spec, u, it, rows, rn, R[:, :T], R[:, T:], V[:, :T], V[:, T:])
 
-    ends = _damped_newton(system, step, np.concatenate((X0, Y0), axis=1), cfg.tol,
-                          cfg.max_iter, record if cfg.record_trace else None, condition)
-    finished = [(i, end[0][:T], end[0][T:], end[1], end[2])
-                for i, end in enumerate(ends) if not isinstance(end, Exception)]
-    _finish(spec, u, "newton", finished, traces, ends)
-    return ends
+    V, iterations, converged, errors = _damped_newton(
+        system, step, np.concatenate((X0, Y0), axis=1), cfg.tol, cfg.max_iter,
+        record if cfg.record_trace else None, condition)
+    return _finish(spec, u, "newton", V[:, :T], V[:, T:], iterations, converged, errors, traces)
 
 
 def _order(outer):
@@ -435,7 +406,7 @@ def _schur_solve(lap, partials, slot, s, g):
     ``w -> grad_w J(w, v*(w))``.  Rather than forming it, solve the Jacobian
     band ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]`` with ``-s g`` in the outer
     slots and 0 in the inner ones: eliminating the inner unknowns leaves
-    ``s S d = -s g``.
+    ``s S d = -s g``.  ``(B, T)`` blocks solve one system per row.
     """
     fxx, fxy, fyy = partials
     rhs = [np.zeros_like(g), np.zeros_like(g)]
@@ -451,58 +422,82 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
     point of the concave reduced function ``y -> min_x J(x, y)``, realizing
     ``max_y min_x``; ``outer="x"`` mirrors the construction and realizes
     ``min_x max_y`` (pass the starting ``x`` as ``y0``).  Both levels run
-    :func:`_damped_newton`, each on a one-row block: the inner one on
-    ``-s grad_v J(v, w)`` with the tridiagonal Hessian ``L - s F_vv`` to
-    ``INNER_TOL_FACTOR * tol``, warm from the last accepted inner point; the
-    outer one on the reduced gradient ``grad_w J(w, v*(w))`` with the Schur
-    complement direction (:func:`_schur_solve`) to ``tol``.  Only trace rows
-    evaluate the action.
+    :func:`_damped_newton`: the inner one on ``-s grad_v J(v, w)`` with the
+    tridiagonal Hessian ``L - s F_vv`` to ``INNER_TOL_FACTOR * tol``, warm
+    from the last accepted inner point; the outer one on the reduced
+    gradient ``grad_w J(w, v*(w))`` with the Schur complement direction
+    (:func:`_schur_solve`) to ``tol``.  Only trace rows evaluate the action.
+    Raises the ``ExprError`` of a start that leaves the integrand's domain
+    and :class:`SolverError` on a singular Hessian of either level, inner
+    ones at trial points included.
+
+    This is the one-start case of :func:`nested_runs`.
     """
+    (end,) = nested_runs(spec, u, y0.values[None, 1:-1], cfg, outer)
+    return _raise_or_return(end)
+
+
+def nested_runs(spec, u, W0, cfg: SolverConfig, outer="y"):
+    """:func:`nested_minimax` from each row of the ``(S, T)`` outer starts ``W0``, in lockstep.
+
+    The starts advance together as the rows of one outer ``(B, 2T)`` block
+    of :func:`_damped_newton`, in groups of ``block_rows(T)``; each outer
+    residual call solves the inner problems of its rows as one inner block,
+    each row at its own outer value, and the outer directions come from one
+    band solve.  Each run ends bit for bit where it ends alone.  Returns,
+    per start, its candidate or the ``SolverError`` or ``ExprError`` it
+    raises alone.
+    """
+    size = block_rows(spec.T)
+    return [end for i in range(0, len(W0), size)
+            for end in _nested_block(spec, u, W0[i:i + size], cfg, outer)]
+
+
+def _nested_block(spec, u, W0, cfg, outer):
     s, slot = _order(outer)
     T = spec.T
     tol_inner = max(INNER_TOL_FACTOR * cfg.tol, 1e-14)
-    trace = [] if cfg.record_trace else None
+    traces = [[] if cfg.record_trace else None for _ in W0]
 
-    def at(z):
-        return _pair(slot, z[..., :T], z[..., T:])
+    def at(Z):
+        return _pair(slot, Z[:, :T], Z[:, T:])
 
-    def inner_min(w, v0):
-        def gradient(v):
-            return -s * grad_i(spec, u, *_pair(slot, w, v))[1 - slot]
+    def inner_min(W, V0):
+        # row r of V0 is the inner start at the outer value W[r]
+        def gradient(rows, V):
+            G, errors = _rows(grad_i, 2, spec, u, *_pair(slot, W[rows], V))
+            return -s * G[1 - slot], errors
 
-        def step(v, g):
-            shift = -s * second_partials_i(spec, u, *_pair(slot, w, v))[2 * (1 - slot)]
-            return spec.lap.solve_shifted(shift, -g)
+        def step(rows, V, G):
+            partials, errors = _rows(second_partials_i, 3, spec, u, *_pair(slot, W[rows], V))
+            return spec.lap.solve_shifted(-s * partials[2 * (1 - slot)], -G), errors
 
-        (end,) = _damped_newton(_one_row(gradient, T), _one_row(step, T), v0[None],
-                                tol_inner, INNER_MAX_ITER)
-        return _raise_or_return(end)[0]
+        return _damped_newton(gradient, step, V0, tol_inner, INNER_MAX_ITER)
 
     # The outer iterate is z = (w, v).  A trial keeps the accepted v as the
     # inner warm start, and the residual overwrites it with the inner
     # argmin, so every accepted z holds (w, v*(w)).
-    def reduced_gradient(z):
-        z[T:] = inner_min(z[:T], z[T:])
-        return grad_i(spec, u, *at(z))[slot]
+    def reduced_gradient(rows, Z):
+        V, _, _, errors = inner_min(Z[:, :T], Z[:, T:])
+        Z[:, T:] = V
+        G, grad_errors = _rows(grad_i, 2, spec, u, *at(Z))
+        return G[slot], {**grad_errors, **errors}
 
-    def step(z, g):
-        d = _schur_solve(spec.lap, second_partials_i(spec, u, *at(z)), slot, s, g)
-        return np.concatenate((d, np.zeros(T)))
+    def step(rows, Z, G):
+        partials, errors = _rows(second_partials_i, 3, spec, u, *at(Z))
+        D = np.zeros_like(Z)
+        D[:, :T] = _schur_solve(spec.lap, partials, slot, s, G)
+        return D, errors
 
     def record(it, rows, Z, G, gn):
-        trace.append((it, float(gn[0]), residual_from_grad(*grad_i(spec, u, *at(Z[0]))),
-                      float(_action_or_nan(spec, u, *at(Z))[0])))
+        X, Y = at(Z)
+        _record(traces, spec, u, it, rows, gn, *grad_i(spec, u, X, Y), X, Y)
 
-    (end,) = _damped_newton(
-        _one_row(reduced_gradient, T), _one_row(step, 2 * T),
-        np.concatenate((y0.interior, np.zeros(T)))[None], cfg.tol, cfg.max_iter,
-        record if trace is not None else None)
-    z, it, converged = _raise_or_return(end)
-    xv, yv = at(z)
+    Z, iterations, converged, errors = _damped_newton(
+        reduced_gradient, step, np.concatenate((W0, np.zeros_like(W0)), axis=1), cfg.tol,
+        cfg.max_iter, record if cfg.record_trace else None)
     method = "nested" if outer == "y" else "nested-xfirst"
-    return make_candidate(spec, u, GridFunction.from_interior(xv),
-                          GridFunction.from_interior(yv), method,
-                          iterations=it, converged=converged, trace=trace)
+    return _finish(spec, u, method, *at(Z), iterations, converged, errors, traces)
 
 
 @dataclass(frozen=True)
@@ -555,8 +550,8 @@ def verify_saddle(spec, u, cand, probes=64, eps=1e-8, radii=None, seed=0, tol_re
     # Python's max, in draw order, skips the nan gap of a probe outside the domain.
     worst_y = worst_x = -np.inf
     for PY, PX in row_blocks(spec.T, draws()):
-        gaps_y = _action_or_nan(spec, u, np.tile(xv, (len(PY), 1)), PY) - value
-        gaps_x = -(_action_or_nan(spec, u, PX, np.tile(yv, (len(PX), 1))) - value)
+        gaps_y = row_values(action_i, spec, u, np.tile(xv, (len(PY), 1)), PY) - value
+        gaps_x = -(row_values(action_i, spec, u, PX, np.tile(yv, (len(PX), 1))) - value)
         worst_y = max(worst_y, *gaps_y.tolist())
         worst_x = max(worst_x, *gaps_x.tolist())
     inequalities_ok = worst_y <= eps and worst_x <= eps
@@ -606,10 +601,10 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     raises :class:`SolverError` or leaves the expression domain (``ExprError``)
     counts as failed.  Results are deterministic for a fixed seed.
 
-    Extragradient and newton starts run in one :func:`extragradient_runs` or
-    :func:`newton_runs` call, in lockstep; each ends exactly as it does
-    alone, so the set does not depend on how the starts are grouped.  Nested
-    starts run one by one from their ``y`` draws.
+    The starts run in one :func:`extragradient_runs`, :func:`newton_runs` or
+    :func:`nested_runs` call (nested from the ``y`` draws), in lockstep; each
+    ends exactly as it does alone, so the set does not depend on how the
+    starts are grouped.
     """
     rx, ry = radii_pair(radii, DEFAULT_RADII)
     X0, Y0 = np.empty((2, cfg.multistart, spec.T))
@@ -618,18 +613,12 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
         X0[i] = random_interior(spec.T, rx, rng)
         Y0[i] = random_interior(spec.T, ry, rng)
 
-    def nested(y0):
-        try:
-            return nested_minimax(spec, u, GridFunction.from_interior(y0), cfg)
-        except (SolverError, ExprError):
-            return None
-
     if cfg.method == "extragradient":
         results = extragradient_runs(spec, u, X0, Y0, cfg)
     elif cfg.method == "newton":
         results = newton_runs(spec, u, X0, Y0, cfg)
     else:
-        results = [nested(y0) for y0 in Y0]
+        results = nested_runs(spec, u, Y0, cfg)
 
     converged = [c for c in results if isinstance(c, SaddleCandidate) and c.converged]
     failures = len(results) - len(converged)

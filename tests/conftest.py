@@ -8,7 +8,7 @@ so they stay independent of the library code they are used to check.
 import numpy as np
 
 from saddlebvp import GridFunction, ParameterFunction, ProblemSpec, action
-from saddlebvp.expressions import evaluate
+from saddlebvp.expressions import ExprError, evaluate
 
 
 def central_fd_gradient(spec, u, x, y, h=5e-6):
@@ -90,8 +90,9 @@ def per_pair_gap(spec, u_a, u_b, radii, samples, seed):
     Returns ``(sup, differences)``.  Each draw is ``x`` then ``y``, uniform in
     the ball of the difference norm: a Gaussian direction scaled to the
     radius ``r U^(1/T)``; the even draws are scaled onto the spheres.  Every
-    pair's sums come from the interpreter on that pair alone, and the sup is
-    the running ``max``, which passes over nan differences.
+    pair's sums come from the interpreter on that pair alone, nan for a
+    pair outside the integrand's domain, and the sup is the running ``max``,
+    which passes over nan differences.
     """
     T = spec.T
     k = np.arange(1, T + 1, dtype=float)
@@ -105,7 +106,10 @@ def per_pair_gap(spec, u_a, u_b, radii, samples, seed):
         return padded * (r / np.sqrt(d @ d))
 
     def integrand_sum(u, xv, yv):
-        f = evaluate(spec.field.f, {"k": k, "x": xv, "y": yv, "u": u.values})
+        try:
+            f = evaluate(spec.field.f, {"k": k, "x": xv, "y": yv, "u": u.values})
+        except ExprError:
+            return np.nan
         return float(np.broadcast_to(f, (T,)).sum())
 
     worst, differences = 0.0, []

@@ -131,9 +131,19 @@ def test_block_solves_equal_row_solves(T, B, seed, scale, zeros, broken):
     with np.errstate(all="ignore"):
         expected = _row_solves(lap, inputs)
         vx, vy = lap.solve_coupled(*inputs)
+        # the tridiagonal solve of the x block alone, by the same rule
+        shifted = lap.solve_shifted(inputs[0], inputs[3])
+        shifted_rows = []
+        for shift, rhs in zip(inputs[0], inputs[3]):
+            try:
+                shifted_rows.append(lap.solve_shifted(shift, rhs))
+            except LinAlgError:
+                shifted_rows.append(np.full(T, np.nan))
     assert np.concatenate((vx, vy), axis=1).tobytes() == expected.tobytes()
+    assert shifted.tobytes() == np.array(shifted_rows).tobytes()
     if broken == "singular":
         assert np.isnan(expected[bad]).all()
+        assert T == 1 or np.isnan(shifted[bad]).all()
     assert inputs.tobytes() == given_inputs.tobytes()
 
 

@@ -7,11 +7,11 @@ from conftest import dirichlet_matrix, nonlinear_instance, per_pair_gap
 from saddlebvp import (GridFunction, ParameterFunction, ParameterSequence,
                        ProblemSpec, SolverConfig, action, h_norm, run_sequence, uniform_gap,
                        upper_limit_check)
-from saddlebvp.dependence import (GAP_SAMPLES, DependenceError, geometric_schedule,
-                                  sequence_from_dict)
+from saddlebvp.dependence import (GAP_SAMPLES, DependenceError, DependenceReport,
+                                  SequenceEntry, geometric_schedule, sequence_from_dict)
 from saddlebvp.grid import random_interior
-from saddlebvp.problem import ProblemError
-from saddlebvp.solvers import SolverError
+from saddlebvp.problem import ProblemError, make_candidates_i
+from saddlebvp.solvers import SaddleSet, SolverError, saddle_set
 
 CFG = SolverConfig(method="newton", tol=1e-12, multistart=4)
 
@@ -227,6 +227,24 @@ def test_run_sequence_gaps_match_the_per_pair_loop():
                                             seed=11)
 
 
+@pytest.mark.parametrize("method", ["newton", "extragradient", "nested"])
+def test_run_sequence_gaps_skip_draws_outside_the_domain(method):
+    # sqrt(y + 1) is undefined on part of the ball: those draws hold nan and
+    # are skipped, as verify_saddle skips its probes there, and the gaps of
+    # the linear u-term fall as 1/n
+    T = 3
+    spec = ProblemSpec.create(T, 1.0, "x^2 - y^2 + sqrt(y + 1) + u*(x - y)")
+    u0 = ParameterFunction.constant(0.2, T, 1.0)
+    seq = ParameterSequence.rule(u0, np.full(T, 0.5), N=16)
+    report = run_sequence(spec, seq, SolverConfig(method=method))
+    assert [e.error for e in report.entries] == [None] * 5
+    for entry in report.entries:
+        want, differences = per_pair_gap(spec, entry.u, u0, (4.0, 4.0), GAP_SAMPLES, 0)
+        assert np.isnan(differences).any() and not np.isnan(differences).all()
+        assert entry.gap == want, entry.n
+        assert entry.gap * entry.n == pytest.approx(report.entries[0].gap, rel=1e-12)
+
+
 def test_constant_sequence_is_exact():
     spec, u0 = bilinear_family()
     terms = [u0] * 4
@@ -303,6 +321,34 @@ def test_upper_limit_check_flags_wrong_baseline():
     check = upper_limit_check(adversarial, tol=1e-4)
     assert not check.passed
     assert any("baseline" in v for v in check.violations)
+
+
+def test_upper_limit_check_limit_outside_the_domain():
+    # tail points x = -1.2 at n = 32 and x = -1.4 at n = 64 extrapolate to
+    # x = -1.6, where log(x + 1.5) is undefined: a violation, not an error
+    spec = ProblemSpec.create(1, 1.0, "x^2 - y^2 + log(x + 1.5)")
+    u0 = ParameterFunction.constant(0.0, 1, 1.0)
+    cfg = SolverConfig(method="newton")
+    baseline = saddle_set(spec, u0, cfg)
+    entries = []
+    for n, x in ((32, -1.2), (64, -1.4)):
+        (cand,) = make_candidates_i(spec, u0, np.array([[x]]), np.zeros((1, 1)), "newton", [1],
+                                    [True], [None])
+        entries.append(SequenceEntry(n=n, u=u0, saddles=SaddleSet((cand,), 1e-4, 1),
+                                     value=cand.value, dist=0.0, gap=0.0, clamped=False))
+    report = DependenceReport(
+        u0=u0, baseline=baseline, entries=tuple(entries), schedule=(32, 64), tol_dep=1e-4,
+        a0=baseline.points[0].value, final_dist=0.0, final_value_gap=0.0, all_nonempty=True,
+        dist_converged=True, values_converged=True, partial=False, spec=spec, cfg=cfg)
+    check = upper_limit_check(report, tol=1e-4)
+    assert not check.passed
+    assert check.violations[-1] == ("limit of branch at n=64 lies outside the integrand's "
+                                    "domain: log of nonpositive value in 'log(x + 1.5)'")
+    (limit,) = check.limits
+    assert limit["verified"] is False
+    # on T = 1 the difference norm of a value d is sqrt(2) |d|
+    assert limit["distance_to_baseline"] == pytest.approx(min(
+        np.sqrt(2.0) * np.hypot(-1.6 - rep.x(1), rep.y(1)) for rep in baseline.points))
 
 
 def test_run_sequence_partial_on_failing_term():

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import central_fd_gradient, dirichlet_matrix, quadratic_instance
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, action, grad,
-                       load_problem, make_candidate, residual)
+                       load_problem, residual)
 from saddlebvp.expressions import (Call, DomainError, Neg, Num, Pow, ScalarField, Var,
                                    evaluate, parse)
 from saddlebvp.grid import squared_norm
 from saddlebvp.problem import (ProblemError, action_i, grad_i, integrand_sum_i,
-                               parameter_values, problem_from_dict, read_json,
+                               make_candidates_i, parameter_values, problem_from_dict, read_json,
                                residual_from_grad, second_partials_i)
 
 
@@ -320,9 +320,10 @@ def test_residual_from_grad_rows_keep_the_one_point_nan_rule():
 
 # --- candidates ------------------------------------------------------------------
 
-def test_make_candidate_recomputes_value():
+def test_make_candidates_i_recomputes_value():
     spec, u, x, y = closed_form_instance()
-    cand = make_candidate(spec, u, x, y, method="test", iterations=3)
+    (cand,) = make_candidates_i(spec, u, x.values[None, 1:-1], y.values[None, 1:-1], "test", [3],
+                                [True], [None])
     assert cand.value == pytest.approx(action(spec, u, x, y), rel=1e-10)
     assert cand.residual_norm == residual(spec, u, x, y)
     assert cand.method == "test" and cand.iterations == 3 and cand.converged

@@ -9,13 +9,14 @@ from conftest import (dirichlet_matrix, direct_quadratic_solve, nonlinear_instan
                       quadratic_instance)
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, SaddleCandidate,
                        SolverConfig, action, embedding_constant, grad, h_norm, load_problem,
-                       make_candidate, product_distance, solvers)
+                       product_distance, solvers)
 from saddlebvp.hypotheses import ball_radii, certificate_from_dict
 from saddlebvp.expressions import ExprError
 from saddlebvp.grid import random_interior
 from saddlebvp.problem import action_i, block_rows, make_candidates_i, residual_from_grad
 from saddlebvp.solvers import (SolverError, extragradient, extragradient_runs, nested_minimax,
-                               newton, newton_runs, radii_pair, saddle_set, verify_saddle)
+                               nested_runs, newton, newton_runs, radii_pair, saddle_set,
+                               verify_saddle)
 
 TIGHT = SolverConfig(tol=1e-12)
 EXP_T5 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -170,6 +171,7 @@ def _assert_same_run(lockstep, solo):
         return
     assert lockstep.x.values.tobytes() == solo.x.values.tobytes()
     assert lockstep.y.values.tobytes() == solo.y.values.tobytes()
+    assert lockstep.value.hex() == solo.value.hex()
     assert (lockstep.iterations, lockstep.converged) == (solo.iterations, solo.converged)
     # the whole trace, value column and its nan rows included, bit for bit
     assert (np.array(lockstep.trace, dtype=float).tobytes()
@@ -292,6 +294,36 @@ def test_newton_lockstep_runs_equal_solo_runs(case, monkeypatch):
         assert all(r.converged for r in ends)
 
 
+def test_damped_newton_ends_a_row_on_an_error_that_is_not_a_domain_error():
+    # r(v) = v^3 - 8 and its Newton direction.  Past v = 10 the residual of
+    # block row 2 raises SolverError and the others' ExprError: row 0 starts
+    # there and ends, row 2's first trial point (11) ends it, and row 3's
+    # (also 11) is a rejected step.  The residual tells the rows apart by
+    # their block indices, which stop being their positions once row 0 ends.
+    def residual(rows, V):
+        errors = {i: (SolverError if r == 2 else ExprError)(f"row {r}")
+                  for i, (r, v) in enumerate(zip(rows, V[:, 0])) if v > 10.0}
+        return V ** 3 - 8.0, errors
+
+    def direction(rows, V, R):
+        return -R / (3.0 * V ** 2), {}
+
+    seen = {r: [] for r in range(4)}
+
+    def on_iterate(it, rows, V, R, rn):
+        for r, v in zip(rows, V[:, 0]):
+            seen[r].append(v)
+
+    V, iterations, converged, errors = solvers._damped_newton(
+        residual, direction, [[12.0], [1.0], [0.5], [0.5]], 1e-12, 50, on_iterate)
+    assert {r: (type(e), str(e)) for r, e in errors.items()} == {
+        0: (ExprError, "row 0"), 2: (SolverError, "row 2")}
+    assert converged.tolist() == [False, True, False, True]
+    assert V[1, 0] == pytest.approx(2.0) and V[3, 0] == pytest.approx(2.0)
+    # row 3 backtracked from t = 1 (v = 11, rejected) to t = 1/8
+    assert seen[3][:2] == [0.5, 0.5 + 10.5 / 8] and seen[2] == [0.5]
+
+
 def test_one_row_block_outside_the_domain_is_evaluated_once(monkeypatch):
     # sqrt(x + 2) has no value at x = -3: a one-start newton block raises at
     # its start, and that first gradient call is the row's own
@@ -340,9 +372,8 @@ def _assert_same_candidate(block, alone):
 @pytest.mark.parametrize("method, max_iter", [("newton", 2), ("newton", 50),
                                               ("extragradient", 10), ("extragradient", 180)])
 def test_block_built_candidates_equal_one_point_candidates(method, max_iter):
-    # every candidate of a lockstep block, and make_candidate at its point,
-    # carries the bits of the point alone: far from the saddle point (the
-    # first caps) and at it
+    # every candidate of a lockstep block carries the bits of the point alone:
+    # far from the saddle point (the first caps) and at it
     spec, u, radii, seed = study_instance_91()
     starts = _starts(100, 16, seed, radii=radii_pair(radii))
     runs = {"newton": newton_runs, "extragradient": extragradient_runs}[method](
@@ -353,8 +384,6 @@ def test_block_built_candidates_equal_one_point_candidates(method, max_iter):
     for run in runs:
         alone = _made_alone(spec, u, run.x, run.y, method, run.iterations, run.converged)
         _assert_same_candidate(run, alone)
-        _assert_same_candidate(make_candidate(spec, u, run.x, run.y, method, run.iterations,
-                                              run.converged), alone)
 
 
 def test_block_built_candidates_with_a_row_outside_the_domain():
@@ -370,9 +399,6 @@ def test_block_built_candidates_with_a_row_outside_the_domain():
         _assert_same_candidate(end, _made_alone(spec, u, GridFunction.from_interior(x),
                                                 GridFunction.from_interior(y), "newton",
                                                 it, conv))
-    with pytest.raises(ExprError):
-        make_candidate(spec, u, GridFunction.from_interior(X[2]), GridFunction.from_interior(Y[2]),
-                       "newton", 9)
 
 
 def test_extragradient_gradient_norm_monotone_after_warmup():
@@ -481,6 +507,62 @@ def test_nested_both_orders_match():
     assert product_distance(maxmin, minmax) <= 1e-8
 
 
+@pytest.mark.parametrize("case", ["study", "sqrt", "singular", "T1", "outer-x", "split"])
+def test_nested_lockstep_runs_equal_solo_runs(case, monkeypatch):
+    cfg, outer = SolverConfig(method="nested", tol=1e-12, record_trace=True), "y"
+    if case == "study":
+        spec, u, radii, seed = study_instance_91()
+        starts = _starts(100, 16, seed, radii=radii_pair(radii))
+    elif case == "sqrt":
+        spec = ProblemSpec.create(3, 1.0, "x^2 - y^2 + sqrt(y + 1)")
+        u = ParameterFunction.constant(0.0, 3, 1.0)
+        starts = _starts(3, 16, 0)
+    elif case == "singular":
+        spec, u = singular_inner_problem()
+        starts = _starts(2, 16, 2)
+    else:
+        T = {"T1": 1, "outer-x": 3, "split": 2000}[case]
+        spec = ProblemSpec.create(T, 1.0, "x*y + exp(x/2) - exp(y/2) + u*(x - y)")
+        u = ParameterFunction(0.5 * np.sin(np.arange(1.0, T + 1)), 1.0)
+        starts = _starts(T, 16, T, radii=(2.0, 2.0))
+        outer = "x" if case == "outer-x" else "y"
+    outside = []
+    grad_i = solvers.grad_i
+
+    def counted(*args):
+        try:
+            return grad_i(*args)
+        except ExprError:
+            outside.append(args[2].ndim)
+            raise
+
+    monkeypatch.setattr(solvers, "grad_i", counted)
+    W0 = _block(starts)[0 if outer == "x" else 1]
+    runs = nested_runs(spec, u, W0, cfg, outer)
+    failed, raised_alone = sum(isinstance(r, ExprError) for r in runs), outside.count(1)
+    solos = [_solo(lambda spec, u, w0, cfg: nested_minimax(spec, u, w0, cfg, outer), spec, u,
+                   GridFunction.from_interior(w0), cfg) for w0 in W0]
+    for lockstep, solo in zip(runs, solos):
+        _assert_same_run(lockstep, solo)
+    ends = [r for r in runs if not isinstance(r, Exception)]
+    if case == "study":
+        # the rows leave the block at different iterations
+        assert all(r.converged for r in ends) and len({r.iterations for r in ends}) > 1
+    if case == "sqrt":
+        # starts outside the domain of sqrt fail; a row that raises alone and
+        # goes on is a trial point outside it, a rejected step
+        assert failed and any(r.converged for r in ends)
+        assert raised_alone > failed
+    if case == "singular":
+        assert all(isinstance(r, SolverError) for r in runs)
+        assert {str(r) for r in runs} == {"singular Jacobian at iteration 0"}
+    if case in ("T1", "outer-x", "split"):
+        assert len(ends) == 16 and all(r.converged for r in ends)
+        assert {r.method for r in ends} == {"nested-xfirst" if outer == "x" else "nested"}
+    if case == "split":
+        assert block_rows(spec.T) < len(starts)
+
+
 def study_instance_91():
     """Instance 91 of the benchmark's ``study`` workload at seed 601, rebuilt.
 
@@ -519,13 +601,17 @@ def test_nested_converges_where_value_line_searches_stalled(monkeypatch):
     assert sset.failures == 0 and len(sset.points) == 1
     assert sset.points[0].converged
     assert 0 < counts["grad_i"] <= 200
-    assert counts["action_i"] == 0  # no trace: only make_candidate, outside this module
+    assert counts["action_i"] == 0  # no trace: only make_candidates_i, outside this module
+
+
+def singular_inner_problem():
+    # F_xx = -1, so the inner Hessian L - I is singular at every point for T = 2
+    return (ProblemSpec.create(2, 1.0, "-0.5*x^2 + x*y - y^2"),
+            ParameterFunction.constant(0.0, 2, 1.0))
 
 
 def test_nested_singular_inner_hessian_fails_every_start():
-    # F_xx = -1, so the inner Hessian L - I is singular at every point for T = 2
-    spec = ProblemSpec.create(2, 1.0, "-0.5*x^2 + x*y - y^2")
-    u = ParameterFunction.constant(0.0, 2, 1.0)
+    spec, u = singular_inner_problem()
     sset = saddle_set(spec, u, SolverConfig(method="nested"))
     assert sset.attempts == 8 and sset.failures == 8
     assert sset.all_failed
@@ -551,10 +637,16 @@ def test_nested_start_that_leaves_the_domain_counts_as_failed():
 
 # --- verification --------------------------------------------------------------------
 
+def candidate_at(spec, u, x, y):
+    # a candidate at the grid functions x, y, built as the solvers build theirs
+    (cand,) = make_candidates_i(spec, u, x.values[None, 1:-1], y.values[None, 1:-1], "manual",
+                                [0], [True], [None])
+    return cand
+
+
 def test_verify_saddle_zero_field():
     spec, u = zero_problem()
-    cand = make_candidate(spec, u, GridFunction.zeros(3), GridFunction.zeros(3),
-                          "manual", 0)
+    cand = candidate_at(spec, u, GridFunction.zeros(3), GridFunction.zeros(3))
     rep = verify_saddle(spec, u, cand, probes=64, eps=1e-9)
     assert rep.passed
     assert rep.residual_ok and rep.inequalities_ok
@@ -563,12 +655,12 @@ def test_verify_saddle_zero_field():
 def test_verify_saddle_accepts_true_and_rejects_perturbed():
     spec = ProblemSpec.create(1, 2.0, "x*y + x - y")
     u = ParameterFunction.constant(0.0, 1, 2.0)
-    good = make_candidate(spec, u, GridFunction.from_interior([-0.2]),
-                          GridFunction.from_interior([-0.6]), "manual", 0)
+    good = candidate_at(spec, u, GridFunction.from_interior([-0.2]),
+                        GridFunction.from_interior([-0.6]))
     assert verify_saddle(spec, u, good, probes=128, eps=1e-9).passed
 
-    bad = make_candidate(spec, u, GridFunction.from_interior([-0.2]),
-                         GridFunction.from_interior([-0.5]), "manual", 0)
+    bad = candidate_at(spec, u, GridFunction.from_interior([-0.2]),
+                       GridFunction.from_interior([-0.5]))
     rep = verify_saddle(spec, u, bad, probes=512, eps=1e-9, seed=0)
     assert not rep.passed
     assert rep.inequality_gap_y > 1e-9  # probe found the saddle inequality breach
@@ -624,8 +716,8 @@ def test_verify_saddle_probe_blocks_equal_one_probe_at_a_time(T, source, probes)
     spec = ProblemSpec.create(T, 1.0, source)
     u = ParameterFunction(0.5 * np.sin(np.arange(1.0, T + 1)), 1.0)
     rng = np.random.default_rng(T)
-    cand = make_candidate(spec, u, GridFunction.from_interior(0.1 * rng.standard_normal(T)),
-                          GridFunction.from_interior(0.1 * rng.standard_normal(T)), "manual", 0)
+    cand = candidate_at(spec, u, GridFunction.from_interior(0.1 * rng.standard_normal(T)),
+                        GridFunction.from_interior(0.1 * rng.standard_normal(T)))
     radii = (4.0, 3.0)
     for seed in (0, 5):
         rep = verify_saddle(spec, u, cand, probes=probes, radii=radii, seed=seed)
@@ -653,8 +745,7 @@ def test_saddle_set_independent_of_trace():
 
 def test_verify_saddle_residual_tolerance_scaling():
     spec, u = zero_problem(5)
-    cand = make_candidate(spec, u, GridFunction.zeros(5), GridFunction.zeros(5),
-                          "manual", 0)
+    cand = candidate_at(spec, u, GridFunction.zeros(5), GridFunction.zeros(5))
     rep = verify_saddle(spec, u, cand)
     # default threshold is 1e-8 * (1 + max row sum) = 5e-8 for T >= 3
     assert rep.residual_ok
