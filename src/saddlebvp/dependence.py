@@ -249,15 +249,12 @@ def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4) ->
     partial = False
     for n in seq.schedule():
         u_n, clamped = seq.term(n)
-        try:
-            sads = saddle_set(spec, u_n, cfg, radii=radii)
-            if sads.all_failed:
-                raise SolverError("every start failed")
-        except SolverError as exc:
+        sads = saddle_set(spec, u_n, cfg, radii=radii)
+        if sads.all_failed:
             partial = True
             entries.append(SequenceEntry(n=n, u=u_n, saddles=None, value=np.nan,
                                          dist=np.inf, gap=np.nan, clamped=clamped,
-                                         error=str(exc)))
+                                         error="every start failed"))
             continue
         entries.append(SequenceEntry(n=n, u=u_n, saddles=sads, value=_set_value(sads),
                                      dist=_set_distance(sads, baseline), gap=np.nan,

@@ -186,22 +186,31 @@ class DirichletLaplacian:
         non-finite ``v`` for a singular or non-finite one.  For ``T = 1`` the
         solve is one division, so a zero pivot gives ``inf``, not an error.
         The result equals ``scipy.linalg.solve_banded``'s on the same band bit for bit.
-        ``(B, T)`` blocks solve ``B`` systems one row at a time; a row whose
-        solve raises ``LinAlgError`` holds nan.
+
+        ``(B, T)`` blocks solve ``B`` systems, row ``i`` of the result from
+        row ``i`` of ``shift`` and ``rhs``, in one ``dgtsv`` call on the
+        systems stacked down one tridiagonal with zero off-diagonals at the
+        seams, so each row equals its 1-d solve bit for bit.  When a system is
+        singular, or a value is not finite or zero (the sign of a zero may
+        come from the neighbouring system), the rows are solved one at a time
+        instead; a row whose 1-d solve raises ``LinAlgError`` holds nan.
         """
-        if np.ndim(rhs) == 2:
-            return self._solve_rows(self.solve_shifted, 1, shift, rhs)[0]
-        d = 2.0 + np.asarray(shift, dtype=float)
+        T = self.dimension
         b = np.array(rhs, dtype=float)
-        if self.dimension == 1:
+        d = np.add(2.0, shift, out=np.empty_like(b))
+        if T == 1:
             with np.errstate(divide="ignore", invalid="ignore"):
-                return b / d[0]
-        off = np.full(self.dimension - 1, -1.0)
-        _, _, _, v, info = lapack.dgtsv(off, d, off.copy(), b, overwrite_dl=True,
-                                        overwrite_d=True, overwrite_du=True, overwrite_b=True)
-        if info > 0:
+                return b / d
+        off = np.full(b.size - 1, -1.0)
+        off[T - 1::T] = 0.0
+        _, _, _, v, info = lapack.dgtsv(off, d.reshape(-1), off.copy(), b.reshape(-1),
+                                        overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+                                        overwrite_b=True)
+        if b.ndim == 1 and info > 0:
             raise LinAlgError("singular matrix")
-        return v
+        if b.ndim == 1 or (info == 0 and np.isfinite(v).all() and v.all()):
+            return v.reshape(b.shape)
+        return self._solve_rows(self.solve_shifted, 1, shift, rhs)[0]
 
     def smallest_eigenvalue_shifted(self, shift) -> float:
         """Smallest eigenvalue of ``L + diag(shift)`` by bisection (``_flapack.dstebz``).

@@ -16,23 +16,24 @@ Three routes to a saddle point of the action:
 residual falls by the Armijo fraction.  The loop works on a block of rows,
 one run per row.
 
-``extragradient_runs``, ``newton_runs`` and ``nested_runs`` advance many
-starts in lockstep, as the rows of ``(B, T)`` (newton and nested:
-``(B, 2T)``) arrays: each row keeps its own step, iterate and stop, and one
-kernel call per iteration serves every live row, as one band solve per
-iteration serves newton's and nested's outer step.  The starts arrive as
-arrays of interior values, and the candidates of a block come from one
-gradient and one action call.  The problem layer and the band solve treat a
-block row by row bit for bit as alone, and every block goes through
-:func:`~saddlebvp.problem.rows_apart`, so each start ends exactly where its
-own run ends and only the rows that leave the domain fail.
+:func:`runs`, the one driver, runs the block function of ``cfg.method`` in
+:data:`METHODS` on many starts in lockstep, as the rows of ``(B, T)``
+(newton and nested: ``(B, 2T)``) arrays: each row keeps its own step,
+iterate and stop, and one kernel call per iteration serves every live row,
+as one band solve per iteration serves newton's and nested's steps.  The
+starts arrive as arrays of interior values, and the candidates of a block
+come from one gradient and one action call.  The problem layer and the band
+solve treat a block row by row bit for bit as alone, and every block goes
+through :func:`~saddlebvp.problem.rows_apart`, so each start ends exactly
+where its own run ends and only the rows that leave the domain fail.  The
+one-start solvers are the one-row case of :func:`runs`.
 
 ``verify_saddle`` checks a candidate a posteriori: small system defect,
 sampled saddle inequalities, and the second-order test that ``x -> J(x, y*)``
 is locally convex and ``y -> J(x*, y)`` locally concave.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.method not in ("extragradient", "newton", "nested"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
@@ -137,27 +138,12 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
     exhaustion return the best iterate flagged as not converged.  An iterate
     or best iterate outside the domain raises its ``ExprError``.
 
-    This is the one-start case of :func:`extragradient_runs`.
+    This is the one-start case of :func:`runs` with ``method="extragradient"``.
     """
-    x0, y0 = z0
-    (end,) = extragradient_runs(spec, u, x0.values[None, 1:-1], y0.values[None, 1:-1], cfg)
-    return _raise_or_return(end)
+    return _one(spec, u, *z0, replace(cfg, method="extragradient"))
 
 
-def extragradient_runs(spec, u, X0, Y0, cfg: SolverConfig):
-    """:func:`extragradient` from each row of the ``(S, T)`` interior values ``X0``, ``Y0``, in lockstep.
-
-    The starts advance together as the rows of ``(B, T)`` arrays, in groups
-    of ``block_rows(T)``, so one kernel call per iteration serves every run
-    that is still going.  Each run ends bit for bit where it ends alone.
-    Returns, per start, its candidate or the ``ExprError`` it raises alone.
-    """
-    size = block_rows(spec.T)
-    return [end for i in range(0, len(X0), size)
-            for end in _lockstep(spec, u, X0[i:i + size], Y0[i:i + size], cfg)]
-
-
-def _lockstep(spec, u, X, Y, cfg):
+def _lockstep(spec, u, X, Y, cfg, traces):
     # Row r of the arrays below is the run from start rows[r].  Every row
     # has its own step, best iterate and stop; a row that stops leaves the
     # arrays, so the rows left are the runs that took the corrector step.
@@ -165,7 +151,6 @@ def _lockstep(spec, u, X, Y, cfg):
     gamma = np.full(len(X), 1.0 / spec.lap.norm_inf)
     best_gn, best_X, best_Y = np.full(len(X), np.inf), X, Y
     best_it = np.zeros(len(X), dtype=int)
-    traces = [[] if cfg.record_trace else None for _ in rows]
     end_X, end_Y = np.empty((2,) + X.shape)
     iterations = np.full(len(X), cfg.max_iter)
     ended_converged = np.zeros(len(X), dtype=bool)
@@ -216,8 +201,7 @@ def _lockstep(spec, u, X, Y, cfg):
         rows, best_gn, best_X, best_Y, best_it = (
             a[accepted] for a in (rows, best_gn, best_X, best_Y, best_it))
     end_X[rows], end_Y[rows] = best_X, best_Y
-    return _finish(spec, u, "extragradient", end_X, end_Y, iterations, ended_converged, failed,
-                   traces)
+    return end_X, end_Y, iterations, ended_converged, failed
 
 
 def _damped_newton(residual, direction, V, tol, max_iter, on_iterate=None, condition=None):
@@ -310,13 +294,6 @@ def _damped_newton(residual, direction, V, tol, max_iter, on_iterate=None, condi
     return end, iterations, converged, ended
 
 
-def _raise_or_return(end):
-    """A run's end as a ``*_runs`` function gives it; exceptions raise."""
-    if isinstance(end, Exception):
-        raise end
-    return end
-
-
 def newton(spec, u, z0, cfg: SolverConfig):
     """Damped Newton on the first-order system ``(L x + F_x, L y - F_y)``.
 
@@ -328,32 +305,13 @@ def newton(spec, u, z0, cfg: SolverConfig):
     and the ``ExprError`` of a start that leaves the integrand's domain;
     stalls return the iterate flagged.
 
-    This is the one-start case of :func:`newton_runs`.
+    This is the one-start case of :func:`runs` with ``method="newton"``.
     """
-    x0, y0 = z0
-    (end,) = newton_runs(spec, u, x0.values[None, 1:-1], y0.values[None, 1:-1], cfg)
-    return _raise_or_return(end)
+    return _one(spec, u, *z0, replace(cfg, method="newton"))
 
 
-def newton_runs(spec, u, X0, Y0, cfg: SolverConfig):
-    """:func:`newton` from each row of the ``(S, T)`` interior values ``X0``, ``Y0``, in lockstep.
-
-    The starts advance together as the rows of one ``(B, 2T)`` block of
-    :func:`_damped_newton`, in groups of ``block_rows(T)``, so one gradient
-    and one second-partials kernel call and one band solve per iteration,
-    and one gradient call per line-search round, serve every run that is
-    still going.  Each run ends bit for bit where it ends alone.
-    Returns, per start, its candidate or the ``SolverError`` or ``ExprError``
-    it raises alone.
-    """
-    size = block_rows(spec.T)
-    return [end for i in range(0, len(X0), size)
-            for end in _newton_block(spec, u, X0[i:i + size], Y0[i:i + size], cfg)]
-
-
-def _newton_block(spec, u, X0, Y0, cfg):
+def _newton_block(spec, u, X0, Y0, cfg, traces):
     T = spec.T
-    traces = [[] if cfg.record_trace else None for _ in X0]
 
     def system(rows, V):
         (GX, GY), errors = _rows(grad_i, 2, spec, u, V[:, :T], V[:, T:])
@@ -377,20 +335,7 @@ def _newton_block(spec, u, X0, Y0, cfg):
     V, iterations, converged, errors = _damped_newton(
         system, step, np.concatenate((X0, Y0), axis=1), cfg.tol, cfg.max_iter,
         record if cfg.record_trace else None, condition)
-    return _finish(spec, u, "newton", V[:, :T], V[:, T:], iterations, converged, errors, traces)
-
-
-def _order(outer):
-    """Sign ``s`` of the outer step and slot of the outer variable in ``(x, y)``.
-
-    ``outer="y"`` ascends in ``y`` over ``min_x`` (``s = -1``); ``outer="x"``
-    descends in ``x`` over ``max_y`` (``s = +1``).
-    """
-    if outer == "y":
-        return -1.0, 1
-    if outer == "x":
-        return 1.0, 0
-    raise ValueError(f"outer must be 'y' or 'x', got {outer!r}")
+    return V[:, :T], V[:, T:], iterations, converged, errors
 
 
 def _pair(slot, w, v):
@@ -431,33 +376,22 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
     and :class:`SolverError` on a singular Hessian of either level, inner
     ones at trial points included.
 
-    This is the one-start case of :func:`nested_runs`.
+    This is the one-start case of :func:`runs` with ``method="nested"``
+    (``outer="y"``) or ``"nested-xfirst"`` (``outer="x"``).
     """
-    (end,) = nested_runs(spec, u, y0.values[None, 1:-1], cfg, outer)
-    return _raise_or_return(end)
+    if outer not in ("y", "x"):
+        raise ValueError(f"outer must be 'y' or 'x', got {outer!r}")
+    method = "nested" if outer == "y" else "nested-xfirst"
+    return _one(spec, u, y0, y0, replace(cfg, method=method))
 
 
-def nested_runs(spec, u, W0, cfg: SolverConfig, outer="y"):
-    """:func:`nested_minimax` from each row of the ``(S, T)`` outer starts ``W0``, in lockstep.
-
-    The starts advance together as the rows of one outer ``(B, 2T)`` block
-    of :func:`_damped_newton`, in groups of ``block_rows(T)``; each outer
-    residual call solves the inner problems of its rows as one inner block,
-    each row at its own outer value, and the outer directions come from one
-    band solve.  Each run ends bit for bit where it ends alone.  Returns,
-    per start, its candidate or the ``SolverError`` or ``ExprError`` it
-    raises alone.
-    """
-    size = block_rows(spec.T)
-    return [end for i in range(0, len(W0), size)
-            for end in _nested_block(spec, u, W0[i:i + size], cfg, outer)]
-
-
-def _nested_block(spec, u, W0, cfg, outer):
-    s, slot = _order(outer)
+def _nested_block(spec, u, X0, Y0, cfg, traces):
+    # "nested" ascends in y (slot 1) over min_x, s = -1; "nested-xfirst"
+    # descends in x (slot 0) over max_y, s = +1, from the starts in that slot
+    s, slot = (1.0, 0) if cfg.method == "nested-xfirst" else (-1.0, 1)
+    W0 = (X0, Y0)[slot]
     T = spec.T
     tol_inner = max(INNER_TOL_FACTOR * cfg.tol, 1e-14)
-    traces = [[] if cfg.record_trace else None for _ in W0]
 
     def at(Z):
         return _pair(slot, Z[:, :T], Z[:, T:])
@@ -496,8 +430,39 @@ def _nested_block(spec, u, W0, cfg, outer):
     Z, iterations, converged, errors = _damped_newton(
         reduced_gradient, step, np.concatenate((W0, np.zeros_like(W0)), axis=1), cfg.tol,
         cfg.max_iter, record if cfg.record_trace else None)
-    method = "nested" if outer == "y" else "nested-xfirst"
-    return _finish(spec, u, method, *at(Z), iterations, converged, errors, traces)
+    return (*at(Z), iterations, converged, errors)
+
+
+# block(spec, u, X0, Y0, cfg, traces) -> (X, Y, iterations, converged, {row: exception})
+METHODS = {"extragradient": _lockstep, "newton": _newton_block,
+           "nested": _nested_block, "nested-xfirst": _nested_block}
+
+
+def runs(spec, u, X0, Y0, cfg: SolverConfig):
+    """Runs of ``cfg.method`` from each row of the ``(S, T)`` interior values ``X0``, ``Y0``.
+
+    The starts advance in lockstep, in blocks of ``block_rows(T)`` rows, by
+    the block function :data:`METHODS` holds for the method (nested: from the
+    rows of ``Y0``, nested-xfirst: from those of ``X0``).  Each run ends bit
+    for bit where it ends alone.  Returns, per start, its candidate or the
+    ``SolverError`` or ``ExprError`` it raises alone.
+    """
+    size = block_rows(spec.T)
+    ends = []
+    for i in range(0, len(X0), size):
+        X, Y = X0[i:i + size], Y0[i:i + size]
+        traces = [[] if cfg.record_trace else None for _ in X]
+        ends += _finish(spec, u, cfg.method, *METHODS[cfg.method](spec, u, X, Y, cfg, traces),
+                        traces)
+    return ends
+
+
+def _one(spec, u, x0, y0, cfg):
+    """The run of :func:`runs` from the start ``(x0, y0)``; an exception that ends it raises."""
+    (end,) = runs(spec, u, x0.values[None, 1:-1], y0.values[None, 1:-1], cfg)
+    if isinstance(end, Exception):
+        raise end
+    return end
 
 
 @dataclass(frozen=True)
@@ -601,10 +566,9 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     raises :class:`SolverError` or leaves the expression domain (``ExprError``)
     counts as failed.  Results are deterministic for a fixed seed.
 
-    The starts run in one :func:`extragradient_runs`, :func:`newton_runs` or
-    :func:`nested_runs` call (nested from the ``y`` draws), in lockstep; each
-    ends exactly as it does alone, so the set does not depend on how the
-    starts are grouped.
+    The starts run in one :func:`runs` call, in lockstep; each ends exactly
+    as it does alone, so the set does not depend on how the starts are
+    grouped.
     """
     rx, ry = radii_pair(radii, DEFAULT_RADII)
     X0, Y0 = np.empty((2, cfg.multistart, spec.T))
@@ -613,13 +577,7 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
         X0[i] = random_interior(spec.T, rx, rng)
         Y0[i] = random_interior(spec.T, ry, rng)
 
-    if cfg.method == "extragradient":
-        results = extragradient_runs(spec, u, X0, Y0, cfg)
-    elif cfg.method == "newton":
-        results = newton_runs(spec, u, X0, Y0, cfg)
-    else:
-        results = nested_runs(spec, u, Y0, cfg)
-
+    results = runs(spec, u, X0, Y0, cfg)
     converged = [c for c in results if isinstance(c, SaddleCandidate) and c.converged]
     failures = len(results) - len(converged)
     reps = []

@@ -105,9 +105,14 @@ def _row_solves(lap, blocks):
 @settings(max_examples=80, deadline=None)
 @given(T=st.sampled_from((1, 2, 5, 100, 801)), B=st.integers(1, 17),
        seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from((0.0, 0.5, 1.0, 1e3)),
-       zeros=st.booleans(), broken=st.sampled_from((None, "singular", "inf", "nan")))
+       zeros=st.booleans(),
+       broken=st.sampled_from((None, "singular", "inf", "nan", "nan-and-singular")))
 @example(T=1, B=2, seed=3, scale=0.5, zeros=True, broken=None)  # flips a zero's sign with a gap < 4
+@example(T=2, B=4, seed=1, scale=0.0, zeros=False, broken=None)  # signed zeros across a dgtsv seam
+@example(T=100, B=40, seed=0, scale=1.0, zeros=False, broken="nan-and-singular")
 def test_block_solves_equal_row_solves(T, B, seed, scale, zeros, broken):
+    if broken == "nan-and-singular":
+        B = max(B, 5)  # both broken rows between finite rows
     rng = np.random.default_rng(seed)
     inputs = scale * rng.standard_normal((5, B, T))
     if zeros:
@@ -117,7 +122,11 @@ def test_block_solves_equal_row_solves(T, B, seed, scale, zeros, broken):
         inputs[1] = 0.0
         inputs[3:] *= rng.choice((-1.0, 0.0, 1.0), size=(2, B, T))
     bad = int(rng.integers(B))
-    if broken == "singular":
+    if broken == "nan-and-singular":
+        bad, nan_row = 1 + rng.permutation(B - 2)[:2]
+        # a nan in the shift or the right-hand side of the shifted solve
+        inputs[(0, 3)[int(rng.integers(2))], nan_row, int(rng.integers(T))] = np.nan
+    if broken in ("singular", "nan-and-singular"):
         # the path-graph Laplacian on x, uncoupled: its last LU pivot is exactly 0
         inputs[0, bad] = 0.0
         inputs[0, bad, 0] -= 1.0
@@ -141,9 +150,11 @@ def test_block_solves_equal_row_solves(T, B, seed, scale, zeros, broken):
                 shifted_rows.append(np.full(T, np.nan))
     assert np.concatenate((vx, vy), axis=1).tobytes() == expected.tobytes()
     assert shifted.tobytes() == np.array(shifted_rows).tobytes()
-    if broken == "singular":
+    if broken in ("singular", "nan-and-singular"):
         assert np.isnan(expected[bad]).all()
         assert T == 1 or np.isnan(shifted[bad]).all()
+    if broken == "nan-and-singular":
+        assert np.isnan(shifted[nan_row]).any()
     assert inputs.tobytes() == given_inputs.tobytes()
 
 

@@ -360,7 +360,7 @@ def test_run_sequence_partial_on_failing_term():
     seq = ParameterSequence.from_terms(u0, terms)
     report = run_sequence(spec, seq, CFG, radii=(2.0, 2.0))
     assert report.partial
-    assert report.entries[0].error is not None
+    assert report.entries[0].error == "every start failed"
     assert report.entries[1].error is None
     assert not report.all_nonempty
 

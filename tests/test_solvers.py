@@ -14,9 +14,8 @@ from saddlebvp.hypotheses import ball_radii, certificate_from_dict
 from saddlebvp.expressions import ExprError
 from saddlebvp.grid import random_interior
 from saddlebvp.problem import action_i, block_rows, make_candidates_i, residual_from_grad
-from saddlebvp.solvers import (SolverError, extragradient, extragradient_runs, nested_minimax,
-                               nested_runs, newton, newton_runs, radii_pair, saddle_set,
-                               verify_saddle)
+from saddlebvp.solvers import (SolverError, extragradient, nested_minimax, newton, radii_pair,
+                               saddle_set, verify_saddle)
 
 TIGHT = SolverConfig(tol=1e-12)
 EXP_T5 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -118,6 +117,21 @@ def test_extragradient_exp_t5_all_starts_converge():
     assert all(verify_saddle(spec, u, cand).passed for cand in sset.points)
 
 
+def test_every_method_finds_the_exp_t5_saddle():
+    # every key of solvers.METHODS is a method a SolverConfig accepts, and
+    # each finds the one saddle point of exp_t5
+    spec, u = load_problem(EXP_T5)
+    values = []
+    for method in solvers.METHODS:
+        sset = saddle_set(spec, u, SolverConfig(method=method, tol=1e-12))
+        assert sset.failures == 0 and len(sset.points) == 1
+        assert {c.method for c in sset.points} == {method}
+        values.append(sset.points[0].value)
+    assert max(values) - min(values) <= 1e-10
+    with pytest.raises(ValueError, match="unknown method 'solve'"):
+        SolverConfig(method="solve")
+
+
 def test_extragradient_memory_is_linear():
     # 16 lockstep starts, extragradient or newton, run in blocks of
     # block_rows(T) rows, so the peak does not grow with the number of starts
@@ -153,7 +167,7 @@ def _draw(T, radius, rng):
 
 
 def _block(starts):
-    # the starts' interior values as the (S, T) arrays X0, Y0 of the *_runs functions
+    # the starts' interior values as the (S, T) arrays X0, Y0 of solvers.runs
     return (np.array([x.interior for x, _ in starts]),
             np.array([y.interior for _, y in starts]))
 
@@ -203,7 +217,7 @@ def test_lockstep_runs_equal_solo_runs(case):
         starts = _starts(3, 16, 3)
     else:
         spec, u, starts, floor = _step_floor_batch()
-    runs = extragradient_runs(spec, u, *_block(starts), cfg)
+    runs = solvers.runs(spec, u, *_block(starts), cfg)
     solos = [_solo(extragradient, spec, u, z0, cfg) for z0 in starts]
     for lockstep, solo in zip(runs, solos):
         _assert_same_run(lockstep, solo)
@@ -266,7 +280,7 @@ def test_newton_lockstep_runs_equal_solo_runs(case, monkeypatch):
             raise
 
     monkeypatch.setattr(solvers, "grad_i", counted)
-    runs = newton_runs(spec, u, *_block(starts), cfg)
+    runs = solvers.runs(spec, u, *_block(starts), cfg)
     solos = [_solo(newton, spec, u, z0, cfg) for z0 in starts]
     for lockstep, solo in zip(runs, solos):
         _assert_same_run(lockstep, solo)
@@ -376,8 +390,7 @@ def test_block_built_candidates_equal_one_point_candidates(method, max_iter):
     # far from the saddle point (the first caps) and at it
     spec, u, radii, seed = study_instance_91()
     starts = _starts(100, 16, seed, radii=radii_pair(radii))
-    runs = {"newton": newton_runs, "extragradient": extragradient_runs}[method](
-        spec, u, *_block(starts), SolverConfig(method=method, max_iter=max_iter))
+    runs = solvers.runs(spec, u, *_block(starts), SolverConfig(method=method, max_iter=max_iter))
     if max_iter == 180:
         # extragradient starts converge in 177-183 iterations: some run out here
         assert len({r.converged for r in runs}) == 2
@@ -507,9 +520,12 @@ def test_nested_both_orders_match():
     assert product_distance(maxmin, minmax) <= 1e-8
 
 
-@pytest.mark.parametrize("case", ["study", "sqrt", "singular", "T1", "outer-x", "split"])
+@pytest.mark.parametrize("case", ["study", "sqrt", "singular", "T1", "outer-x", "split",
+                                  "split-outer-x"])
 def test_nested_lockstep_runs_equal_solo_runs(case, monkeypatch):
-    cfg, outer = SolverConfig(method="nested", tol=1e-12, record_trace=True), "y"
+    outer = "x" if case.endswith("outer-x") else "y"
+    cfg = SolverConfig(method="nested-xfirst" if outer == "x" else "nested", tol=1e-12,
+                       record_trace=True)
     if case == "study":
         spec, u, radii, seed = study_instance_91()
         starts = _starts(100, 16, seed, radii=radii_pair(radii))
@@ -521,11 +537,10 @@ def test_nested_lockstep_runs_equal_solo_runs(case, monkeypatch):
         spec, u = singular_inner_problem()
         starts = _starts(2, 16, 2)
     else:
-        T = {"T1": 1, "outer-x": 3, "split": 2000}[case]
+        T = {"T1": 1, "outer-x": 3, "split": 2000, "split-outer-x": 2000}[case]
         spec = ProblemSpec.create(T, 1.0, "x*y + exp(x/2) - exp(y/2) + u*(x - y)")
         u = ParameterFunction(0.5 * np.sin(np.arange(1.0, T + 1)), 1.0)
         starts = _starts(T, 16, T, radii=(2.0, 2.0))
-        outer = "x" if case == "outer-x" else "y"
     outside = []
     grad_i = solvers.grad_i
 
@@ -537,8 +552,9 @@ def test_nested_lockstep_runs_equal_solo_runs(case, monkeypatch):
             raise
 
     monkeypatch.setattr(solvers, "grad_i", counted)
-    W0 = _block(starts)[0 if outer == "x" else 1]
-    runs = nested_runs(spec, u, W0, cfg, outer)
+    X0, Y0 = _block(starts)
+    W0 = X0 if outer == "x" else Y0
+    runs = solvers.runs(spec, u, X0, Y0, cfg)
     failed, raised_alone = sum(isinstance(r, ExprError) for r in runs), outside.count(1)
     solos = [_solo(lambda spec, u, w0, cfg: nested_minimax(spec, u, w0, cfg, outer), spec, u,
                    GridFunction.from_interior(w0), cfg) for w0 in W0]
@@ -556,10 +572,10 @@ def test_nested_lockstep_runs_equal_solo_runs(case, monkeypatch):
     if case == "singular":
         assert all(isinstance(r, SolverError) for r in runs)
         assert {str(r) for r in runs} == {"singular Jacobian at iteration 0"}
-    if case in ("T1", "outer-x", "split"):
+    if case in ("T1", "outer-x", "split", "split-outer-x"):
         assert len(ends) == 16 and all(r.converged for r in ends)
-        assert {r.method for r in ends} == {"nested-xfirst" if outer == "x" else "nested"}
-    if case == "split":
+        assert {r.method for r in ends} == {cfg.method}
+    if case.startswith("split"):
         assert block_rows(spec.T) < len(starts)
 
 
