@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .expressions import ExprError
-from .grid import h_norm_i, random_interior
-from .problem import (ParameterFunction, integrand_sum_i, make_candidates_i, parameter_values,
-                      real_numbers, row_blocks, row_values)
+from .grid import h_norm_i
+from .problem import (ParameterFunction, ball_pair_blocks, integrand_sum_i, make_candidates_i,
+                      parameter_values, real_numbers, row_values)
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
                       saddle_set, verify_saddle)
 
@@ -134,7 +134,8 @@ def _check_tolerance(tol, name):
 def _sampled_gaps(spec, terms, u0, box, samples, seed):
     """``uniform_gap(spec, u, u0, box, samples, seed)`` for every ``u`` in ``terms``.
 
-    Each draw takes ``x`` and then ``y`` from ``random_interior``; the even
+    Each draw takes ``x`` and then ``y`` from ``random_interior``, drawn in
+    the blocks of :func:`~saddlebvp.problem.ball_pair_blocks`; the even
     draws are pushed to the ball boundaries, where linear-in-u integrands
     attain the sup.  One pass over the blocks of draws evaluates the limit's
     integrand sums once per block and each term's once.  A draw outside the
@@ -145,21 +146,15 @@ def _sampled_gaps(spec, terms, u0, box, samples, seed):
         return []
     rx, ry = radii_pair(box)
     rng = np.random.default_rng(seed)
-
-    def pairs():
-        for i in range(max(1, samples)):
-            xv = random_interior(spec.T, rx, rng)
-            yv = random_interior(spec.T, ry, rng)
-            if i % 2 == 0:  # push to the boundary for a tighter estimate
-                nx, ny = h_norm_i(xv), h_norm_i(yv)
-                if nx > 0:
-                    xv = xv * (rx / nx)
-                if ny > 0:
-                    yv = yv * (ry / ny)
-            yield xv, yv
-
     worst = np.zeros(len(terms))
-    for X, Y in row_blocks(spec.T, pairs()):
+    first = 0  # index of the block's first draw
+    for X, Y in ball_pair_blocks(spec.T, max(1, samples), (rx, ry), rng):
+        # push to the boundary for a tighter estimate; a zero draw stays zero
+        even = slice(first % 2, None, 2)
+        for V, r in ((X, rx), (Y, ry)):
+            n = h_norm_i(V[even])
+            V[even] *= np.divide(r, n, out=np.ones_like(n), where=n > 0)[:, None]
+        first += len(X)
         f0 = row_values(integrand_sum_i, spec, u0, X, Y)
         for j, u in enumerate(terms):
             worst[j] = np.fmax.reduce(np.abs(row_values(integrand_sum_i, spec, u, X, Y) - f0),

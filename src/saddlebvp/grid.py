@@ -323,14 +323,30 @@ def random_interior(T, radius, rng):
 
     Direction is isotropic in the difference norm; the radial law
     ``r = radius * U**(1/T)`` makes the draw uniform over the T-dimensional ball.
+    The one-row case of :func:`random_interior_rows`.
     """
-    v = rng.standard_normal(T)
-    n = h_norm_i(v)
-    if n == 0.0:
-        return v
-    r = radius * rng.random() ** (1.0 / T)  # uniform() on [0, 1), the same stream and bits
-    v *= r / n
-    return v
+    return random_interior_rows(T, ((radius, rng),))[0]
+
+
+def random_interior_rows(T, draws):
+    """A ``(B, T)`` block of :func:`random_interior` draws, one row per ``(radius, rng)`` in the sequence ``draws``.
+
+    The rngs are called in the order of the pairs, ``T`` normals and then
+    one uniform per row, so a shared rng ends in the state a loop of
+    one-row draws leaves and each row holds the bits of its one-row draw.
+    The norms come from one :func:`h_norm_i` call on the block.  A row whose
+    normals are all zero draws no uniform and stays zero.
+    """
+    V = np.empty((len(draws), T))
+    r = np.zeros(len(draws))
+    for i, (radius, rng) in enumerate(draws):
+        row = V[i]
+        rng.standard_normal(out=row)
+        if row[0] or row.any():  # the first normal alone decides almost every row
+            r[i] = radius * rng.random() ** (1.0 / T)  # random() on [0, 1), the bits of uniform()
+    n = h_norm_i(V)
+    V *= np.divide(r, n, out=np.ones_like(r), where=n > 0.0)[:, None]
+    return V
 
 
 @dataclass(frozen=True)

@@ -172,20 +172,37 @@ def _grid_points(density):
 
 
 def _check_curvature(spec, u, fixed, box, density, convex):
+    """The curvature check, on the ``(density, T)`` grid in blocks of nodes.
+
+    A block holds as many nodes as keep its samples within
+    ``_NODE_BLOCK_VALUES``, and one node at least; each node's column is the
+    one the whole grid gives.  A domain error is the first that the blocks
+    meet in node order, the whole grid's when it fits one block.
+    """
     node, free, other = ((spec.field.fxx, "x", "y") if convex
                          else (spec.field.fyy, "y", "x"))
     exact = not depends_on(node, free)
     s = np.linspace(-box, box, _grid_points(density))
-    env = {"k": spec.nodes(), "u": u.values, free: s[:, None], other: fixed.interior}
     # One tree only: the field's Hessian kernel would also evaluate the other
     # two partials, which can leave their domain where this one does not.
-    (curv,) = compile_trees((node,))(**env)
-    curv = np.broadcast_to(np.asarray(curv, dtype=float), (s.size, spec.T))
-    if not convex:
-        curv = -curv  # -(-L + diag(F_yy)) = L + diag(-F_yy)
-    idx = np.argmin(curv, axis=0)
-    low = curv[idx, np.arange(spec.T)]
-    pad = 0.0 if exact else 0.5 * np.max(np.abs(np.diff(curv, n=2, axis=0)), axis=0)
+    kernel = compile_trees((node,))
+    anchored = fixed.values[1:-1]
+    idx = np.empty(spec.T, dtype=int)
+    low = np.empty(spec.T)
+    pad = np.zeros(spec.T)
+    size = max(1, _NODE_BLOCK_VALUES // s.size)
+    for start in range(0, spec.T, size):
+        nodes = slice(start, min(start + size, spec.T))
+        env = {"k": spec.nodes()[nodes], "u": u.values[nodes], free: s[:, None],
+               other: anchored[nodes]}
+        (curv,) = kernel(**env)
+        curv = np.broadcast_to(np.asarray(curv, dtype=float), (s.size, nodes.stop - start))
+        if not convex:
+            curv = -curv  # -(-L + diag(F_yy)) = L + diag(-F_yy)
+        idx[nodes] = np.argmin(curv, axis=0)
+        low[nodes] = curv[idx[nodes], np.arange(nodes.stop - start)]
+        if not exact:
+            pad[nodes] = 0.5 * np.max(np.abs(np.diff(curv, n=2, axis=0)), axis=0)
     margin = spec.lap.smallest_eigenvalue_shifted(low - pad)
     if margin >= -DEFAULT_TOL:
         return ConvexityReport(passed=True, exact=exact, worst_margin=margin)
@@ -218,6 +235,13 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201) -> GrowthRepo
     ``[-R, R]``; the parameter and (for anchorless certificates) the other
     slot run over coarser grids.  Reports the worst margin found; any margin
     below ``-DEFAULT_TOL`` is a counterexample.
+
+    Each side samples the grid once per node class (:func:`_node_classes`,
+    keyed by that side's gamma and anchor): the nodes of a class have the
+    same margins, and the first of them is the node a loop over the nodes
+    would report.  So the witness is the first smallest margin in node
+    order, a node whose margins hold a nan is skipped, and the error raised
+    is the first that a loop over the nodes meets.
     """
     if cert.T != spec.T:
         raise HypothesisError(f"certificate is for T={cert.T}, problem has T={spec.T}")
@@ -237,27 +261,28 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201) -> GrowthRepo
     grid = _GrowthGrid(spec, R, n_free)
 
     def side_margin(lower):
-        # The witness is the first smallest margin in node order; a node
-        # whose margins hold a nan is skipped.
+        # The classes run in the order of their first nodes, so the first
+        # class with the smallest margin holds the first such node.
         worst = np.inf
         witness = None
         alpha, beta, gamma = ((cert.alpha1, cert.beta1, cert.gamma1) if lower
                               else (cert.alpha2, cert.beta2, cert.gamma2))
         anchor = cert.anchor_y if lower else cert.anchor_x
         free = grid.free
+        first, _ = _node_classes(spec, gamma, anchor)
 
         def margins(nodes):
             F = grid.integrand(nodes, lower, anchor)
             bound = (-alpha if lower else alpha) * free ** 2 + beta * free + _column(gamma[nodes])
             return (F - bound if lower else bound - F,)
 
-        for nodes, (margin,) in grid.blocks((anchor,), margins):
+        for part, (margin,) in grid.blocks((anchor,), margins, first):
             low = margin.min(axis=(1, 2, 3))
             j = int(np.argmin(np.where(np.isnan(low), np.inf, low)))
             if low[j] < worst:
                 worst = float(low[j])
                 idx = np.unravel_index(np.argmin(margin[j]), margin[j].shape)
-                k = nodes.start + j + 1
+                k = int(first[part][j]) + 1
                 witness = {"k": k, "s": float(grid.s[idx[0]]), "u": float(grid.us[idx[1]]),
                            "anchored": float(anchor(k)) if anchor is not None
                            else float(grid.other[idx[2]])}
@@ -284,6 +309,26 @@ def _column(v):
     return v[:, None, None, None]
 
 
+def _node_classes(spec, *keys):
+    """Classes of the nodes that sample the growth grid alike.
+
+    Two nodes share a class when each entry of ``keys`` (node arrays, grid
+    functions or None) holds the same bits at both, and, when ``F`` uses
+    ``k``, never: every node is then its own class.  Returns ``(first,
+    cls)``: the first node (0-based) of each class, the classes ordered by
+    it, and the class of every node.
+    """
+    columns = [spec.nodes() if depends_on(spec.field.f, "k") else np.zeros(spec.T)]
+    columns += [v.values[1:-1] if isinstance(v, GridFunction) else v
+                for v in keys if v is not None]
+    rows = np.stack(columns, axis=1)
+    node_bytes = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
+    heads = {}  # a node's bytes -> the first node with them, in node order
+    head = [heads.setdefault(key, k) for k, key in enumerate(node_bytes)]
+    first = np.array(list(heads.values()))
+    return first, np.searchsorted(first, head)
+
+
 class _GrowthGrid:
     """The sample grid of the growth bounds, evaluated in blocks of nodes.
 
@@ -292,7 +337,8 @@ class _GrowthGrid:
     unanchored other slot over as many points ``other`` of ``[-R, R]``.  A
     block of ``K`` nodes holds ``(K, n, n_u, n_other)`` samples (``n_other``
     is 1 when the other slot is anchored), each computed as the node alone
-    computes it.
+    computes it.  The callers sample only the first node of each node
+    class (:func:`_node_classes`).
     """
 
     def __init__(self, spec, R, n):
@@ -303,7 +349,7 @@ class _GrowthGrid:
         self.free = self.s[None, :, None, None]
 
     def integrand(self, nodes, lower, anchor):
-        """``F`` at the nodes of the slice ``nodes`` of ``0..T-1``; the free slot is ``x`` if ``lower``."""
+        """``F`` at the nodes ``nodes`` (indices into ``0..T-1``); the free slot is ``x`` if ``lower``."""
         fixed = (self.other[None, None, None, :] if anchor is None
                  else _column(anchor.values[1:-1][nodes]))
         xy = (self.free, fixed) if lower else (fixed, self.free)
@@ -311,27 +357,26 @@ class _GrowthGrid:
                                             self.us[None, None, :, None])
         return F
 
-    def blocks(self, anchors, compute):
-        """``(nodes, compute(nodes))`` for consecutive node slices, in node order.
+    def blocks(self, anchors, compute, nodes):
+        """``(part, compute(nodes[part]))`` for consecutive slices ``part`` of the node array ``nodes``.
 
         ``compute`` returns one array per side, the other slot of each fixed
         by its entry of ``anchors``.  A slice holds as many nodes as keep
         these samples within ``_NODE_BLOCK_VALUES``, and one node at least.
         Its nodes are the rows of :func:`~saddlebvp.problem.rows_apart`, so
-        the error raised is the first that a loop over the nodes meets.
+        the error raised is the first that a loop over ``nodes`` meets.
         """
-        T = self.spec.T
         shapes = tuple((self.s.size, self.us.size, 1 if a is not None else self.other.size)
                        for a in anchors)
         size = max(1, _NODE_BLOCK_VALUES // max(n * n_u * n_o for n, n_u, n_o in shapes))
-        for start in range(0, T, size):
-            nodes = slice(start, min(start + size, T))
-            out, errors = rows_apart(
-                lambda i: compute(nodes if isinstance(i, slice) else slice(start + i, start + i + 1)),
-                nodes.stop - start, shapes)
+        for start in range(0, nodes.size, size):
+            part = slice(start, min(start + size, nodes.size))
+            at = nodes[part]
+            out, errors = rows_apart(lambda i: compute(at[i] if isinstance(i, slice) else at[i:i + 1]),
+                                     at.size, shapes)
             if errors:
                 raise errors[min(errors)]
-            yield nodes, out
+            yield part, out
 
 
 @dataclass(frozen=True)
@@ -420,6 +465,8 @@ def fit_growth_certificate(spec, box_radius, alpha1=None, alpha2=None,
     estimate of the between-samples error so the result verifies on grids of
     comparable density.  Validity beyond the box is the caller's judgement.
     ``density`` is the number of samples per free slot, at least 9.
+    The grid is sampled once per node class (:func:`_node_classes`, keyed
+    by the two anchors), and each node gets its class's gammas.
     """
     if density < 9:
         raise HypothesisError(f"density must be at least 9, got {density}")
@@ -436,11 +483,12 @@ def fit_growth_certificate(spec, box_radius, alpha1=None, alpha2=None,
         return (grid.integrand(nodes, True, anchor_y) + alpha1 * free ** 2,
                 grid.integrand(nodes, False, anchor_x) - alpha2 * free ** 2)
 
-    gamma1 = np.empty(spec.T)
-    gamma2 = np.empty(spec.T)
-    for nodes, (lower, upper) in grid.blocks((anchor_y, anchor_x), sides):
-        gamma1[nodes] = lower.min(axis=(1, 2, 3)) - _grid_gap_pad(lower) - slack
-        gamma2[nodes] = upper.max(axis=(1, 2, 3)) + _grid_gap_pad(upper) + slack
-    return GrowthCertificate(alpha1=alpha1, beta1=0.0, gamma1=gamma1,
-                             alpha2=alpha2, beta2=0.0, gamma2=gamma2,
+    first, cls = _node_classes(spec, anchor_y, anchor_x)
+    gamma1 = np.empty(first.size)
+    gamma2 = np.empty(first.size)
+    for part, (lower, upper) in grid.blocks((anchor_y, anchor_x), sides, first):
+        gamma1[part] = lower.min(axis=(1, 2, 3)) - _grid_gap_pad(lower) - slack
+        gamma2[part] = upper.max(axis=(1, 2, 3)) + _grid_gap_pad(upper) + slack
+    return GrowthCertificate(alpha1=alpha1, beta1=0.0, gamma1=gamma1[cls],
+                             alpha2=alpha2, beta2=0.0, gamma2=gamma2[cls],
                              box_radius=R, anchor_y=anchor_y, anchor_x=anchor_x)

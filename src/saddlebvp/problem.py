@@ -18,12 +18,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .expressions import ExprError, ScalarField, compile_trees, parse, variables
-from .grid import DirichletLaplacian, GridFunction, delta_i, laplacian, squared_norm
+from .grid import (DirichletLaplacian, GridFunction, delta_i, laplacian, random_interior_rows,
+                   squared_norm)
 
 
 class ProblemError(ValueError):
@@ -37,8 +37,8 @@ def real_numbers(value) -> bool:
     """
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "iuf"
-    if isinstance(value, list):
-        return all(real_numbers(v) for v in value)
+    if isinstance(value, list):  # a flat list of plain ints and floats passes at C speed
+        return set(map(type, value)) <= {int, float} or all(real_numbers(v) for v in value)
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -159,15 +159,18 @@ def block_rows(T):
     return max(1, _BLOCK_VALUES // T)
 
 
-def row_blocks(T, rows):
-    """Stack consecutive rows (tuples of length-``T`` arrays) column by column.
+def ball_pair_blocks(T, n, radii, rng):
+    """``n`` pairs of ball draws from the one ``rng``, as ``(P, Q)`` blocks of ``block_rows(T)`` pairs.
 
-    Each block holds ``block_rows(T)`` rows, the last one fewer, so each
-    column becomes a ``(B, T)`` array.
+    Pair ``i`` is ``random_interior(T, radii[0], rng)`` and then
+    ``random_interior(T, radii[1], rng)``, row ``i`` of the blocks in turn
+    (the last block holds fewer); each block is one
+    :func:`~saddlebvp.grid.random_interior_rows` call.
     """
-    rows = iter(rows)
-    while block := list(islice(rows, block_rows(T))):
-        yield tuple(np.array(column) for column in zip(*block))
+    for start in range(0, n, block_rows(T)):
+        rows = min(block_rows(T), n - start)
+        V = random_interior_rows(T, [(radius, rng) for _ in range(rows) for radius in radii])
+        yield V[0::2], V[1::2]
 
 
 def rows_apart(fn, n, shapes):

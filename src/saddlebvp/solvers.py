@@ -38,9 +38,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expressions import ExprError
-from .grid import h_norm, h_norm_i, random_interior, squared_norm
-from .problem import (SaddleCandidate, action_i, block_rows, grad_i, make_candidates_i,
-                      residual, residual_from_grad, row_blocks, row_values, rows_apart,
+from .grid import h_norm, h_norm_i, random_interior_rows, squared_norm
+from .problem import (SaddleCandidate, action_i, ball_pair_blocks, block_rows, grad_i,
+                      make_candidates_i, residual, residual_from_grad, row_values, rows_apart,
                       second_partials_i)
 
 INNER_MAX_ITER = 200
@@ -488,8 +488,11 @@ def verify_saddle(spec, u, cand, probes=64, eps=1e-8, radii=None, seed=0, tol_re
     (a) system defect below ``tol_res`` (default ``1e-8 * (1 + max row sum
     of the difference matrix)``); (b) sampled saddle inequalities against
     ``probes`` random points of the product ball, skipping any outside the
-    integrand's domain (the probes are drawn in order and evaluated in
-    ``(B, T)`` blocks, each gap bit for bit its one-probe value); (c) the second-order test: the smallest eigenvalues
+    integrand's domain (each probe draws ``y`` and then ``x`` from the one
+    rng, in the ``(B, T)`` blocks of ``block_rows(T)`` probes that
+    :func:`~saddlebvp.problem.ball_pair_blocks` draws and the gaps are
+    evaluated in, each gap bit for bit its one-probe value); (c) the
+    second-order test: the smallest eigenvalues
     ``curvature_x`` of ``L + diag(F_xx)`` and ``curvature_y`` of
     ``L - diag(F_yy)`` at the candidate are at least ``-eps``.  At a
     stationary point (c) is the second-order necessary condition of the
@@ -506,15 +509,9 @@ def verify_saddle(spec, u, cand, probes=64, eps=1e-8, radii=None, seed=0, tol_re
     yv = cand.y.interior
     value = action_i(spec, u, xv, yv)
 
-    def draws():
-        for _ in range(max(1, probes)):
-            py = random_interior(spec.T, ry, rng)
-            px = random_interior(spec.T, rx, rng)
-            yield py, px
-
     # Python's max, in draw order, skips the nan gap of a probe outside the domain.
     worst_y = worst_x = -np.inf
-    for PY, PX in row_blocks(spec.T, draws()):
+    for PY, PX in ball_pair_blocks(spec.T, max(1, probes), (ry, rx), rng):
         gaps_y = row_values(action_i, spec, u, np.tile(xv, (len(PY), 1)), PY) - value
         gaps_x = -(row_values(action_i, spec, u, PX, np.tile(yv, (len(PX), 1))) - value)
         worst_y = max(worst_y, *gaps_y.tolist())
@@ -571,11 +568,10 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     grouped.
     """
     rx, ry = radii_pair(radii, DEFAULT_RADII)
-    X0, Y0 = np.empty((2, cfg.multistart, spec.T))
-    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.multistart)):
-        rng = np.random.default_rng(child)
-        X0[i] = random_interior(spec.T, rx, rng)
-        Y0[i] = random_interior(spec.T, ry, rng)
+    # Each start's own rng draws its x and then its y, so the x rows can come first.
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(cfg.multistart)]
+    X0, Y0 = random_interior_rows(spec.T, [(rx, rng) for rng in rngs]
+                                  + [(ry, rng) for rng in rngs]).reshape(2, -1, spec.T)
 
     results = runs(spec, u, X0, Y0, cfg)
     converged = [c for c in results if isinstance(c, SaddleCandidate) and c.converged]

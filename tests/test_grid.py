@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from conftest import dirichlet_matrix
 from saddlebvp import (GridFunction, delta, embedding_constant, embedding_estimate,
                        h_norm, laplacian)
-from saddlebvp.grid import GridError, delta_i, h_norm_i, random_interior
+from saddlebvp.grid import GridError, delta_i, h_norm_i, random_interior, random_interior_rows
 
 
 def test_delta_zero_function():
@@ -274,6 +274,63 @@ def test_random_interior_follows_its_definition(T):
         for _ in range(20):
             assert random_interior(T, radius, b).tobytes() == _ball_draw(T, radius, c).tobytes()
     assert b.bit_generator.state == c.bit_generator.state
+
+
+_RADII = (0.5, 3.0, 20.5, 1e-3)
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 100])
+def test_block_draws_with_one_rng_equal_the_one_row_draws(T):
+    # probes and gap pairs: one rng, radii interleaved row by row
+    b, c = (np.random.default_rng(T) for _ in range(2))
+    draws = [(_RADII[i % 3], b) for i in range(37)] + [(_RADII[3], b)]
+    V = random_interior_rows(T, draws)
+    assert V.shape == (38, T)
+    assert [v.tobytes() for v in V] == [_ball_draw(T, r, c).tobytes() for r, _ in draws]
+    assert b.bit_generator.state == c.bit_generator.state
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 100])
+def test_block_draws_with_one_rng_per_start_equal_the_one_row_draws(T):
+    # multistart starts: each start's rng draws its x and then its y, so all
+    # x rows may come before all y rows
+    children = np.random.SeedSequence(T).spawn(9)
+    b = [np.random.default_rng(child) for child in children]
+    c = [np.random.default_rng(child) for child in children]
+    X, Y = random_interior_rows(T, [(_RADII[i % 4], g) for i, g in enumerate(b)]
+                                + [(_RADII[(i + 1) % 4], g) for i, g in enumerate(b)]).reshape(2, 9, T)
+    for i, g in enumerate(c):
+        assert X[i].tobytes() == _ball_draw(T, _RADII[i % 4], g).tobytes()
+        assert Y[i].tobytes() == _ball_draw(T, _RADII[(i + 1) % 4], g).tobytes()
+    assert [g.bit_generator.state for g in b] == [g.bit_generator.state for g in c]
+
+
+class _ZeroNormals:
+    """An rng whose normals are all zero; it counts the uniforms it hands out."""
+
+    uniforms = 0
+
+    def standard_normal(self, size=None, out=None):
+        out[...] = 0.0
+        return out
+
+    def random(self):
+        self.uniforms += 1
+        return 0.5
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 100])
+def test_block_draws_keep_a_zero_row_and_draw_no_uniform_for_it(T):
+    zero = _ZeroNormals()
+    b, c = (np.random.default_rng(T) for _ in range(2))
+    V = random_interior_rows(T, [(2.0, zero), (3.0, b), (4.0, zero), (5.0, b)])
+    assert zero.uniforms == 0
+    assert V[0].tobytes() == V[2].tobytes() == np.zeros(T).tobytes()
+    assert V[1].tobytes() == _ball_draw(T, 3.0, c).tobytes()
+    assert V[3].tobytes() == _ball_draw(T, 5.0, c).tobytes()
+    assert b.bit_generator.state == c.bit_generator.state
+    assert random_interior(T, 2.0, zero).tobytes() == np.zeros(T).tobytes()
+    assert zero.uniforms == 0
 
 
 def test_interior_norms_equal_the_padded_definition():

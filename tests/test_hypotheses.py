@@ -7,9 +7,9 @@ from conftest import dirichlet_matrix, nonlinear_instance
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, ball_radii,
                        check_concavity_y, check_convexity_x, embedding_constant,
                        fit_growth_certificate, verify_growth)
-from saddlebvp.expressions import ExprError
-from saddlebvp.hypotheses import (DEFAULT_TOL, GrowthCertificate, HypothesisError,
-                                  certificate_from_dict)
+from saddlebvp.expressions import ExprError, compile_trees, depends_on
+from saddlebvp.hypotheses import (_NODE_BLOCK_VALUES, DEFAULT_TOL, GrowthCertificate,
+                                  HypothesisError, _node_classes, certificate_from_dict)
 
 
 def zero_u(T, D=1.0):
@@ -313,11 +313,26 @@ def _growth_cases():
     nan_field = ProblemSpec.create(9, 1.0, "x^2 - y^2 + u*x + exp(300*(k - 3)) - exp(300*(k - 3))")
     ramp = GridFunction.from_interior(np.linspace(-1, 1, 9))
     nan_cert = GrowthCertificate.constant(9, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 2.0, anchor_y=ramp)
+    # k-free fields, so nodes with equal gamma and anchor bits form one class:
+    # seven lower classes, where anchors 0.5 (node 4) and -0.5 (node 6) tie
+    # at the smallest margin across classes, and an anchorless upper side
+    # with two classes of gamma2; then anchors at 3 that make F nan
+    # (0 * exp(900)) at nodes 1, 3 and 6, with node 2 (0.5) tying node 4 (-0.5)
+    classes = ProblemSpec.create(10, 1.0, "x^2 - y^2 + u*x")
+    classes_cert = GrowthCertificate(
+        alpha1=0.0, beta1=0.0, gamma1=[-1, -0.2, -1, -0.2, -0.2, -0.2, -1, -1, -0.2, -0.2],
+        alpha2=0.0, beta2=0.0, gamma2=[7, 8, 7, 7, 8, 8, 7, 8, 7, 7], box_radius=2.0,
+        anchor_y=GridFunction.from_interior([0.5, 0.25, -0.5, 0.5, 0.25, -0.5, 0, 0, 0.25, -0.25]))
+    nan_classes = ProblemSpec.create(8, 1.0, "x^2 - y^2 + u*x + 0*exp(300*y)")
+    nan_classes_cert = GrowthCertificate.constant(
+        8, 0.0, 0.0, -0.1, 0.0, 0.0, 0.0, 2.0,
+        anchor_y=GridFunction.from_interior([3, 0.5, 3, -0.5, 0, 3, 0.5, 0]))
     return [(study, cert, 201, None), (study, failing, 201, "lower"),
-            (bilinear, anchorless, 41, "upper"), (nan_field, nan_cert, 201, "lower")]
+            (bilinear, anchorless, 41, "upper"), (nan_field, nan_cert, 201, "lower"),
+            (classes, classes_cert, 41, "lower"), (nan_classes, nan_classes_cert, 41, "lower")]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(6))
 def test_node_blocked_growth_margins_equal_the_node_loop(case):
     spec, cert, n, fails = _growth_cases()[case]
     with np.errstate(invalid="ignore", over="ignore"):
@@ -336,16 +351,23 @@ def test_node_blocked_growth_margins_equal_the_node_loop(case):
     if case == 3:
         # the nan nodes k >= 6 are skipped: the witness sits at a node before them
         assert rep.counterexample["k"] <= 5
+    if case == 4:
+        # the tie across classes goes to the first node in node order
+        assert (rep.counterexample["k"], rep.counterexample["anchored"]) == (4, 0.5)
+    if case == 5:
+        # the nan classes are skipped, and the tie goes to node 2
+        assert (rep.counterexample["k"], rep.counterexample["anchored"]) == (2, 0.5)
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(6))
 def test_node_blocked_fit_equals_the_node_loop(case):
     spec, cert, n, _ = _growth_cases()[case]
     kwargs = {"anchor_y": cert.anchor_y, "anchor_x": cert.anchor_x}
     with np.errstate(invalid="ignore", over="ignore"):
         gamma1, gamma2 = _fit_node_loop(spec, cert.box_radius, n, **kwargs)
-        if case == 3:  # nan gammas at the nan nodes, which a certificate rejects
-            assert np.isnan(gamma1[5:]).all() and not np.isnan(gamma1[:5]).any()
+        nan_nodes = {3: np.arange(5, 9), 5: [0, 2, 5]}.get(case)
+        if nan_nodes is not None:  # nan gammas at the nan nodes, which a certificate rejects
+            assert np.flatnonzero(np.isnan(gamma1)).tolist() == list(nan_nodes)
             with pytest.raises(HypothesisError, match="gamma1 must be finite"):
                 fit_growth_certificate(spec, cert.box_radius, density=n, **kwargs)
             return
@@ -364,6 +386,69 @@ def test_node_blocked_growth_raises_the_node_loop_domain_error():
                   lambda: fit_growth_certificate(spec, 2.0, density=9)):
         with pytest.raises(ExprError, match="division by zero"):
             check()
+
+
+def test_node_classes_are_keyed_by_bits_and_by_k_when_f_uses_it():
+    # 0.0 and -0.0 are told apart; gammas and anchors key together, None adds nothing
+    gamma = np.array([1.0, 1.0, 2.0, 1.0, 1.0])
+    anchor = GridFunction.from_interior([0.0, -0.0, 0.0, 0.0, -0.0])
+    first, cls = _node_classes(ProblemSpec.create(5, 1.0, "x^2 - y^2 + u*x*y"), gamma, anchor, None)
+    assert first.tolist() == [0, 1, 2] and cls.tolist() == [0, 1, 2, 0, 1]
+    first, cls = _node_classes(ProblemSpec.create(5, 1.0, "x^2 - y^2"), None)
+    assert first.tolist() == [0] and cls.tolist() == [0] * 5
+    first, cls = _node_classes(ProblemSpec.create(5, 1.0, "x^2 - y^2 + k"), gamma, anchor)
+    assert first.tolist() == cls.tolist() == list(range(5))
+
+
+def test_node_classes_raise_the_first_nodes_domain_error():
+    # a k-free field: node 1 (y = 0) divides by zero and node 3 (y = -1)
+    # takes log(0), a guard that comes first in the tree, so a block of the
+    # three classes alone would raise the log error
+    spec = ProblemSpec.create(4, 1.0, "x^2 - y^2 + log(y + 1) + 1/y")
+    anchor = GridFunction.from_interior([0.0, 1.0, -1.0, 1.0])
+    cert = GrowthCertificate.constant(4, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 2.0, anchor_y=anchor)
+    for check in (lambda: verify_growth(spec, cert, grid_density=9),
+                  lambda: fit_growth_certificate(spec, 2.0, density=9, anchor_y=anchor)):
+        with pytest.raises(ExprError, match="division by zero"):
+            check()
+
+
+def _whole_grid_curvature(spec, u, fixed, box, density, convex):
+    """The curvature check on the whole ``(density, T)`` grid in one kernel call."""
+    node, free, other = (spec.field.fxx, "x", "y") if convex else (spec.field.fyy, "y", "x")
+    s = np.linspace(-box, box, density)
+    (curv,) = compile_trees((node,))(**{"k": spec.nodes(), "u": u.values, free: s[:, None],
+                                        other: fixed.interior})
+    curv = np.broadcast_to(np.asarray(curv, dtype=float), (density, spec.T))
+    curv = curv if convex else -curv
+    idx = np.argmin(curv, axis=0)
+    low = curv[idx, np.arange(spec.T)]
+    pad = 0.5 * np.max(np.abs(np.diff(curv, n=2, axis=0)), axis=0)
+    if not depends_on(node, free):
+        pad = np.zeros(spec.T)
+    return (spec.lap.smallest_eigenvalue_shifted(low - pad), s[idx].tolist(),
+            spec.lap.smallest_eigenvalue_shifted(low))
+
+
+@pytest.mark.parametrize("F, exact, passed", [
+    ("(0.3 + 0.01*k)*x^2 + u*x*y - (0.3 + 0.01*k)*y^2", True, True),
+    ("0.4*x^2 + 0.25*sin(x + k) - 0.4*y^2 + 0.25*cos(y*k/50) + u*(x - y)", False, True),
+    ("0.1*x^2 - 2*cos(x + k) - 0.1*y^2 + 2*cos(y + k)", False, False)])
+def test_curvature_node_blocks_equal_the_whole_grid(F, exact, passed):
+    # T = 82 at density 201 spans two node blocks (81 nodes and 1)
+    T, density = 82, 201
+    assert _NODE_BLOCK_VALUES // density == 81
+    spec = ProblemSpec.create(T, 1.0, F)
+    u = ParameterFunction(np.sin(np.arange(T)), 1.0)
+    fixed = GridFunction.from_interior(np.linspace(-1.0, 1.0, T))
+    for check, convex in ((check_convexity_x, True), (check_concavity_y, False)):
+        rep = check(spec, u, fixed, 3.0, density)
+        margin, point, eigenvalue = _whole_grid_curvature(spec, u, fixed, 3.0, density, convex)
+        assert (rep.exact, rep.passed) == (exact, passed)
+        assert rep.worst_margin.hex() == margin.hex()
+        if not passed:
+            assert rep.counterexample["point"] == point
+            assert rep.counterexample["eigenvalue"].hex() == eigenvalue.hex()
 
 
 # --- ball radii ------------------------------------------------------------------

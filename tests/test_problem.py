@@ -13,7 +13,32 @@ from saddlebvp.expressions import (Call, DomainError, Neg, Num, Pow, ScalarField
 from saddlebvp.grid import squared_norm
 from saddlebvp.problem import (ProblemError, action_i, grad_i, integrand_sum_i,
                                make_candidates_i, parameter_values, problem_from_dict, read_json,
-                               residual_from_grad, second_partials_i)
+                               real_numbers, residual_from_grad, second_partials_i)
+
+
+class _Count(int):
+    """An int subclass: a real number that is neither a plain int nor a bool."""
+
+
+@pytest.mark.parametrize("value, verdict", [
+    (1, True), (2.5, True), (float("nan"), True), (True, False), ("1", False), (None, False),
+    ([], True), ([0, 1, -2], True), ([0.0, 1, float("inf")], True), ([_Count(3), 1.0], True),
+    ([1, True], False), ([False], False), ([1.0, "2"], False), (["a"], False),
+    ([1, None], False), ([None], False), ([1.0, {}], False), ([1, (2,)], False),
+    ([[1, 2.0], [3]], True), ([[1], 2], True), ([[]], True), ([[1, True]], False),
+    ([[1, "x"]], False), ([[None]], False),
+    (np.float64(1.5), True), (np.int32(3), True), (np.bool_(True), False),
+    ([np.float64(1.5), 2], True), ([np.int64(2), np.float32(0.5)], True),
+    ([1, np.bool_(False)], False), ([np.str_("1")], False),
+    (np.array([1.0, 2.0]), True), (np.array([1, 2]), True), (np.array([[1.0]]), True),
+    (np.array([True]), False), (np.array(["1"]), False), (np.array([1.0], dtype=object), False),
+    (np.array(2.0), True), ([np.array([1.0, 2.0]), 3], True), ([np.array([True])], False),
+])
+def test_real_numbers_verdicts(value, verdict):
+    # flat lists of plain ints and floats take a fast path; every other value
+    # (bools, strings, None, nested lists, numpy scalars and arrays) is
+    # judged element by element, with the same verdict as before
+    assert real_numbers(value) is verdict
 
 
 def hessian_blocks(spec, u, x, y):
