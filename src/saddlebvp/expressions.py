@@ -350,6 +350,17 @@ def evaluate(node, env):
     raise TypeError(f"not an AST node: {node!r}")
 
 
+def _fill(value, k, x, y, u):
+    """``value`` as a float array in the broadcast shape of ``x``, ``y`` and itself, never an argument."""
+    shape = np.broadcast(x, y, value).shape
+    if (type(value) is np.ndarray and value.shape == shape
+            and value is not k and value is not x and value is not y and value is not u):
+        return value
+    out = np.empty(shape)
+    out[...] = value
+    return out
+
+
 def compile_trees(trees):
     """Compile ASTs into one function ``kernel(k, x, y, u) -> tuple`` of their values.
 
@@ -358,7 +369,9 @@ def compile_trees(trees):
     operators, ufuncs and domain guards, so every value (nan and the sign of
     zero included) and every :class:`DomainError` equal the interpreter's.
     Constants are keyed by their bits, so ``0.0`` and ``-0.0`` stay apart.
-    A tree that is a bare variable returns that argument itself.
+    At array points each value is a float array in the broadcast shape of
+    ``x``, ``y`` and the value, never an argument (equal trees may share
+    one): an operation on both ``x`` and ``y`` gives one, :func:`_fill` the rest.
 
     A power whose exponent is a constant, finite, integral and ``>= 0``
     (``-0.0`` too) is a bare ``np.power``: its guard cannot fire, since
@@ -366,7 +379,7 @@ def compile_trees(trees):
     The values are the guarded ones, since the guard only decides whether
     to raise.
     """
-    namespace = {"_div": _div, "_pow": _pow, "_power": _power,
+    namespace = {"_div": _div, "_pow": _pow, "_power": _power, "_fill": _fill,
                  **{f"_{name}": fn for name, fn in {**_GUARDED, **_UFUNCS}.items()}}
     names = {}  # structural key -> name of its value in the generated code
     lines = []
@@ -418,7 +431,11 @@ def compile_trees(trees):
         lines.append(f"    {names[key]} = {expr}")
         return names[key], key
 
-    results = "".join(visit(tree)[0] + ", " for tree in trees)
+    def result(tree):
+        name = visit(tree)[0]
+        return name if {"x", "y"} <= variables(tree) else f"_fill({name}, k, x, y, u)"
+
+    results = "".join(result(tree) + ", " for tree in trees)
     source = "\n".join(["def kernel(k, x, y, u):", *lines, f"    return ({results})"])
     # The trees in the file name tell kernels apart in tracebacks and profiles.
     filename = f"<kernel {', '.join(map(to_string, trees))}>"
@@ -577,9 +594,9 @@ class ScalarField:
     Construction also compiles three kernels ``(k, x, y, u) -> tuple``
     (see :func:`compile_trees`): ``value_kernel`` gives ``(f,)``,
     ``gradient_kernel`` ``(fx, fy)`` and ``hessian_kernel``
-    ``(fxx, fxy, fyy)``.  They stay separate because a partial can be
-    defined where ``f`` is not (``log(x + 1.5)`` has the partial
-    ``1/(x + 1.5)``).  Equality and hashing ignore them.
+    ``(fxx, fxy, fyy)``, each value in the shape of the points.  They stay
+    separate because a partial can be defined where ``f`` is not
+    (``log(x + 1.5)`` has the partial ``1/(x + 1.5)``).  Equality and hashing ignore them.
     """
 
     f: object

@@ -175,9 +175,10 @@ def _check_curvature(spec, u, fixed, box, density, convex):
     """The curvature check, on the ``(density, T)`` grid in blocks of nodes.
 
     A block holds as many nodes as keep its samples within
-    ``_NODE_BLOCK_VALUES``, and one node at least; each node's column is the
-    one the whole grid gives.  A domain error is the first that the blocks
-    meet in node order, the whole grid's when it fits one block.
+    ``_NODE_BLOCK_VALUES``, and one node at least; the kernel gives a block's
+    ``(density, nodes)`` values, each node's column the one the whole grid
+    gives.  A domain error is the first that the blocks meet in node order,
+    the whole grid's when it fits one block.
     """
     node, free, other = ((spec.field.fxx, "x", "y") if convex
                          else (spec.field.fyy, "y", "x"))
@@ -196,7 +197,6 @@ def _check_curvature(spec, u, fixed, box, density, convex):
         env = {"k": spec.nodes()[nodes], "u": u.values[nodes], free: s[:, None],
                other: anchored[nodes]}
         (curv,) = kernel(**env)
-        curv = np.broadcast_to(np.asarray(curv, dtype=float), (s.size, nodes.stop - start))
         if not convex:
             curv = -curv  # -(-L + diag(F_yy)) = L + diag(-F_yy)
         idx[nodes] = np.argmin(curv, axis=0)

@@ -46,15 +46,14 @@ def parameter_values(value, T, name):
     """Values at the nodes ``1..T`` of an expression in ``k`` or an array of ``T`` numbers.
 
     Every node array in an input file is read here, with no bound applied;
-    ``name`` is its key, for error messages.
+    ``name`` is its key, for error messages.  An expression is evaluated at ``T`` zero points.
     """
     if isinstance(value, str):
         ast = parse(value)
         extra = variables(ast) - {"k"}
         if extra:
             raise ProblemError(f"{name} may only use k, found {sorted(extra)}")
-        k = np.arange(1, T + 1, dtype=float)
-        value = np.broadcast_to(compile_trees((ast,))(k, 0.0, 0.0, 0.0)[0], (T,))
+        (value,) = compile_trees((ast,))(np.arange(1, T + 1, dtype=float), np.zeros(T), 0.0, 0.0)
     if not real_numbers(value):
         raise ProblemError(f"{name} must be an expression in k or {T} numbers")
     vals = np.asarray(value, dtype=float)
@@ -135,19 +134,6 @@ def _check_dims(spec, u, x, y):
         raise ProblemError(f"parameter must have length T={spec.T}, got {u.T}")
 
 
-def _nodal(out, xv, yv):
-    """A field kernel result as values at the nodes, in the shape of ``xv``.
-
-    Constant trees give scalars, trees in ``k`` and ``u`` alone give ``T``
-    values for a block, and bare ``x``/``y`` trees give ``xv``/``yv`` back;
-    all come out as read-only broadcast views, so no caller can write
-    through them into its own iterate.
-    """
-    if isinstance(out, np.ndarray) and out.shape == xv.shape and out is not xv and out is not yv:
-        return out
-    return np.broadcast_to(np.asarray(out, dtype=float), xv.shape)
-
-
 # Batched evaluations take (B, T) blocks of about this many values.  A kernel
 # keeps every temporary alive until it returns, so the block, not the number
 # of points, bounds the memory of a batched evaluation.
@@ -212,14 +198,11 @@ def integrand_sum_i(spec, u, xv, yv):
 
     ``xv`` and ``yv`` may also be ``(B, T)`` blocks of points, one per row,
     evaluated in one kernel call; the result is then the array of the ``B``
-    row sums, each equal bit for bit to the float its row alone gives.
+    row sums, each equal bit for bit to the float its row alone gives: each
+    row of the kernel's values is summed along the last axis, in the 1-d order.
     """
     (f,) = spec.field.value_kernel(spec.nodes(), xv, yv, u.values)
-    # Each row is summed along the contiguous last axis, in the 1-d order;
-    # filling a fresh array is cheaper than np.broadcast_to on small T.
-    full = np.empty(xv.shape)
-    full[...] = f
-    s = full.sum(axis=-1)
+    s = f.sum(axis=-1)
     return float(s) if xv.ndim == 1 else s
 
 
@@ -234,8 +217,7 @@ def action_i(spec, u, xv, yv):
 def grad_i(spec, u, xv, yv):
     """``(L x + F_x, -L y + F_y)`` at interior values, row by row for a ``(B, T)`` block."""
     fx, fy = spec.field.gradient_kernel(spec.nodes(), xv, yv, u.values)
-    return (spec.lap.apply(xv) + _nodal(fx, xv, yv),
-            -spec.lap.apply(yv) + _nodal(fy, xv, yv))
+    return spec.lap.apply(xv) + fx, -spec.lap.apply(yv) + fy
 
 
 def residual_from_grad(gx, gy):
@@ -253,9 +235,8 @@ def residual_from_grad(gx, gy):
 
 
 def second_partials_i(spec, u, xv, yv):
-    """Diagonals ``(F_xx, F_xy, F_yy)`` at the interior nodes."""
-    return tuple(_nodal(out, xv, yv)
-                 for out in spec.field.hessian_kernel(spec.nodes(), xv, yv, u.values))
+    """Diagonals ``(F_xx, F_xy, F_yy)`` at the interior nodes, as arrays in the shape of ``xv``."""
+    return spec.field.hessian_kernel(spec.nodes(), xv, yv, u.values)
 
 
 def action(spec: ProblemSpec, u: ParameterFunction, x: GridFunction, y: GridFunction) -> float:

@@ -434,9 +434,16 @@ def test_compiled_kernels_write_the_interpreters_bytes(tmp_path, monkeypatch):
         return codes, {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
 
     def interpreted(trees):
+        # Each value filled to the shape the compiled kernels promise.
         def kernel(k, x, y, u):
             env = {"k": k, "x": x, "y": y, "u": u}
-            return tuple(evaluate(tree, env) for tree in trees)
+            values = []
+            for tree in trees:
+                value = evaluate(tree, env)
+                full = np.empty(np.broadcast(x, y, value).shape)
+                full[...] = value
+                values.append(full)
+            return tuple(values)
         return kernel
 
     compiled = outputs("compiled")

@@ -304,17 +304,24 @@ def _env_values(seed, shapes):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_ast_strategy(), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["scalar", "nodes", "samples"]))
+       st.sampled_from(["scalar", "nodes", "samples", "growth"]))
 def test_compiled_kernel_matches_interpreter(trees, seed, layout):
     # Signed-zero partners of the first tree: merging the two constants
     # would give both results the same sign.
     trees = (*trees, Mul(trees[0], Num(0.0)), Mul(trees[0], Num(-0.0)))
     shapes = {"scalar": [()] * 4, "nodes": [(5,)] * 4,
-              "samples": [(5,), (3, 1), (5,), (3, 1)]}[layout]
+              "samples": [(5,), (3, 1), (5,), (3, 1)],
+              "growth": [(2, 1, 1, 1), (1, 3, 1, 1), (1, 1, 1, 4), (1, 1, 2, 1)]}[layout]
     env = _env_values(seed, shapes)
+
+    def filled(tree):
+        # The interpreter's value in the shape the kernels promise.
+        value = evaluate(tree, env)
+        return np.broadcast_to(value, np.broadcast(env["x"], env["y"], value).shape)
+
     expected = []
     for tree in trees:
-        expected.append(_outcome(lambda: evaluate(tree, env)))
+        expected.append(_outcome(lambda: filled(tree)))
         if expected[-1][0] == "raised":
             break
     kernel = compile_trees(trees)

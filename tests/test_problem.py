@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_fd_gradient, dirichlet_matrix, quadratic_instance
-from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, action, grad,
+from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, action, expressions, grad,
                        load_problem, residual)
 from saddlebvp.expressions import (Call, DomainError, Neg, Num, Pow, ScalarField, Var,
                                    evaluate, parse)
@@ -290,8 +290,7 @@ def test_field_results_never_write_through_to_inputs():
         xv, yv = np.array([1.0, -2.0, 3.0, 0.5]), np.array([0.25, 4.0, -1.0, 2.0])
         before = (xv.copy(), yv.copy(), spec.nodes().copy())
         for out in (*grad_i(spec, u, xv, yv), *second_partials_i(spec, u, xv, yv)):
-            if out.flags.writeable:
-                out[:] = 99.0
+            out[:] = 99.0
         assert all(np.array_equal(a, b) for a, b in zip((xv, yv, spec.nodes()), before))
 
 
@@ -332,6 +331,61 @@ def test_block_rows_equal_one_row_calls(T, B, source, seed):
         # row norms keep the summation order of the 1-d product
         assert _bits(squared_norm(X)[i]) == _bits(squared_norm(xv)) == _bits(xv @ xv)
     assert isinstance(alone[3], float) and isinstance(alone[4], float)
+
+
+def _layouts(rng, T=5):
+    """Points ``(k, x, y, u)`` in the layouts the library evaluates fields in."""
+    nodes = np.arange(1.0, T + 1)
+    column = np.linspace(-2.0, 2.0, 7)[:, None]
+    return {
+        "solver 1-d": (nodes, rng.standard_normal(T), rng.standard_normal(T), rng.uniform(-1, 1, T)),
+        "solver block": (nodes, rng.standard_normal((3, T)), rng.standard_normal((3, T)),
+                         rng.uniform(-1, 1, T)),
+        "curvature x": (nodes, column, rng.standard_normal(T), rng.uniform(-1, 1, T)),
+        "curvature y": (nodes, rng.standard_normal(T), column, rng.uniform(-1, 1, T)),
+        "growth": (nodes[:, None, None, None], np.linspace(-2.0, 2.0, 6)[None, :, None, None],
+                   np.linspace(-2.0, 2.0, 5)[None, None, None, :],
+                   np.linspace(-1.0, 1.0, 4)[None, None, :, None]),
+    }
+
+
+@pytest.mark.parametrize("source", BLOCK_FIELDS)
+def test_field_kernels_return_values_in_the_shape_of_their_points(source):
+    field = ScalarField.from_text(source)
+    kernels = ((field.value_kernel, (field.f,)), (field.gradient_kernel, (field.fx, field.fy)),
+               (field.hessian_kernel, (field.fxx, field.fxy, field.fyy)))
+    for layout, points in _layouts(np.random.default_rng(7)).items():
+        k, x, y, u = points
+        env = dict(zip("kxyu", points))
+        for kernel, trees in kernels:
+            for tree, out in zip(trees, kernel(*points)):
+                value = evaluate(tree, env)
+                shape = np.broadcast(x, y, value).shape
+                assert type(out) is np.ndarray and out.dtype == np.float64, (layout, tree)
+                assert out.shape == shape, (layout, tree)
+                assert not any(np.shares_memory(out, a) for a in points), (layout, tree)
+
+
+@pytest.mark.parametrize("source", BLOCK_FIELDS[:2])
+def test_solver_kernels_of_the_workload_integrands_do_no_shape_work(source, monkeypatch):
+    # The eg-stiff and study integrands: f, F_x and F_y use both x and y, so
+    # their kernels return the operations' own arrays; F_xx, F_xy and F_yy do not.
+    calls = []
+
+    def counting(value, *args):
+        calls.append(value)
+        return fill(value, *args)
+
+    fill = expressions._fill
+    monkeypatch.setattr(expressions, "_fill", counting)
+    spec = ProblemSpec.create(7, 1.0, source)
+    u = ParameterFunction(np.linspace(-0.5, 0.5, 7), 1.0)
+    X, Y = np.random.default_rng(3).standard_normal((2, 4, 7))
+    grad_i(spec, u, X, Y)
+    integrand_sum_i(spec, u, X, Y)
+    assert calls == []
+    second_partials_i(spec, u, X, Y)
+    assert len(calls) == 3
 
 
 def test_residual_from_grad_rows_keep_the_one_point_nan_rule():
