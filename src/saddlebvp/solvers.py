@@ -17,16 +17,25 @@ residual falls by the Armijo fraction.  The loop works on a block of rows,
 one run per row.
 
 :func:`runs`, the one driver, runs the block function of ``cfg.method`` in
-:data:`METHODS` on many starts in lockstep, as the rows of ``(B, T)``
-(newton and nested: ``(B, 2T)``) arrays: each row keeps its own step,
-iterate and stop, and one kernel call per iteration serves every live row,
-as one band solve per iteration serves newton's and nested's steps.  The
-starts arrive as arrays of interior values, and the candidates of a block
-come from one gradient and one action call.  The problem layer and the band
-solve treat a block row by row bit for bit as alone, and every block goes
-through :func:`~saddlebvp.problem.rows_apart`, so each start ends exactly
-where its own run ends and only the rows that leave the domain fail.  The
-one-start solvers are the one-row case of :func:`runs`.
+:data:`METHODS` on many starts in lockstep, as the rows of ``(B, 2T)``
+arrays: each row keeps its own step, iterate and stop, and one kernel call
+per iteration serves every live row, as one band solve per iteration serves
+newton's and nested's steps.  Newton and extragradient keep each iterate as
+one stacked row ``z = (x, y)`` and evaluate the operator
+``G = (grad_x J, -grad_y J)`` of a whole block with :func:`_operator`: one
+gradient-kernel call and one Laplacian product.  The starts arrive as arrays
+of interior values, and the candidates of a block come from one gradient and
+one action call.  The problem layer and the band solve treat a block row by
+row bit for bit as alone, and every block goes through
+:func:`~saddlebvp.problem.rows_apart`, so each start ends exactly where its
+own run ends and only the rows that leave the domain fail.  The one-start
+solvers are the one-row case of :func:`runs`.
+
+With ``record_trace`` every start of a block records its trace
+(:class:`_Traces`): each iteration keeps its arrays, and the residuals and
+actions of ``block_rows(T)`` recorded rows come from one call each (an
+iteration of more than half that many rows from its own call).
+``trace.csv`` writes the first representative's trace.
 
 ``verify_saddle`` checks a candidate a posteriori: small system defect,
 sampled saddle inequalities, and the second-order test that ``x -> J(x, y*)``
@@ -103,12 +112,95 @@ def _rows(kernel, outputs, spec, u, X, Y):
     return rows_apart(lambda i: kernel(spec, u, X[i], Y[i]), len(X), (X.shape[1:],) * outputs)
 
 
-def _record(traces, spec, u, it, rows, norms, GX, GY, X, Y):
-    """Append ``(it, |G|_2, residual, action)`` to each trace in ``rows``; nan outside the domain."""
-    values = zip(norms.tolist(), residual_from_grad(GX, GY).tolist(),
-                 row_values(action_i, spec, u, X, Y).tolist())
-    for r, row in zip(rows, values):
-        traces[r].append((it, *row))
+def _operator(spec, u, Z):
+    """``G = (grad_x J, -grad_y J)`` at each row ``z = (x, y)`` of the ``(B, 2T)`` block ``Z``.
+
+    One gradient-kernel call on the halves of ``Z``, by
+    :func:`~saddlebvp.problem.rows_apart`, and one Laplacian product on its
+    ``(B, 2, T)`` view.  The halves hold ``grad_i``'s ``gx`` and ``-gy`` bit
+    for bit: the y half is ``-((-L y) + F_y)``, whose zeros keep their sign.
+    Returns ``(G, {row: ExprError})``, nan in the rows outside the domain.
+    """
+    T = spec.T
+    X, Y = Z[:, :T], Z[:, T:]
+    (FX, FY), errors = rows_apart(
+        lambda i: spec.field.gradient_kernel(spec.nodes(), X[i], Y[i], u.values), len(Z),
+        ((T,), (T,)))
+    G = spec.lap.apply(Z.reshape(len(Z), 2, T)).reshape(len(Z), 2 * T)
+    G[:, :T] += FX
+    GY = G[:, T:]
+    np.subtract(FY, GY, out=GY)  # F_y - L y is (-L y) + F_y, bit for bit
+    np.negative(GY, out=GY)
+    return G, errors
+
+
+def _norm(G, T):
+    """``sqrt(|G_x|^2 + |G_y|^2)`` of each row of a ``(B, 2T)`` block, summed by halves."""
+    halves = squared_norm(G.reshape(len(G), 2, T))
+    return np.sqrt(halves[:, 0] + halves[:, 1])
+
+
+class _Traces:
+    """The trace rows ``(it, |G|_2, residual, action)`` of the ``n`` runs of one block.
+
+    :meth:`add` takes one iteration of the live rows: the iteration, their
+    block indices, norms and ``(B, 2T)`` iterates ``Z = (x, y)``, and their
+    operator values ``G`` (:func:`_operator`), or ``None`` to have them
+    computed here.  The arrays wait, kept and not copied, until
+    ``block_rows(T)`` rows are pending; then one ``residual_from_grad`` and
+    one :func:`~saddlebvp.problem.row_values` call of ``action_i`` cover
+    them all, each row bit for bit as alone (nan outside the domain), and
+    the batch's rows join their runs' lists.  An iteration of more than half
+    that many rows is such a batch on its own.  :meth:`lists` evaluates the
+    rest.
+    """
+
+    def __init__(self, spec, u, n):
+        self.spec, self.u = spec, u
+        self.size = block_rows(spec.T)
+        self.pending, self.filled = [], 0
+        self.traces = [[] for _ in range(n)]
+
+    def add(self, it, rows, norms, Z, G=None, copy=False):
+        # With copy, the rows of Z and G that wait are copied: the caller
+        # writes those arrays in place later.  An iteration of more than half
+        # a batch is evaluated at once, alone: one call per iteration, as
+        # without batches, and nothing to copy or join.  A block's live rows
+        # never grow, so no rows are pending then.
+        if 2 * len(rows) > self.size:
+            self.pending.append((it, rows, norms, Z, G))
+            self._flush()
+            return
+        start = 0
+        while start < len(rows):
+            part = slice(start, start + min(len(rows) - start, self.size - self.filled))
+            self.filled += part.stop - part.start
+            start = part.stop
+            z, g = Z[part], None if G is None else G[part]
+            if copy and self.filled < self.size:
+                z, g = z.copy(), None if g is None else g.copy()
+            self.pending.append((it, rows[part], norms[part], z, g))
+            if self.filled == self.size:
+                self._flush()
+
+    def _flush(self):
+        its, rows, norms, Z, G = zip(*self.pending)
+        self.pending, self.filled = [], 0
+        join = np.concatenate if len(its) > 1 else (lambda parts: parts[0])
+        its = [it for it, r in zip(its, rows) for _ in range(len(r))]
+        rows, Z = join(rows).tolist(), join(Z)
+        G = _operator(self.spec, self.u, Z)[0] if G[0] is None else join(G)
+        T = self.spec.T
+        values = zip(its, join(norms).tolist(), residual_from_grad(G[:, :T], G[:, T:]).tolist(),
+                     row_values(action_i, self.spec, self.u, Z[:, :T], Z[:, T:]).tolist())
+        for r, row in zip(rows, values):
+            self.traces[r].append(row)
+
+    def lists(self):
+        """Each run's trace rows in iteration order."""
+        if self.pending:
+            self._flush()
+        return self.traces
 
 
 def _finish(spec, u, method, X, Y, iterations, converged, errors, traces):
@@ -143,65 +235,77 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
     return _one(spec, u, *z0, replace(cfg, method="extragradient"))
 
 
-def _lockstep(spec, u, X, Y, cfg, traces):
-    # Row r of the arrays below is the run from start rows[r].  Every row
-    # has its own step, best iterate and stop; a row that stops leaves the
-    # arrays, so the rows left are the runs that took the corrector step.
-    rows = np.arange(len(X))
-    gamma = np.full(len(X), 1.0 / spec.lap.norm_inf)
-    best_gn, best_X, best_Y = np.full(len(X), np.inf), X, Y
-    best_it = np.zeros(len(X), dtype=int)
-    end_X, end_Y = np.empty((2,) + X.shape)
-    iterations = np.full(len(X), cfg.max_iter)
-    ended_converged = np.zeros(len(X), dtype=bool)
+def _lockstep(spec, u, X0, Y0, cfg, traces):
+    # Row r of the (B, 2T) blocks below is the run from start rows[r], its
+    # iterate z = (x, y) stacked as newton's, and G is the operator at it.
+    # Every row has its own step, best iterate and stop; a row that stops
+    # leaves the blocks, so the rows left are the runs that took the
+    # corrector step.  The y half of z - gamma G is y + gamma grad_y J bit
+    # for bit.  The arrays are never written in place, so the trace keeps them.
+    T = spec.T
+    Z = np.concatenate((X0, Y0), axis=1)
+    rows = np.arange(len(Z))
+    gamma = np.full(len(Z), 1.0 / spec.lap.norm_inf)
+    best_gn, best_Z = np.full(len(Z), np.inf), Z
+    best_it = np.zeros(len(Z), dtype=int)
+    end_Z = np.empty_like(Z)
+    iterations = np.full(len(Z), cfg.max_iter)
+    ended_converged = np.zeros(len(Z), dtype=bool)
     failed = {}
+
+    def predictor(Z, G, gn, gamma):
+        # Khobotov's test; a predictor outside the domain holds nan and fails,
+        # as it is rejected alone
+        GH, _ = _operator(spec, u, Z - gamma[:, None] * G)
+        return GH, _norm(GH - G, T) <= EG_NU * gn
 
     for it in range(cfg.max_iter):
         if not rows.size:
             break
-        (GX, GY), errors = _rows(grad_i, 2, spec, u, X, Y)
-        gn = np.sqrt(squared_norm(GX) + squared_norm(GY))
-        if cfg.record_trace:
-            ok = [r for r in range(rows.size) if r not in errors] if errors else slice(None)
-            _record(traces, spec, u, it, rows[ok], gn[ok], GX[ok], GY[ok], X[ok], Y[ok])
+        G, errors = _operator(spec, u, Z)
+        gn = _norm(G, T)
+        if traces is not None:
+            ok = np.array([r not in errors for r in range(rows.size)]) if errors else slice(None)
+            traces.add(it, rows[ok], gn[ok], Z[ok], G[ok])
         better = gn < best_gn
-        best_gn = np.where(better, gn, best_gn)
-        best_X = np.where(better[:, None], X, best_X)
-        best_Y = np.where(better[:, None], Y, best_Y)
-        best_it = np.where(better, it, best_it)
+        if better.all():
+            best_gn, best_Z, best_it = gn, Z, np.full(rows.size, it)
+        else:
+            best_gn = np.where(better, gn, best_gn)
+            best_Z = np.where(better[:, None], Z, best_Z)
+            best_it = np.where(better, it, best_it)
         converged = gn <= cfg.tol
         # a failed row has gn = nan and stops here; the others stop on no progress
         going = ~converged & np.isfinite(gn) & (it - best_it < EG_PATIENCE)
 
-        GXH, GYH = np.empty_like(GX), np.empty_like(GY)
-        accepted = np.zeros(rows.size, dtype=bool)
-        search = going & (gamma >= EG_MIN_STEP)
-        while search.any():
-            s = np.flatnonzero(search)
-            step = gamma[s, None]
-            (gxh, gyh), _ = _rows(grad_i, 2, spec, u, X[s] - step * GX[s], Y[s] + step * GY[s])
-            GXH[s], GYH[s] = gxh, gyh
-            dx, dy = gxh - GX[s], gyh - GY[s]
-            # a predictor outside the domain holds nan and fails, as it is rejected alone
-            passed = np.sqrt(squared_norm(dx) + squared_norm(dy)) <= EG_NU * gn[s]
-            accepted[s] = passed
-            gamma[s[~passed]] *= 0.5
-            search[s] = ~passed & (gamma[s] >= EG_MIN_STEP)
+        # Predictor rounds: the rows in s try their step, and those it fails halve it.
+        GH, accepted = np.empty_like(G), np.zeros(rows.size, dtype=bool)
+        s = np.flatnonzero(going & (gamma >= EG_MIN_STEP))
+        while s.size:
+            if s.size == rows.size:  # every row: the whole blocks, no indexing
+                GH, accepted = predictor(Z, G, gn, gamma)
+                if accepted.all():
+                    break
+            else:
+                GH[s], accepted[s] = predictor(Z[s], G[s], gn[s], gamma[s])
+            s = s[~accepted[s]]
+            gamma[s] *= 0.5
+            s = s[gamma[s] >= EG_MIN_STEP]
 
+        if accepted.all():
+            Z = Z - gamma[:, None] * GH
+            gamma *= EG_GROWTH
+            continue
         stop = ~accepted  # step floor reached, or stopped above
-        if stop.any():  # a converged run ends where it is, the others at their best
-            end_X[rows[stop]] = np.where(converged[stop, None], X[stop], best_X[stop])
-            end_Y[rows[stop]] = np.where(converged[stop, None], Y[stop], best_Y[stop])
-            iterations[rows[stop]], ended_converged[rows[stop]] = it, converged[stop]
-            failed.update((rows[r], exc) for r, exc in errors.items())
-        step = gamma[accepted, None]
-        X = X[accepted] - step * GXH[accepted]
-        Y = Y[accepted] + step * GYH[accepted]
+        # a converged run ends where it is, the others at their best
+        end_Z[rows[stop]] = np.where(converged[stop, None], Z[stop], best_Z[stop])
+        iterations[rows[stop]], ended_converged[rows[stop]] = it, converged[stop]
+        failed.update((rows[r], exc) for r, exc in errors.items())
+        Z = Z[accepted] - gamma[accepted, None] * GH[accepted]
         gamma = gamma[accepted] * EG_GROWTH
-        rows, best_gn, best_X, best_Y, best_it = (
-            a[accepted] for a in (rows, best_gn, best_X, best_Y, best_it))
-    end_X[rows], end_Y[rows] = best_X, best_Y
-    return end_X, end_Y, iterations, ended_converged, failed
+        rows, best_gn, best_Z, best_it = (a[accepted] for a in (rows, best_gn, best_Z, best_it))
+    end_Z[rows] = best_Z
+    return end_Z[:, :T], end_Z[:, T:], iterations, ended_converged, failed
 
 
 def _damped_newton(residual, direction, V, tol, max_iter, on_iterate=None, condition=None):
@@ -314,8 +418,7 @@ def _newton_block(spec, u, X0, Y0, cfg, traces):
     T = spec.T
 
     def system(rows, V):
-        (GX, GY), errors = _rows(grad_i, 2, spec, u, V[:, :T], V[:, T:])
-        return np.concatenate((GX, -GY), axis=1), errors
+        return _operator(spec, u, V)
 
     def step(rows, V, R):
         # The nan partials of a row outside the domain only send the band
@@ -330,11 +433,11 @@ def _newton_block(spec, u, X0, Y0, cfg, traces):
         return spec.lap.coupled_condition(fxx, fxy, -fyy)
 
     def record(it, rows, V, R, rn):
-        _record(traces, spec, u, it, rows, rn, R[:, :T], R[:, T:], V[:, :T], V[:, T:])
+        traces.add(it, rows, rn, V, R, copy=True)  # the line search writes V and R in place
 
     V, iterations, converged, errors = _damped_newton(
         system, step, np.concatenate((X0, Y0), axis=1), cfg.tol, cfg.max_iter,
-        record if cfg.record_trace else None, condition)
+        None if traces is None else record, condition)
     return V[:, :T], V[:, T:], iterations, converged, errors
 
 
@@ -424,16 +527,17 @@ def _nested_block(spec, u, X0, Y0, cfg, traces):
         return D, errors
 
     def record(it, rows, Z, G, gn):
-        X, Y = at(Z)
-        _record(traces, spec, u, it, rows, gn, *grad_i(spec, u, X, Y), X, Y)
+        # the trace's operator values join its batch
+        traces.add(it, rows, gn, np.concatenate(at(Z), axis=1))
 
     Z, iterations, converged, errors = _damped_newton(
         reduced_gradient, step, np.concatenate((W0, np.zeros_like(W0)), axis=1), cfg.tol,
-        cfg.max_iter, record if cfg.record_trace else None)
+        cfg.max_iter, None if traces is None else record)
     return (*at(Z), iterations, converged, errors)
 
 
-# block(spec, u, X0, Y0, cfg, traces) -> (X, Y, iterations, converged, {row: exception})
+# block(spec, u, X0, Y0, cfg, traces) -> (X, Y, iterations, converged, {row: exception}),
+# traces a _Traces or None
 METHODS = {"extragradient": _lockstep, "newton": _newton_block,
            "nested": _nested_block, "nested-xfirst": _nested_block}
 
@@ -451,9 +555,10 @@ def runs(spec, u, X0, Y0, cfg: SolverConfig):
     ends = []
     for i in range(0, len(X0), size):
         X, Y = X0[i:i + size], Y0[i:i + size]
-        traces = [[] if cfg.record_trace else None for _ in X]
-        ends += _finish(spec, u, cfg.method, *METHODS[cfg.method](spec, u, X, Y, cfg, traces),
-                        traces)
+        traces = _Traces(spec, u, len(X)) if cfg.record_trace else None
+        end = METHODS[cfg.method](spec, u, X, Y, cfg, traces)
+        ends += _finish(spec, u, cfg.method, *end,
+                        [None] * len(X) if traces is None else traces.lists())
     return ends
 
 

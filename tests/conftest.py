@@ -7,8 +7,9 @@ so they stay independent of the library code they are used to check.
 
 import numpy as np
 
-from saddlebvp import GridFunction, ParameterFunction, ProblemSpec, action
+from saddlebvp import GridFunction, ParameterFunction, ProblemSpec, action, grad
 from saddlebvp.expressions import ExprError, evaluate
+from saddlebvp.solvers import EG_GROWTH, EG_MIN_STEP, EG_NU, EG_PATIENCE
 
 
 def central_fd_gradient(spec, u, x, y, h=5e-6):
@@ -123,3 +124,78 @@ def per_pair_gap(spec, u_a, u_b, radii, samples, seed):
         differences.append(abs(integrand_sum(u_a, xv, yv) - integrand_sum(u_b, xv, yv)))
         worst = max(worst, differences[-1])
     return worst, differences
+
+
+def reference_extragradient(spec, u, x0, y0, tol, max_iter):
+    """Korpelevich's extragradient with Khobotov's step test, one start, from the definitions.
+
+    A plain loop over the public ``grad`` and ``action`` at one point at a
+    time, on ``G = (grad_x J, -grad_y J)``.  The step starts at one over the
+    largest row sum of the difference matrix and halves until the predictor
+    ``z_hat = z - gamma G(z)`` passes ``|G(z_hat) - G(z)| <= EG_NU |G(z)|``;
+    a predictor outside the integrand's domain fails it, and a step below
+    ``EG_MIN_STEP`` ends the run.  The corrector is ``z - gamma G(z_hat)``,
+    after which the step grows by ``EG_GROWTH``.  The run stops when
+    ``|G| <= tol``, ends at its best (smallest ``|G|``, first reached)
+    iterate after ``EG_PATIENCE`` iterations without a new best, at a
+    non-finite ``|G|``, or on exhaustion, and raises nothing: an iterate
+    outside the domain, or an end point whose action is undefined, returns
+    its ``ExprError``.
+
+    Returns ``(x, y, iterations, converged, trace, rounds)``: interior
+    values, the trace rows ``(it, |G|, max-norm defect, action or nan)`` of
+    every iterate, and per iteration that searched its number of predictors.
+    """
+    def at(x, y):
+        return GridFunction.from_interior(x), GridFunction.from_interior(y)
+
+    def value(x, y):
+        try:
+            return action(spec, u, *at(x, y))
+        except ExprError:
+            return np.nan
+
+    x, y = x0.interior.copy(), y0.interior.copy()
+    gamma = 1.0 / np.abs(dirichlet_matrix(spec.T)).sum(axis=1).max()
+    best_gn, best_x, best_y, best_it = np.inf, x, y, 0
+    trace, rounds = [], []
+    end = None
+    for it in range(max_iter):
+        try:
+            gx, gy = grad(spec, u, *at(x, y))
+        except ExprError as exc:
+            return exc
+        gn = float(np.sqrt(gx @ gx + gy @ gy))
+        trace.append((it, gn, max(float(abs(gx).max()), float(abs(gy).max())), value(x, y)))
+        if gn < best_gn:
+            best_gn, best_x, best_y, best_it = gn, x, y, it
+        if gn <= tol:
+            end = (x, y, it, True)
+            break
+        if not np.isfinite(gn) or it - best_it >= EG_PATIENCE:
+            end = (best_x, best_y, it, False)
+            break
+        passed, tries = False, 0
+        while not passed and gamma >= EG_MIN_STEP:
+            tries += 1
+            try:
+                gxh, gyh = grad(spec, u, *at(x - gamma * gx, y + gamma * gy))
+                dx, dy = gxh - gx, gyh - gy
+                passed = np.sqrt(dx @ dx + dy @ dy) <= EG_NU * gn
+            except ExprError:
+                pass
+            if not passed:
+                gamma *= 0.5
+        rounds.append(tries)
+        if not passed:
+            end = (best_x, best_y, it, False)
+            break
+        x, y = x - gamma * gxh, y + gamma * gyh
+        gamma *= EG_GROWTH
+    if end is None:
+        end = (best_x, best_y, max_iter, False)
+    try:
+        action(spec, u, *at(*end[:2]))
+    except ExprError as exc:
+        return exc
+    return (*end, trace, rounds)

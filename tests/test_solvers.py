@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import tracemalloc
@@ -6,13 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import (dirichlet_matrix, direct_quadratic_solve, nonlinear_instance,
-                      quadratic_instance)
+                      quadratic_instance, reference_extragradient)
 from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, SaddleCandidate,
                        SolverConfig, action, embedding_constant, grad, h_norm, load_problem,
                        product_distance, solvers)
 from saddlebvp.hypotheses import ball_radii, certificate_from_dict
 from saddlebvp.expressions import ExprError
-from saddlebvp.grid import random_interior
+from saddlebvp.grid import DirichletLaplacian, random_interior, random_interior_rows
 from saddlebvp.problem import action_i, block_rows, make_candidates_i, residual_from_grad
 from saddlebvp.solvers import (SolverError, extragradient, nested_minimax, newton, radii_pair,
                                saddle_set, verify_saddle)
@@ -37,6 +38,8 @@ def zero_problem(T=3):
 
 
 def log_problem(T=3):
+    # newton iterates pass through x < -1.5, where log, and so the action, is
+    # undefined while the gradient 2x + 1/(x + 1.5) is not
     return (ProblemSpec.create(T, 1.0, "x^2 - y^2 + log(x + 1.5)"),
             ParameterFunction.constant(0.0, T, 1.0))
 
@@ -192,6 +195,147 @@ def _assert_same_run(lockstep, solo):
             == np.array(solo.trace, dtype=float).tobytes())
 
 
+def _assert_same_as_reference(run, ref):
+    # a lockstep run against conftest.reference_extragradient, bit for bit
+    if isinstance(ref, Exception):
+        assert type(run) is type(ref) and str(run) == str(ref)
+        return
+    x, y, iterations, converged, trace, _ = ref
+    assert run.x.interior.tobytes() == x.tobytes() and run.y.interior.tobytes() == y.tobytes()
+    assert (run.iterations, run.converged) == (iterations, converged)
+    assert [tuple(map(type, row)) for row in run.trace] == [tuple(map(type, row)) for row in trace]
+    assert (np.array(run.trace, dtype=float).tobytes()
+            == np.array(trace, dtype=float).tobytes())
+
+
+def _eg_stiff(T=5):
+    # the benchmark's eg-stiff problem: exp_t5 with the exponentials' rate cut to 0.35
+    return (ProblemSpec.create(T, 1.0, "x*y + exp(0.35*x) - exp(0.35*y) + u*(x - y)"),
+            ParameterFunction.constant(0.5, T, 1.0))
+
+
+def _count_calls(obj, name, calls):
+    """Append the ``x`` points of each call of the kernel ``obj.name`` to ``calls``.
+
+    ``obj`` is a field, a frozen dataclass, so the kernel is set past its guard.
+    """
+    original = getattr(obj, name)
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    object.__setattr__(obj, name, counted)
+
+
+def test_extragradient_operator_calls_per_lockstep_iteration(monkeypatch):
+    # Each lockstep iteration makes one operator call at the iterates and one
+    # per predictor round, as many rounds as its longest search; each call is
+    # one gradient-kernel call and one Laplacian product on the (B, 2, T)
+    # view.  The candidates add one grad_i call: a kernel call, two products.
+    spec, u = _eg_stiff()
+    starts = _starts(5, 16, 611)
+    refs = [reference_extragradient(spec, u, x0, y0, 1e-10, 20000) for x0, y0 in starts]
+    kernel_calls, products = [], []
+    _count_calls(spec.field, "gradient_kernel", kernel_calls)
+    apply = DirichletLaplacian.apply
+
+    def counted(self, v):
+        products.append(v.shape)
+        return apply(self, v)
+
+    monkeypatch.setattr(DirichletLaplacian, "apply", counted)
+    runs = solvers.runs(spec, u, *_block(starts),
+                        SolverConfig(method="extragradient", record_trace=True))
+    assert all(r.converged for r in runs)
+    iterations = max(r.iterations for r in runs) + 1
+    rounds = [max((ref[5][it] for ref in refs if it < len(ref[5])), default=0)
+              for it in range(iterations)]
+    assert max(rounds) > 1  # some iterations halve a step
+    assert len(kernel_calls) == iterations + sum(rounds) + 1
+    assert len(products) == iterations + sum(rounds) + 2
+    assert {shape[1:] for shape in products[:-2]} == {(2, 5)}
+
+
+def test_trace_actions_are_evaluated_in_block_batches(monkeypatch):
+    # a 16-start eg-stiff saddle set with traces: one value-kernel call per
+    # block_rows(5) recorded rows, each at most that many rows, and one for
+    # the candidates
+    spec, u = _eg_stiff()
+    value_calls, ends = [], []
+    _count_calls(spec.field, "value_kernel", value_calls)
+    runs = solvers.runs
+
+    def kept(*args):
+        ends.extend(runs(*args))
+        return ends
+
+    monkeypatch.setattr(solvers, "runs", kept)
+    sset = saddle_set(spec, u, SolverConfig(method="extragradient", multistart=16,
+                                            record_trace=True))
+    assert sset.failures == 0
+    recorded = sum(len(r.trace) for r in ends)
+    assert recorded > 2 * block_rows(5)
+    assert len(value_calls) <= math.ceil(recorded / block_rows(5)) + 1
+    assert max(len(x) for x in value_calls) <= block_rows(5)
+
+
+def test_trace_iterations_over_half_a_batch_are_evaluated_alone():
+    # at T = 800 a batch holds block_rows(800) = 5 rows: each iteration of
+    # the 4 newton rows has one value-kernel call of its own, on its live
+    # rows, and the candidates one more
+    T = 800
+    spec = ProblemSpec.create(T, 1.0, "x*y + exp(x) - exp(y) + u*(x - y)")
+    u = ParameterFunction(0.5 * np.sin(np.arange(1.0, T + 1)), 1.0)
+    value_calls = []
+    _count_calls(spec.field, "value_kernel", value_calls)
+    runs = solvers.runs(spec, u, *_block(_starts(T, 4, 5, radii=(2.0, 2.0))),
+                        SolverConfig(method="newton", record_trace=True))
+    assert block_rows(T) == 5 and all(r.converged for r in runs)
+    live = [sum(len(r.trace) > it for r in runs) for it in range(max(len(r.trace) for r in runs))]
+    assert [len(x) for x in value_calls] == live + [4]
+
+
+def _trace_case(family, T):
+    if family == "exp":
+        spec = ProblemSpec.create(T, 1.0, "x*y + exp(0.35*x) - exp(0.35*y) + u*(x - y)")
+        u = ParameterFunction(0.5 * np.sin(np.arange(1.0, T + 1)), 1.0)
+        radius = 2.0
+    else:
+        # the action is undefined below x = -1.5 and the gradient is not: nan values
+        spec, u = log_problem(T)
+        radius = 4.0
+    n = 16 if T <= 300 else 3
+    rng = np.random.default_rng(T)
+    X0, Y0 = random_interior_rows(T, [(radius, rng)] * (2 * n)).reshape(2, n, T)
+    return spec, u, X0, Y0
+
+
+@pytest.mark.parametrize("family, T", [("exp", 1), ("exp", 5), ("exp", 300), ("exp", 5000),
+                                       ("log", 1), ("log", 3), ("log", 5)])
+@pytest.mark.parametrize("method", list(solvers.METHODS))
+def test_batched_traces_equal_one_row_traces(method, family, T, monkeypatch):
+    # Every method's traces, recorded for all rows of a block and evaluated in
+    # batches of block_rows(T) rows (T = 5: across batches; 300: 13-row
+    # batches, and iterations of 7 to 13 rows alone; 5000: one row each),
+    # equal those of one-row blocks, where each row is evaluated alone: bit
+    # for bit, nan values included.
+    spec, u, X0, Y0 = _trace_case(family, T)
+    cfg = SolverConfig(method=method, record_trace=True, max_iter=3 if T == 5000 else 20000)
+    batched = solvers.runs(spec, u, X0, Y0, cfg)
+    monkeypatch.setattr(solvers, "block_rows", lambda T: 1)
+    for run, alone in zip(batched, solvers.runs(spec, u, X0, Y0, cfg)):
+        _assert_same_run(run, alone)
+        if not isinstance(run, Exception):
+            assert [tuple(map(type, row)) for row in run.trace] == [(int, float, float, float)] * len(run.trace)
+    ends = [r for r in batched if not isinstance(r, Exception)]
+    recorded = sum(len(r.trace) for r in ends)
+    if (method, family, T) == ("extragradient", "exp", 5):
+        assert recorded > 2 * block_rows(5)
+    if family == "log" and method in ("newton", "nested-xfirst"):
+        assert any(np.isnan(row[3]) for r in ends for row in r.trace)
+
+
 def _step_floor_batch():
     # the step-floor start of test_extragradient_step_floor_on_domain_edge among
     # starts that leave the domain of sqrt at once or on their way (this F has
@@ -221,6 +365,9 @@ def test_lockstep_runs_equal_solo_runs(case):
     solos = [_solo(extragradient, spec, u, z0, cfg) for z0 in starts]
     for lockstep, solo in zip(runs, solos):
         _assert_same_run(lockstep, solo)
+    for lockstep, (x0, y0) in zip(runs, starts):
+        _assert_same_as_reference(
+            lockstep, reference_extragradient(spec, u, x0, y0, cfg.tol, cfg.max_iter))
     ends = [r for r in runs if not isinstance(r, ExprError)]
     if case.startswith("eg-stiff"):
         # the rows leave the block at different iterations
@@ -238,6 +385,19 @@ def test_lockstep_runs_equal_solo_runs(case):
         assert ends == [runs[floor]]
 
 
+def _on_gradient_error(spec, seen):
+    """Call ``seen(x, exc)`` on each ``ExprError`` that ``spec``'s gradient kernel raises at ``x``."""
+    kernel = spec.field.gradient_kernel
+
+    def counted(k, x, y, u):
+        try:
+            return kernel(k, x, y, u)
+        except ExprError as exc:
+            seen(x, exc)
+            raise
+
+    object.__setattr__(spec.field, "gradient_kernel", counted)
+
 
 def _singular_batch():
     # on T = 1 the x-row of the Jacobian is 3x, exactly singular at x = 0:
@@ -250,7 +410,7 @@ def _singular_batch():
 
 
 @pytest.mark.parametrize("case", ["study", "log", "sqrt", "singular", "T1", "T2", "split"])
-def test_newton_lockstep_runs_equal_solo_runs(case, monkeypatch):
+def test_newton_lockstep_runs_equal_solo_runs(case):
     cfg = SolverConfig(method="newton", record_trace=True)
     if case == "study":
         spec, u, radii, seed = study_instance_91()
@@ -270,16 +430,7 @@ def test_newton_lockstep_runs_equal_solo_runs(case, monkeypatch):
         u = ParameterFunction(0.5 * np.sin(np.arange(1.0, T + 1)), 1.0)
         starts = _starts(T, 16, T, radii=(2.0, 2.0))
     outside = []
-    grad_i = solvers.grad_i
-
-    def counted(*args):
-        try:
-            return grad_i(*args)
-        except ExprError:
-            outside.append(args[2].ndim)
-            raise
-
-    monkeypatch.setattr(solvers, "grad_i", counted)
+    _on_gradient_error(spec, lambda x, exc: outside.append(x.ndim))
     runs = solvers.runs(spec, u, *_block(starts), cfg)
     solos = [_solo(newton, spec, u, z0, cfg) for z0 in starts]
     for lockstep, solo in zip(runs, solos):
@@ -338,22 +489,13 @@ def test_damped_newton_ends_a_row_on_an_error_that_is_not_a_domain_error():
     assert seen[3][:2] == [0.5, 0.5 + 10.5 / 8] and seen[2] == [0.5]
 
 
-def test_one_row_block_outside_the_domain_is_evaluated_once(monkeypatch):
+def test_one_row_block_outside_the_domain_is_evaluated_once():
     # sqrt(x + 2) has no value at x = -3: a one-start newton block raises at
     # its start, and that first gradient call is the row's own
     spec = ProblemSpec.create(3, 1.0, "x^2 - y^2 + sqrt(x + 2)")
     u = ParameterFunction.constant(0.0, 3, 1.0)
     raised = []
-    grad_i = solvers.grad_i
-
-    def counted(*args):
-        try:
-            return grad_i(*args)
-        except ExprError as exc:
-            raised.append(exc)
-            raise
-
-    monkeypatch.setattr(solvers, "grad_i", counted)
+    _on_gradient_error(spec, lambda x, exc: raised.append(exc))
     with pytest.raises(ExprError) as info:
         newton(spec, u, start([-3.0, 0.5, 0.5], [0.0, 0.0, 0.0]), SolverConfig(method="newton"))
     assert raised == [info.value]
@@ -680,13 +822,6 @@ def test_verify_saddle_accepts_true_and_rejects_perturbed():
     rep = verify_saddle(spec, u, bad, probes=512, eps=1e-9, seed=0)
     assert not rep.passed
     assert rep.inequality_gap_y > 1e-9  # probe found the saddle inequality breach
-
-
-def log_problem():
-    # newton iterates pass through x < -1.5, where log, and so the action, is
-    # undefined while the gradient 2x + 1/(x + 1.5) is not
-    return (ProblemSpec.create(3, 1.0, "x^2 - y^2 + log(x + 1.5)"),
-            ParameterFunction.constant(0.0, 3, 1.0))
 
 
 def test_verify_saddle_rejects_stationary_non_saddle():
