@@ -303,19 +303,19 @@ def upper_limit_check(report: DependenceReport, tol) -> LimitCheck:
     spec, u0 = report.spec, report.u0
     violations = []
     limits = []
-    X = np.array([c.x.interior for c in last.saddles.points])
-    Y = np.array([c.y.interior for c in last.saddles.points])
+    T = spec.T
+    Z = np.array([np.concatenate((c.x.interior, c.y.interior)) for c in last.saddles.points])
     if prev is not None and prev.saddles.points and prev.n != last.n:
         partners = [min(prev.saddles.points, key=lambda c: product_distance(c, cand))
                     for cand in last.saddles.points]
         n2, n1 = last.n, prev.n
-        X = (n2 * X - n1 * np.array([p.x.interior for p in partners])) / (n2 - n1)
-        Y = (n2 * Y - n1 * np.array([p.y.interior for p in partners])) / (n2 - n1)
-    made = make_candidates_i(spec, u0, X, Y, "extrapolated-limit", [0] * len(X),
-                             [True] * len(X), [None] * len(X))
-    for lx, ly, limit in zip(X, Y, made):
-        dist = min(float(np.hypot(h_norm_i(lx - rep.x.values[1:-1]),
-                                  h_norm_i(ly - rep.y.values[1:-1])))
+        P = np.array([np.concatenate((p.x.interior, p.y.interior)) for p in partners])
+        Z = (n2 * Z - n1 * P) / (n2 - n1)
+    made = make_candidates_i(spec, u0, Z, "extrapolated-limit", [0] * len(Z),
+                             [True] * len(Z), [None] * len(Z))
+    for z, limit in zip(Z, made):
+        dist = min(float(np.hypot(h_norm_i(z[:T] - rep.x.values[1:-1]),
+                                  h_norm_i(z[T:] - rep.y.values[1:-1])))
                    for rep in report.baseline.points)
         if isinstance(limit, ExprError):
             passed, failure = False, f"lies outside the integrand's domain: {limit}"

@@ -10,8 +10,12 @@ and its stationary points are exactly the solutions of the second-order
 system  ``d2x(k-1) = F_x``, ``d2y(k-1) = -F_y`` with zero boundary values.
 
 The public operations take :class:`~saddlebvp.grid.GridFunction` arguments;
-the ``*_i`` variants work directly on interior value arrays and are what the
-solver iterations call.
+the ``*_i`` variants work directly on interior value arrays.  The solvers
+reach the field only through :func:`operator_i` and :func:`jacobian_i`, on
+``(B, 2T)`` blocks of stacked rows ``z = (x, y)``: the operator
+``G = (grad_x J, -grad_y J)``, whose zeros are the saddle points, and the
+band diagonals ``(F_xx, F_xy, -F_yy)`` of its Jacobian, so the sign of every
+y half is decided here.
 """
 
 import json
@@ -214,20 +218,37 @@ def action_i(spec, u, xv, yv):
     return float(a) if xv.ndim == 1 else a
 
 
-def grad_i(spec, u, xv, yv):
-    """``(L x + F_x, -L y + F_y)`` at interior values, row by row for a ``(B, T)`` block."""
-    fx, fy = spec.field.gradient_kernel(spec.nodes(), xv, yv, u.values)
-    return spec.lap.apply(xv) + fx, -spec.lap.apply(yv) + fy
+def operator_i(spec, u, Z):
+    """``G = (grad_x J, -grad_y J)`` at each row ``z = (x, y)`` of the ``(B, 2T)`` block ``Z``.
+
+    One gradient-kernel call on the halves of ``Z``, by :func:`rows_apart`,
+    and one Laplacian product on its ``(B, 2, T)`` view.  The halves hold
+    :func:`grad`'s ``gx`` and ``-gy`` bit for bit: the y half is
+    ``-((-L y) + F_y)``, whose zeros keep their sign.  Returns
+    ``(G, {row: ExprError})``, nan in the rows outside the domain.
+    """
+    T = spec.T
+    # contiguous halves, as rows alone are: exp, sin and the like run faster on them
+    X, Y = np.ascontiguousarray(Z[:, :T]), np.ascontiguousarray(Z[:, T:])
+    (FX, FY), errors = rows_apart(
+        lambda i: spec.field.gradient_kernel(spec.nodes(), X[i], Y[i], u.values), len(Z),
+        ((T,), (T,)))
+    G = spec.lap.apply(Z.reshape(len(Z), 2, T)).reshape(len(Z), 2 * T)
+    G[:, :T] += FX
+    GY = G[:, T:]
+    np.subtract(FY, GY, out=GY)  # F_y - L y is (-L y) + F_y, bit for bit
+    np.negative(GY, out=GY)
+    return G, errors
 
 
 def residual_from_grad(gx, gy):
     """Max-norm system defect from the partial gradients at the same point.
 
-    ``gx = L x + F_x`` and ``gy = -L y + F_y`` are, up to sign, the defects
-    ``d2x - F_x`` and ``d2y + F_y`` of the two equations.  A ``(B, T)`` block
-    gives one defect per row.  The larger of the two maxima is taken as
-    Python's ``max`` takes it, so a nan in ``gx`` gives nan and one in ``gy``
-    alone does not.
+    ``gx = L x + F_x`` and ``gy = -L y + F_y``, or the halves of ``G``, are
+    up to sign the defects ``d2x - F_x`` and ``d2y + F_y`` of the two
+    equations.  A ``(B, T)`` block gives one defect per row.  The larger of
+    the two maxima is taken as Python's ``max`` takes it, so a nan in ``gx``
+    gives nan and one in ``gy`` alone does not.
     """
     mx, my = abs(gx).max(axis=-1), abs(gy).max(axis=-1)
     r = np.where(my > mx, my, mx)
@@ -239,6 +260,22 @@ def second_partials_i(spec, u, xv, yv):
     return spec.field.hessian_kernel(spec.nodes(), xv, yv, u.values)
 
 
+def jacobian_i(spec, u, Z):
+    """Band diagonals ``(F_xx, F_xy, -F_yy)`` of the Jacobian of ``G`` at each row of ``Z``.
+
+    ``G``'s Jacobian is ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]``, the matrix
+    :meth:`~saddlebvp.grid.DirichletLaplacian.solve_coupled` takes from these
+    ``(B, T)`` diagonals.  Evaluated by :func:`second_partials_i` on the
+    halves of the ``(B, 2T)`` block ``Z`` through :func:`rows_apart`; returns
+    ``(diagonals, {row: ExprError})``, nan in the rows outside the domain.
+    """
+    T = spec.T
+    X, Y = np.ascontiguousarray(Z[:, :T]), np.ascontiguousarray(Z[:, T:])  # as in operator_i
+    (FXX, FXY, FYY), errors = rows_apart(
+        lambda i: second_partials_i(spec, u, X[i], Y[i]), len(Z), ((T,),) * 3)
+    return (FXX, FXY, -FYY), errors
+
+
 def action(spec: ProblemSpec, u: ParameterFunction, x: GridFunction, y: GridFunction) -> float:
     """Value of the action functional at ``(x, y)`` under parameter ``u``."""
     _check_dims(spec, u, x, y)
@@ -248,7 +285,9 @@ def action(spec: ProblemSpec, u: ParameterFunction, x: GridFunction, y: GridFunc
 def grad(spec: ProblemSpec, u: ParameterFunction, x: GridFunction, y: GridFunction):
     """Partial gradients ``(L x + F_x, -L y + F_y)`` over the interior nodes."""
     _check_dims(spec, u, x, y)
-    return grad_i(spec, u, x.values[1:-1], y.values[1:-1])
+    xv, yv = x.values[1:-1], y.values[1:-1]
+    fx, fy = spec.field.gradient_kernel(spec.nodes(), xv, yv, u.values)
+    return spec.lap.apply(xv) + fx, -spec.lap.apply(yv) + fy
 
 
 def residual(spec: ProblemSpec, u: ParameterFunction, x: GridFunction, y: GridFunction) -> float:
@@ -275,28 +314,30 @@ class SaddleCandidate:
     trace: list = field(default=None, repr=False, compare=False)
 
 
-def make_candidates_i(spec, u, X, Y, method, iterations, converged, traces):
-    """Candidates at the rows of the ``(B, T)`` interior values ``X``, ``Y``.
+def make_candidates_i(spec, u, Z, method, iterations, converged, traces):
+    """Candidates at the rows ``z = (x, y)`` of the ``(B, 2T)`` block ``Z``.
 
-    Value and norms are recomputed from each point, by one ``grad_i`` and
-    one ``action_i`` call on the block (:func:`rows_apart`); ``iterations``,
-    ``converged`` and ``traces`` hold one entry per row.  A row outside the
-    integrand's domain gets its gradient's ``ExprError``, else its action's,
-    in place of a candidate.
+    Value and norms are recomputed from each point, by one
+    :func:`operator_i` and one ``action_i`` call on the block (each through
+    :func:`rows_apart`); ``iterations``, ``converged`` and ``traces`` hold
+    one entry per row.  A row outside the integrand's domain gets its
+    gradient's ``ExprError``, else its action's, in place of a candidate.
     """
-    def point(i):
-        return (*grad_i(spec, u, X[i], Y[i]), action_i(spec, u, X[i], Y[i]))
-
-    (GX, GY, values), errors = rows_apart(point, len(X), (X.shape[1:], X.shape[1:], ()))
+    T = spec.T
+    G, errors = operator_i(spec, u, Z)
+    (values,), action_errors = rows_apart(lambda i: (action_i(spec, u, Z[i, :T], Z[i, T:]),),
+                                          len(Z), ((),))
+    errors = {**action_errors, **errors}
     values = values.tolist()
-    grad_norms = np.sqrt(squared_norm(GX) + squared_norm(GY)).tolist()
-    residuals = residual_from_grad(GX, GY).tolist()
+    grad_norms = np.sqrt(squared_norm(G[:, :T]) + squared_norm(G[:, T:])).tolist()
+    residuals = residual_from_grad(G[:, :T], G[:, T:]).tolist()
     return [errors[r] if r in errors else
-            SaddleCandidate(x=GridFunction.from_interior(X[r]), y=GridFunction.from_interior(Y[r]),
+            SaddleCandidate(x=GridFunction.from_interior(Z[r, :T]),
+                            y=GridFunction.from_interior(Z[r, T:]),
                             value=values[r], grad_norm=grad_norms[r], residual_norm=residuals[r],
                             method=method, iterations=iterations[r], converged=converged[r],
                             trace=traces[r])
-            for r in range(len(X))]
+            for r in range(len(Z))]
 
 
 # --- problem files ---------------------------------------------------------

@@ -17,19 +17,20 @@ residual falls by the Armijo fraction.  The loop works on a block of rows,
 one run per row.
 
 :func:`runs`, the one driver, runs the block function of ``cfg.method`` in
-:data:`METHODS` on many starts in lockstep, as the rows of ``(B, 2T)``
-arrays: each row keeps its own step, iterate and stop, and one kernel call
-per iteration serves every live row, as one band solve per iteration serves
-newton's and nested's steps.  Newton and extragradient keep each iterate as
-one stacked row ``z = (x, y)`` and evaluate the operator
-``G = (grad_x J, -grad_y J)`` of a whole block with :func:`_operator`: one
-gradient-kernel call and one Laplacian product.  The starts arrive as arrays
-of interior values, and the candidates of a block come from one gradient and
-one action call.  The problem layer and the band solve treat a block row by
-row bit for bit as alone, and every block goes through
-:func:`~saddlebvp.problem.rows_apart`, so each start ends exactly where its
-own run ends and only the rows that leave the domain fail.  The one-start
-solvers are the one-row case of :func:`runs`.
+:data:`METHODS` on many starts in lockstep.  Every method keeps each
+iterate as one stacked row ``z = (x, y)`` of a ``(B, 2T)`` block (nested
+steps one half of it on each level) and reaches the field only through
+:func:`~saddlebvp.problem.operator_i`, the operator
+``G = (grad_x J, -grad_y J)`` of a whole block, and
+:func:`~saddlebvp.problem.jacobian_i`, the band diagonals of its Jacobian.
+Each row keeps its own step, iterate and stop, and one kernel call per
+iteration serves every live row, as one band solve per iteration serves
+newton's and nested's steps.  The candidates of a block
+come from one operator and one action call.  The problem layer and the band
+solve treat a block row by row bit for bit as alone, and every block goes
+through :func:`~saddlebvp.problem.rows_apart`, so each start ends exactly
+where its own run ends and only the rows that leave the domain fail.  The
+one-start solvers are the one-row case of :func:`runs`.
 
 With ``record_trace`` every start of a block records its trace
 (:class:`_Traces`): each iteration keeps its arrays, and the residuals and
@@ -48,8 +49,8 @@ import numpy as np
 
 from .expressions import ExprError
 from .grid import h_norm, h_norm_i, random_interior_rows, squared_norm
-from .problem import (SaddleCandidate, action_i, ball_pair_blocks, block_rows, grad_i,
-                      make_candidates_i, residual, residual_from_grad, row_values, rows_apart,
+from .problem import (SaddleCandidate, action_i, ball_pair_blocks, block_rows, jacobian_i,
+                      make_candidates_i, operator_i, residual, residual_from_grad, row_values,
                       second_partials_i)
 
 INNER_MAX_ITER = 200
@@ -107,33 +108,6 @@ def product_distance(a, b) -> float:
                           h_norm_i(a.y.values[1:-1] - b.y.values[1:-1])))
 
 
-def _rows(kernel, outputs, spec, u, X, Y):
-    """``kernel(spec, u, X, Y)``, ``outputs`` arrays, by :func:`~saddlebvp.problem.rows_apart`."""
-    return rows_apart(lambda i: kernel(spec, u, X[i], Y[i]), len(X), (X.shape[1:],) * outputs)
-
-
-def _operator(spec, u, Z):
-    """``G = (grad_x J, -grad_y J)`` at each row ``z = (x, y)`` of the ``(B, 2T)`` block ``Z``.
-
-    One gradient-kernel call on the halves of ``Z``, by
-    :func:`~saddlebvp.problem.rows_apart`, and one Laplacian product on its
-    ``(B, 2, T)`` view.  The halves hold ``grad_i``'s ``gx`` and ``-gy`` bit
-    for bit: the y half is ``-((-L y) + F_y)``, whose zeros keep their sign.
-    Returns ``(G, {row: ExprError})``, nan in the rows outside the domain.
-    """
-    T = spec.T
-    X, Y = Z[:, :T], Z[:, T:]
-    (FX, FY), errors = rows_apart(
-        lambda i: spec.field.gradient_kernel(spec.nodes(), X[i], Y[i], u.values), len(Z),
-        ((T,), (T,)))
-    G = spec.lap.apply(Z.reshape(len(Z), 2, T)).reshape(len(Z), 2 * T)
-    G[:, :T] += FX
-    GY = G[:, T:]
-    np.subtract(FY, GY, out=GY)  # F_y - L y is (-L y) + F_y, bit for bit
-    np.negative(GY, out=GY)
-    return G, errors
-
-
 def _norm(G, T):
     """``sqrt(|G_x|^2 + |G_y|^2)`` of each row of a ``(B, 2T)`` block, summed by halves."""
     halves = squared_norm(G.reshape(len(G), 2, T))
@@ -145,14 +119,14 @@ class _Traces:
 
     :meth:`add` takes one iteration of the live rows: the iteration, their
     block indices, norms and ``(B, 2T)`` iterates ``Z = (x, y)``, and their
-    operator values ``G`` (:func:`_operator`), or ``None`` to have them
-    computed here.  The arrays wait, kept and not copied, until
-    ``block_rows(T)`` rows are pending; then one ``residual_from_grad`` and
-    one :func:`~saddlebvp.problem.row_values` call of ``action_i`` cover
-    them all, each row bit for bit as alone (nan outside the domain), and
-    the batch's rows join their runs' lists.  An iteration of more than half
-    that many rows is such a batch on its own.  :meth:`lists` evaluates the
-    rest.
+    operator values ``G`` (:func:`~saddlebvp.problem.operator_i`), or
+    ``None`` to have them computed here.  The arrays wait, kept and not
+    copied, until ``block_rows(T)`` rows are pending; then one
+    ``residual_from_grad`` and one :func:`~saddlebvp.problem.row_values`
+    call of ``action_i`` cover them all, each row bit for bit as alone (nan
+    outside the domain), and the batch's rows join their runs' lists.  An
+    iteration of more than half that many rows is such a batch on its own.
+    :meth:`lists` evaluates the rest.
     """
 
     def __init__(self, spec, u, n):
@@ -189,7 +163,7 @@ class _Traces:
         join = np.concatenate if len(its) > 1 else (lambda parts: parts[0])
         its = [it for it, r in zip(its, rows) for _ in range(len(r))]
         rows, Z = join(rows).tolist(), join(Z)
-        G = _operator(self.spec, self.u, Z)[0] if G[0] is None else join(G)
+        G = operator_i(self.spec, self.u, Z)[0] if G[0] is None else join(G)
         T = self.spec.T
         values = zip(its, join(norms).tolist(), residual_from_grad(G[:, :T], G[:, T:]).tolist(),
                      row_values(action_i, self.spec, self.u, Z[:, :T], Z[:, T:]).tolist())
@@ -203,16 +177,16 @@ class _Traces:
         return self.traces
 
 
-def _finish(spec, u, method, X, Y, iterations, converged, errors, traces):
-    """Per run, the exception in ``errors`` that ended it, else its candidate at ``X[r]``, ``Y[r]``.
+def _finish(spec, u, method, Z, iterations, converged, errors, traces):
+    """Per run, the exception in ``errors`` that ended it, else its candidate at the row ``Z[r]``.
 
     The candidates come from one block (:func:`~saddlebvp.problem.make_candidates_i`);
     a row outside the integrand's domain gets its ``ExprError`` instead.
     """
-    made = [r for r in range(len(X)) if r not in errors]
-    cands = iter(make_candidates_i(spec, u, X[made], Y[made], method, iterations[made].tolist(),
+    made = [r for r in range(len(Z)) if r not in errors]
+    cands = iter(make_candidates_i(spec, u, Z[made], method, iterations[made].tolist(),
                                    converged[made].tolist(), [traces[r] for r in made]))
-    return [errors[r] if r in errors else next(cands) for r in range(len(X))]
+    return [errors[r] if r in errors else next(cands) for r in range(len(Z))]
 
 
 def extragradient(spec, u, z0, cfg: SolverConfig):
@@ -235,15 +209,14 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
     return _one(spec, u, *z0, replace(cfg, method="extragradient"))
 
 
-def _lockstep(spec, u, X0, Y0, cfg, traces):
+def _lockstep(spec, u, Z, cfg, traces):
     # Row r of the (B, 2T) blocks below is the run from start rows[r], its
-    # iterate z = (x, y) stacked as newton's, and G is the operator at it.
-    # Every row has its own step, best iterate and stop; a row that stops
-    # leaves the blocks, so the rows left are the runs that took the
-    # corrector step.  The y half of z - gamma G is y + gamma grad_y J bit
-    # for bit.  The arrays are never written in place, so the trace keeps them.
+    # iterate z = (x, y), and G is the operator at it.  Every row has its own
+    # step, best iterate and stop; a row that stops leaves the blocks, so the
+    # rows left are the runs that took the corrector step.  The y half of
+    # z - gamma G is y + gamma grad_y J bit for bit.  The arrays are never
+    # written in place, so the trace keeps them.
     T = spec.T
-    Z = np.concatenate((X0, Y0), axis=1)
     rows = np.arange(len(Z))
     gamma = np.full(len(Z), 1.0 / spec.lap.norm_inf)
     best_gn, best_Z = np.full(len(Z), np.inf), Z
@@ -256,13 +229,13 @@ def _lockstep(spec, u, X0, Y0, cfg, traces):
     def predictor(Z, G, gn, gamma):
         # Khobotov's test; a predictor outside the domain holds nan and fails,
         # as it is rejected alone
-        GH, _ = _operator(spec, u, Z - gamma[:, None] * G)
+        GH, _ = operator_i(spec, u, Z - gamma[:, None] * G)
         return GH, _norm(GH - G, T) <= EG_NU * gn
 
     for it in range(cfg.max_iter):
         if not rows.size:
             break
-        G, errors = _operator(spec, u, Z)
+        G, errors = operator_i(spec, u, Z)
         gn = _norm(G, T)
         if traces is not None:
             ok = np.array([r not in errors for r in range(rows.size)]) if errors else slice(None)
@@ -305,7 +278,7 @@ def _lockstep(spec, u, X0, Y0, cfg, traces):
         gamma = gamma[accepted] * EG_GROWTH
         rows, best_gn, best_Z, best_it = (a[accepted] for a in (rows, best_gn, best_Z, best_it))
     end_Z[rows] = best_Z
-    return end_Z[:, :T], end_Z[:, T:], iterations, ended_converged, failed
+    return end_Z, iterations, ended_converged, failed
 
 
 def _damped_newton(residual, direction, V, tol, max_iter, on_iterate=None, condition=None):
@@ -414,52 +387,26 @@ def newton(spec, u, z0, cfg: SolverConfig):
     return _one(spec, u, *z0, replace(cfg, method="newton"))
 
 
-def _newton_block(spec, u, X0, Y0, cfg, traces):
+def _newton_block(spec, u, Z0, cfg, traces):
     T = spec.T
 
-    def system(rows, V):
-        return _operator(spec, u, V)
-
-    def step(rows, V, R):
+    def step(rows, Z, G):
         # The nan partials of a row outside the domain only send the band
         # solve to its row-by-row path; a nan row of D fails as singular.
-        (FXX, FXY, FYY), errors = _rows(second_partials_i, 3, spec, u, V[:, :T], V[:, T:])
-        D = np.empty_like(V)
-        D[:, :T], D[:, T:] = spec.lap.solve_coupled(FXX, FXY, -FYY, -R[:, :T], -R[:, T:])
+        J, errors = jacobian_i(spec, u, Z)
+        D = np.empty_like(Z)
+        D[:, :T], D[:, T:] = spec.lap.solve_coupled(*J, -G[:, :T], -G[:, T:])
         return D, errors
 
-    def condition(v):
-        fxx, fxy, fyy = second_partials_i(spec, u, v[:T], v[T:])
-        return spec.lap.coupled_condition(fxx, fxy, -fyy)
+    def condition(z):
+        J, _ = jacobian_i(spec, u, z[None])
+        return spec.lap.coupled_condition(*(diagonal[0] for diagonal in J))
 
-    def record(it, rows, V, R, rn):
-        traces.add(it, rows, rn, V, R, copy=True)  # the line search writes V and R in place
+    def record(it, rows, Z, G, gn):
+        traces.add(it, rows, gn, Z, G, copy=True)  # the line search writes Z and G in place
 
-    V, iterations, converged, errors = _damped_newton(
-        system, step, np.concatenate((X0, Y0), axis=1), cfg.tol, cfg.max_iter,
-        None if traces is None else record, condition)
-    return V[:, :T], V[:, T:], iterations, converged, errors
-
-
-def _pair(slot, w, v):
-    """``(x, y)`` from the outer value ``w`` in ``slot`` and the inner value ``v``."""
-    return (v, w) if slot == 1 else (w, v)
-
-
-def _schur_solve(lap, partials, slot, s, g):
-    """Outer direction ``d`` with ``S d = -g``, ``S`` the reduced Hessian.
-
-    ``S = J_ww - J_wv J_vv^{-1} J_vw`` is the Schur complement of the convex
-    inner block ``-s J_vv = L - s F_vv``, the Jacobian of the reduced gradient
-    ``w -> grad_w J(w, v*(w))``.  Rather than forming it, solve the Jacobian
-    band ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]`` with ``-s g`` in the outer
-    slots and 0 in the inner ones: eliminating the inner unknowns leaves
-    ``s S d = -s g``.  ``(B, T)`` blocks solve one system per row.
-    """
-    fxx, fxy, fyy = partials
-    rhs = [np.zeros_like(g), np.zeros_like(g)]
-    rhs[slot] = -s * g
-    return lap.solve_coupled(fxx, fxy, -fyy, *rhs)[slot]
+    return _damped_newton(lambda rows, Z: operator_i(spec, u, Z), step, Z0, cfg.tol,
+                          cfg.max_iter, None if traces is None else record, condition)
 
 
 def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
@@ -469,15 +416,17 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
     the convex ``x``-section exactly and the outer loop finds the stationary
     point of the concave reduced function ``y -> min_x J(x, y)``, realizing
     ``max_y min_x``; ``outer="x"`` mirrors the construction and realizes
-    ``min_x max_y`` (pass the starting ``x`` as ``y0``).  Both levels run
-    :func:`_damped_newton`: the inner one on ``-s grad_v J(v, w)`` with the
-    tridiagonal Hessian ``L - s F_vv`` to ``INNER_TOL_FACTOR * tol``, warm
-    from the last accepted inner point; the outer one on the reduced
-    gradient ``grad_w J(w, v*(w))`` with the Schur complement direction
-    (:func:`_schur_solve`) to ``tol``.  Only trace rows evaluate the action.
-    Raises the ``ExprError`` of a start that leaves the integrand's domain
-    and :class:`SolverError` on a singular Hessian of either level, inner
-    ones at trial points included.
+    ``min_x max_y`` (pass the starting ``x`` as ``y0``).  With ``w`` the
+    outer half of ``z = (x, y)`` and ``v`` the other, both levels run
+    :func:`_damped_newton` on a half of ``G``: the inner one on ``G_v`` at
+    fixed ``w`` with the tridiagonal Hessian (``L + F_xx`` or ``L - F_yy``)
+    to ``INNER_TOL_FACTOR * tol``, from 0 and then warm from the last
+    accepted inner point; the outer one on the reduced gradient
+    ``G_w(w, v*(w))`` with the Schur complement direction, the ``w`` half of
+    one solve of the whole Jacobian band, to ``tol``.  Only trace rows
+    evaluate the action.  Raises the ``ExprError`` of a start that leaves
+    the integrand's domain and :class:`SolverError` on a singular Hessian of
+    either level, inner ones at trial points included.
 
     This is the one-start case of :func:`runs` with ``method="nested"``
     (``outer="y"``) or ``"nested-xfirst"`` (``outer="x"``).
@@ -488,83 +437,92 @@ def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
     return _one(spec, u, y0, y0, replace(cfg, method=method))
 
 
-def _nested_block(spec, u, X0, Y0, cfg, traces):
-    # "nested" ascends in y (slot 1) over min_x, s = -1; "nested-xfirst"
-    # descends in x (slot 0) over max_y, s = +1, from the starts in that slot
-    s, slot = (1.0, 0) if cfg.method == "nested-xfirst" else (-1.0, 1)
-    W0 = (X0, Y0)[slot]
+def _nested_block(spec, u, Z0, cfg, traces):
+    # "nested" ascends in w = y over min_x, "nested-xfirst" descends in w = x
+    # over max_y; v is the other half of z = (x, y), and outer its index
     T = spec.T
+    outer = 0 if cfg.method == "nested-xfirst" else 1
+    halves = (slice(None, T), slice(T, None))
+    w, v = halves[outer], halves[1 - outer]
     tol_inner = max(INNER_TOL_FACTOR * cfg.tol, 1e-14)
 
-    def at(Z):
-        return _pair(slot, Z[:, :T], Z[:, T:])
+    def inner_min(Z):
+        # from the v half of each row of Z, at its w half
+        def at(rows, V):
+            Z_rows = Z[rows]
+            Z_rows[:, v] = V
+            return Z_rows
 
-    def inner_min(W, V0):
-        # row r of V0 is the inner start at the outer value W[r]
         def gradient(rows, V):
-            G, errors = _rows(grad_i, 2, spec, u, *_pair(slot, W[rows], V))
-            return -s * G[1 - slot], errors
+            G, errors = operator_i(spec, u, at(rows, V))
+            return G[:, v], errors
 
         def step(rows, V, G):
-            partials, errors = _rows(second_partials_i, 3, spec, u, *_pair(slot, W[rows], V))
-            return spec.lap.solve_shifted(-s * partials[2 * (1 - slot)], -G), errors
+            J, errors = jacobian_i(spec, u, at(rows, V))
+            return spec.lap.solve_shifted(J[2 * (1 - outer)], -G), errors
 
-        return _damped_newton(gradient, step, V0, tol_inner, INNER_MAX_ITER)
+        return _damped_newton(gradient, step, Z[:, v], tol_inner, INNER_MAX_ITER)
 
-    # The outer iterate is z = (w, v).  A trial keeps the accepted v as the
-    # inner warm start, and the residual overwrites it with the inner
-    # argmin, so every accepted z holds (w, v*(w)).
+    # A trial keeps the accepted v as the inner warm start, and the residual overwrites it
+    # with the inner argmin, so every accepted z holds (w, v*(w)).  The inner level runs on
+    # the v halves alone: a zero w step would turn a -0.0 into +0.0.
     def reduced_gradient(rows, Z):
-        V, _, _, errors = inner_min(Z[:, :T], Z[:, T:])
-        Z[:, T:] = V
-        G, grad_errors = _rows(grad_i, 2, spec, u, *at(Z))
-        return G[slot], {**grad_errors, **errors}
+        V, _, _, errors = inner_min(Z)
+        Z[:, v] = V
+        G, grad_errors = operator_i(spec, u, Z)
+        return G[:, w], {**grad_errors, **errors}
 
     def step(rows, Z, G):
-        partials, errors = _rows(second_partials_i, 3, spec, u, *at(Z))
+        # The w half of the whole band's solve with (-G_w, 0) on its right
+        # side is the reduced Hessian's step: eliminating the convex inner
+        # unknowns leaves the Schur complement J_ww - J_wv J_vv^-1 J_vw, the
+        # Jacobian of the reduced gradient w -> G_w(w, v*(w)).
+        J, errors = jacobian_i(spec, u, Z)
+        rhs = [np.zeros_like(G), np.zeros_like(G)]
+        rhs[outer] = -G
         D = np.zeros_like(Z)
-        D[:, :T] = _schur_solve(spec.lap, partials, slot, s, G)
+        D[:, w] = spec.lap.solve_coupled(*J, *rhs)[outer]
         return D, errors
 
     def record(it, rows, Z, G, gn):
-        # the trace's operator values join its batch
-        traces.add(it, rows, gn, np.concatenate(at(Z), axis=1))
+        # the trace's operator values join its batch; the line search writes Z in place
+        traces.add(it, rows, gn, Z, copy=True)
 
-    Z, iterations, converged, errors = _damped_newton(
-        reduced_gradient, step, np.concatenate((W0, np.zeros_like(W0)), axis=1), cfg.tol,
-        cfg.max_iter, None if traces is None else record)
-    return (*at(Z), iterations, converged, errors)
+    Z = np.zeros_like(Z0)  # the first inner start is 0
+    Z[:, w] = Z0[:, w]
+    return _damped_newton(reduced_gradient, step, Z, cfg.tol, cfg.max_iter,
+                          None if traces is None else record)
 
 
-# block(spec, u, X0, Y0, cfg, traces) -> (X, Y, iterations, converged, {row: exception}),
-# traces a _Traces or None
+# block(spec, u, Z0, cfg, traces) -> (Z, iterations, converged, {row: exception}), on
+# (B, 2T) rows z = (x, y), traces a _Traces or None
 METHODS = {"extragradient": _lockstep, "newton": _newton_block,
            "nested": _nested_block, "nested-xfirst": _nested_block}
 
 
-def runs(spec, u, X0, Y0, cfg: SolverConfig):
-    """Runs of ``cfg.method`` from each row of the ``(S, T)`` interior values ``X0``, ``Y0``.
+def runs(spec, u, Z0, cfg: SolverConfig):
+    """Runs of ``cfg.method`` from each row ``z = (x, y)`` of the ``(S, 2T)`` block ``Z0``.
 
     The starts advance in lockstep, in blocks of ``block_rows(T)`` rows, by
     the block function :data:`METHODS` holds for the method (nested: from the
-    rows of ``Y0``, nested-xfirst: from those of ``X0``).  Each run ends bit
-    for bit where it ends alone.  Returns, per start, its candidate or the
+    y halves, nested-xfirst: from the x halves).  Each run ends bit for bit
+    where it ends alone.  Returns, per start, its candidate or the
     ``SolverError`` or ``ExprError`` it raises alone.
     """
     size = block_rows(spec.T)
     ends = []
-    for i in range(0, len(X0), size):
-        X, Y = X0[i:i + size], Y0[i:i + size]
-        traces = _Traces(spec, u, len(X)) if cfg.record_trace else None
-        end = METHODS[cfg.method](spec, u, X, Y, cfg, traces)
+    for i in range(0, len(Z0), size):
+        Z = Z0[i:i + size]
+        traces = _Traces(spec, u, len(Z)) if cfg.record_trace else None
+        end = METHODS[cfg.method](spec, u, Z, cfg, traces)
         ends += _finish(spec, u, cfg.method, *end,
-                        [None] * len(X) if traces is None else traces.lists())
+                        [None] * len(Z) if traces is None else traces.lists())
     return ends
 
 
 def _one(spec, u, x0, y0, cfg):
     """The run of :func:`runs` from the start ``(x0, y0)``; an exception that ends it raises."""
-    (end,) = runs(spec, u, x0.values[None, 1:-1], y0.values[None, 1:-1], cfg)
+    (end,) = runs(spec, u, np.concatenate((x0.interior, y0.interior))[None], cfg)
     if isinstance(end, Exception):
         raise end
     return end
@@ -673,12 +631,11 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
     grouped.
     """
     rx, ry = radii_pair(radii, DEFAULT_RADII)
-    # Each start's own rng draws its x and then its y, so the x rows can come first.
+    # Each start's own rng draws its x and then its y, the two halves of its row.
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(cfg.multistart)]
-    X0, Y0 = random_interior_rows(spec.T, [(rx, rng) for rng in rngs]
-                                  + [(ry, rng) for rng in rngs]).reshape(2, -1, spec.T)
+    Z0 = random_interior_rows(spec.T, [(r, rng) for rng in rngs for r in (rx, ry)])
 
-    results = runs(spec, u, X0, Y0, cfg)
+    results = runs(spec, u, Z0.reshape(-1, 2 * spec.T), cfg)
     converged = [c for c in results if isinstance(c, SaddleCandidate) and c.converged]
     failures = len(results) - len(converged)
     reps = []

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, eigvalsh_tridiagonal, lapack, solve_banded
 
 from conftest import dirichlet_matrix, nonlinear_instance
-from saddlebvp import GridFunction, ParameterFunction, ProblemSpec, grid, laplacian
+from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, SolverConfig, grid,
+                       laplacian, solvers)
 from saddlebvp.hypotheses import check_concavity_y, check_convexity_x
-from saddlebvp.problem import grad_i, second_partials_i
-from saddlebvp.solvers import _schur_solve
+from saddlebvp.problem import jacobian_i, operator_i, second_partials_i
 
 SIZES = (1, 2, 3, 17)
 
@@ -174,38 +174,65 @@ def test_lapack_solves_on_singular_matrices():
 
 @pytest.mark.parametrize("T", SIZES)
 def test_newton_direction_matches_dense_solve(T):
+    # newton's step: the band of jacobian_i solved with -G on the right
     spec, u, xv, yv = random_point(T, 100 + T)
-    gx, gy = grad_i(spec, u, xv, yv)
+    z = np.concatenate((xv, yv))[None]
+    (G,), _ = operator_i(spec, u, z)
+    J = [diagonal[0] for diagonal in jacobian_i(spec, u, z)[0]]
+    dx, dy = spec.lap.solve_coupled(*J, -G[:T], -G[T:])
     fxx, fxy, fyy = second_partials_i(spec, u, xv, yv)
-    dx, dy = spec.lap.solve_coupled(fxx, fxy, -fyy, -gx, gy)
     L = dirichlet_matrix(T)
     M = np.block([[L + np.diag(fxx), np.diag(fxy)],
                   [-np.diag(fxy), L - np.diag(fyy)]])
-    d = np.linalg.solve(M, np.concatenate((-gx, gy)))
+    d = np.linalg.solve(M, -G)
     assert np.allclose(np.concatenate((dx, dy)), d, rtol=1e-12, atol=1e-12)
-    cond = spec.lap.coupled_condition(fxx, fxy, -fyy)
+    cond = spec.lap.coupled_condition(*J)
     assert cond == pytest.approx(np.linalg.cond(M, 1), rel=0.5)
 
 
 @pytest.mark.parametrize("T", SIZES)
 @pytest.mark.parametrize("outer", ["y", "x"])
 @pytest.mark.parametrize("lam", [0.0, 0.3])
-def test_schur_direction_matches_lstsq_formula(T, outer, lam):
-    s, slot = (-1.0, 1) if outer == "y" else (1.0, 0)
+def test_schur_direction_matches_lstsq_formula(T, outer, lam, monkeypatch):
+    # nested's outer step, the direction callback its block hands to the
+    # outer _damped_newton: the w half solves the reduced Hessian's system and
+    # the v half is +0.0
+    half = 1 if outer == "y" else 0
+    w, v = (slice(T, None), slice(None, T)) if half else (slice(None, T), slice(T, None))
     spec, u, xv, yv = random_point(T, 200 + T)
-    g = grad_i(spec, u, xv, yv)[slot]
-    partials = second_partials_i(spec, u, xv, yv)
-    # lam shifts the outer curvature F_ww by s * lam, which shifts S by s * lam * I
-    shifted = list(partials)
-    shifted[2 * slot] = shifted[2 * slot] + s * lam
-    d = _schur_solve(spec.lap, shifted, slot, s, g)
-    # reduced Hessian J_ww - J_wv J_vv^{-1} J_vw through the inner block L - s F_vv
+    z = np.concatenate((xv, yv))[None]
+    directions = []
+    damped_newton = solvers._damped_newton
+
+    def capture(residual, direction, V, *args):
+        if V.shape[1] == 2 * T:  # the outer level; the inner one runs on (B, T) halves
+            directions.append(direction)
+        return damped_newton(residual, direction, V, *args)
+
+    monkeypatch.setattr(solvers, "_damped_newton", capture)
+    solvers.runs(spec, u, z, SolverConfig(method="nested" if outer == "y" else "nested-xfirst",
+                                          max_iter=1))
+    (direction,) = directions
+
+    def shifted(spec, u, Z):
+        # lam shifts the outer diagonal of the Jacobian, which shifts S by lam * I
+        J, errors = jacobian_i(spec, u, Z)
+        return tuple(d + lam if i == 2 * half else d for i, d in enumerate(J)), errors
+
+    monkeypatch.setattr(solvers, "jacobian_i", shifted)
+    (G,), _ = operator_i(spec, u, z)
+    D, errors = direction(np.arange(1), z.copy(), G[w][None])
+    assert errors == {} and D.shape == z.shape
+    assert np.all(D[0, v] == 0) and not np.signbit(D[0, v]).any()
+    # reduced Hessian M_ww - M_wv M_vv^{-1} M_vw of the dense Jacobian M of G
+    fxx, fxy, fyy = second_partials_i(spec, u, xv, yv)
     L = dirichlet_matrix(T)
-    fxy = np.diag(partials[1])
-    cross = np.linalg.lstsq(L - s * np.diag(partials[2 * (1 - slot)]), fxy, rcond=None)[0]
-    S = (s * L + np.diag(partials[2 * slot])) + s * (fxy @ cross)
-    expected = np.linalg.solve(S + s * lam * np.eye(T), -g)
-    assert np.allclose(d, expected, rtol=1e-11, atol=1e-12)
+    M = np.block([[L + np.diag(fxx), np.diag(fxy)],
+                  [-np.diag(fxy), L - np.diag(fyy)]])
+    cross = np.linalg.lstsq(M[v, v], M[v, w], rcond=None)[0]
+    S = M[w, w] - M[w, v] @ cross
+    expected = np.linalg.solve(S + lam * np.eye(T), -G[w])
+    assert np.allclose(D[0, w], expected, rtol=1e-11, atol=1e-12)
 
 
 @pytest.mark.parametrize("T", SIZES)
@@ -277,7 +304,7 @@ def test_large_problem_memory_is_linear():
     try:
         spec = ProblemSpec.create(T, 1.0, "x*y")
         u = ParameterFunction.constant(0.5, T, 1.0)
-        grad_i(spec, u, np.full(T, 0.1), np.full(T, -0.2))
+        operator_i(spec, u, np.concatenate((np.full(T, 0.1), np.full(T, -0.2)))[None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

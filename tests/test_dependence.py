@@ -332,8 +332,7 @@ def test_upper_limit_check_limit_outside_the_domain():
     baseline = saddle_set(spec, u0, cfg)
     entries = []
     for n, x in ((32, -1.2), (64, -1.4)):
-        (cand,) = make_candidates_i(spec, u0, np.array([[x]]), np.zeros((1, 1)), "newton", [1],
-                                    [True], [None])
+        (cand,) = make_candidates_i(spec, u0, np.array([[x, 0.0]]), "newton", [1], [True], [None])
         entries.append(SequenceEntry(n=n, u=u0, saddles=SaddleSet((cand,), 1e-4, 1),
                                      value=cand.value, dist=0.0, gap=0.0, clamped=False))
     report = DependenceReport(

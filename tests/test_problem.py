@@ -11,9 +11,9 @@ from saddlebvp import (GridFunction, ParameterFunction, ProblemSpec, action, exp
 from saddlebvp.expressions import (Call, DomainError, Neg, Num, Pow, ScalarField, Var,
                                    evaluate, parse)
 from saddlebvp.grid import squared_norm
-from saddlebvp.problem import (ProblemError, action_i, grad_i, integrand_sum_i,
-                               make_candidates_i, parameter_values, problem_from_dict, read_json,
-                               real_numbers, residual_from_grad, second_partials_i)
+from saddlebvp.problem import (ProblemError, action_i, integrand_sum_i, jacobian_i,
+                               make_candidates_i, operator_i, parameter_values, problem_from_dict,
+                               read_json, real_numbers, residual_from_grad, second_partials_i)
 
 
 class _Count(int):
@@ -269,7 +269,7 @@ def test_each_quantity_keeps_its_own_domain():
     spec = ProblemSpec.create(3, 1.0, "x^2 - y^2 + log(x + 1.5)")
     u = ParameterFunction.constant(0.0, 3, 1.0)
     xv, yv = np.full(3, -2.0), np.array([0.5, 0.0, -0.5])
-    gx, gy = grad_i(spec, u, xv, yv)
+    gx, gy = grad(spec, u, GridFunction.from_interior(xv), GridFunction.from_interior(yv))
     env = {"k": spec.nodes(), "x": xv, "y": yv, "u": u.values}
     assert np.isfinite(gx).all() and np.isfinite(gy).all()
     assert gx.tobytes() == (spec.lap.apply(xv) + evaluate(spec.field.fx, env)).tobytes()
@@ -288,10 +288,12 @@ def test_field_results_never_write_through_to_inputs():
     for spec in specs:
         assert spec.nodes() is spec.nodes() and not spec.nodes().flags.writeable
         xv, yv = np.array([1.0, -2.0, 3.0, 0.5]), np.array([0.25, 4.0, -1.0, 2.0])
-        before = (xv.copy(), yv.copy(), spec.nodes().copy())
-        for out in (*grad_i(spec, u, xv, yv), *second_partials_i(spec, u, xv, yv)):
+        Z = np.concatenate((xv, yv))[None]
+        before = (xv.copy(), yv.copy(), Z.copy(), spec.nodes().copy())
+        for out in (operator_i(spec, u, Z)[0], *jacobian_i(spec, u, Z)[0],
+                    *second_partials_i(spec, u, xv, yv)):
             out[:] = 99.0
-        assert all(np.array_equal(a, b) for a, b in zip((xv, yv, spec.nodes()), before))
+        assert all(np.array_equal(a, b) for a, b in zip((xv, yv, Z, spec.nodes()), before))
 
 
 # Integrands whose kernels return full arrays, scalars (F constant in x, or
@@ -321,11 +323,14 @@ def test_block_rows_equal_one_row_calls(T, B, source, seed):
     u = ParameterFunction(rng.uniform(-1.0, 1.0, T), 1.0)
     scale = 10.0 ** rng.integers(-3, 2, size=(B, 1))
     X, Y = scale * rng.standard_normal((B, T)), scale * rng.standard_normal((B, T))
-    block = (spec.lap.apply(X), *grad_i(spec, u, X, Y), action_i(spec, u, X, Y),
-             integrand_sum_i(spec, u, X, Y), *second_partials_i(spec, u, X, Y))
+    Z = np.concatenate((X, Y), axis=1)
+    block = (spec.lap.apply(X), *np.split(operator_i(spec, u, Z)[0], 2, axis=1),
+             action_i(spec, u, X, Y), integrand_sum_i(spec, u, X, Y),
+             *second_partials_i(spec, u, X, Y))
     for i in range(B):
         xv, yv = X[i].copy(), Y[i].copy()
-        alone = (spec.lap.apply(xv), *grad_i(spec, u, xv, yv), action_i(spec, u, xv, yv),
+        gx, gy = grad(spec, u, GridFunction.from_interior(xv), GridFunction.from_interior(yv))
+        alone = (spec.lap.apply(xv), gx, -gy, action_i(spec, u, xv, yv),
                  integrand_sum_i(spec, u, xv, yv), *second_partials_i(spec, u, xv, yv))
         assert [_bits(b[i]) for b in block] == [_bits(a) for a in alone]
         # row norms keep the summation order of the 1-d product
@@ -381,11 +386,85 @@ def test_solver_kernels_of_the_workload_integrands_do_no_shape_work(source, monk
     spec = ProblemSpec.create(7, 1.0, source)
     u = ParameterFunction(np.linspace(-0.5, 0.5, 7), 1.0)
     X, Y = np.random.default_rng(3).standard_normal((2, 4, 7))
-    grad_i(spec, u, X, Y)
+    operator_i(spec, u, np.concatenate((X, Y), axis=1))
     integrand_sum_i(spec, u, X, Y)
     assert calls == []
     second_partials_i(spec, u, X, Y)
     assert len(calls) == 3
+
+
+# Stacked rows z = (x, y) with zeros of both signs, and at T = 3 a row
+# outside the domain of sqrt(x + 2) and of its derivatives.
+STACKED_CASES = [
+    (1, "x*y + u*(x - y)", [[0.0, -0.0], [-0.0, 0.0], [0.5, -1.25]]),
+    (1, "x^2 - y^2 + sqrt(x + 2)", [[-3.0, 0.0], [0.0, -0.0], [1.0, 2.0]]),
+    (3, "x^2 - y^2 + sqrt(x + 2)",
+     [[0.0, -0.0, 1.0, -0.0, 0.0, 0.5], [-3.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+      [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0], [0.25, -1.0, 1.5, 2.0, -0.5, 0.0]]),
+    (3, "0.4*x^2 - 0.4*y^2 + 0.2*x*y + 0.25*sin(x) + 0.25*cos(y) + u*(x - y)",
+     [[0.0, -0.0, 0.0, -0.0, 0.0, -0.0], [1.0, -2.0, 0.5, 0.25, 3.0, -1.0]]),
+]
+
+
+def _stacked_case(T, source, rows):
+    spec = ProblemSpec.create(T, 1.0, source)
+    u = ParameterFunction(np.linspace(-0.5, 0.5, T), 1.0)
+    return spec, u, np.array(rows)
+
+
+def _row_alone(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("T, source, rows", STACKED_CASES)
+def test_operator_i_halves_are_grad_with_the_y_half_negated(T, source, rows):
+    # (g_x, -g_y) of the public grad at each row alone, bit for bit, zeros
+    # keeping their signs; a row outside the domain holds nan and its own error
+    spec, u, Z = _stacked_case(T, source, rows)
+    G, errors = operator_i(spec, u, Z)
+    assert G.shape == Z.shape
+    for i, z in enumerate(Z):
+        alone = _row_alone(grad, spec, u, GridFunction.from_interior(z[:T]),
+                           GridFunction.from_interior(z[T:]))
+        if isinstance(alone, DomainError):
+            assert str(errors[i]) == str(alone) and np.isnan(G[i]).all()
+            continue
+        assert i not in errors
+        assert _bits(G[i]) == _bits(np.concatenate((alone[0], -alone[1])))
+    assert len(errors) == sum(z[0] < -2.0 for z in Z)
+
+
+@pytest.mark.parametrize("T, source, rows", STACKED_CASES)
+def test_jacobian_i_is_the_band_of_the_operator(T, source, rows):
+    # (F_xx, F_xy, -F_yy) of second_partials_i at each row alone, bit for bit
+    spec, u, Z = _stacked_case(T, source, rows)
+    J, errors = jacobian_i(spec, u, Z)
+    for i, z in enumerate(Z):
+        alone = _row_alone(second_partials_i, spec, u, z[:T], z[T:])
+        if isinstance(alone, DomainError):
+            assert str(errors[i]) == str(alone) and all(np.isnan(d[i]).all() for d in J)
+            continue
+        assert i not in errors
+        fxx, fxy, fyy = alone
+        assert [_bits(d[i]) for d in J] == [_bits(fxx), _bits(fxy), _bits(-fyy)]
+    assert len(errors) == sum(z[0] < -2.0 for z in Z)
+
+
+def test_make_candidates_i_takes_the_gradient_error_first():
+    # at x = -1.5 both the gradient (1/(x + 1.5)) and the action (log) raise:
+    # the gradient's error wins; at x = -1.6 only the action raises
+    spec = ProblemSpec.create(1, 1.0, "x^2 - y^2 + log(x + 1.5)")
+    u = ParameterFunction.constant(0.0, 1, 1.0)
+    Z = np.array([[0.2, 0.1], [-1.5, 0.0], [-1.6, 0.3]])
+    ok, both, action_only = make_candidates_i(spec, u, Z, "newton", [1, 2, 3], [True] * 3,
+                                              [None] * 3)
+    assert ok.value == action(spec, u, ok.x, ok.y)
+    assert isinstance(both, DomainError) and str(both).startswith("division by zero")
+    assert isinstance(action_only, DomainError)
+    assert str(action_only).startswith("log of nonpositive value")
 
 
 def test_residual_from_grad_rows_keep_the_one_point_nan_rule():
@@ -401,8 +480,8 @@ def test_residual_from_grad_rows_keep_the_one_point_nan_rule():
 
 def test_make_candidates_i_recomputes_value():
     spec, u, x, y = closed_form_instance()
-    (cand,) = make_candidates_i(spec, u, x.values[None, 1:-1], y.values[None, 1:-1], "test", [3],
-                                [True], [None])
+    (cand,) = make_candidates_i(spec, u, np.concatenate((x.interior, y.interior))[None], "test",
+                                [3], [True], [None])
     assert cand.value == pytest.approx(action(spec, u, x, y), rel=1e-10)
     assert cand.residual_norm == residual(spec, u, x, y)
     assert cand.method == "test" and cand.iterations == 3 and cand.converged
