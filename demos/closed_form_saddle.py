@@ -1,4 +1,4 @@
-"""Three solvers on an instance with a hand-solvable saddle point.
+"""Every solver method on an instance with a hand-solvable saddle point.
 
 For T=1 and the integrand x*y + u*(x - y) with constant u, stationarity
 reduces to the linear system 2x + y + u = 0, x - 2y - u = 0, whose solution
@@ -6,25 +6,21 @@ is (x, y) = (-u/5, -3u/5) with action value u^2/5.
 """
 
 from saddlebvp import GridFunction, ParameterFunction, ProblemSpec, SolverConfig
-from saddlebvp.solvers import extragradient, nested_minimax, newton, verify_saddle
+from saddlebvp.solvers import METHODS, solve, verify_saddle
 
 spec = ProblemSpec.create(1, 2.0, "x*y + u*(x - y)")
 u = ParameterFunction.constant(1.0, 1, 2.0)
-cfg = SolverConfig(tol=1e-12)
 z0 = (GridFunction.from_interior([0.9]), GridFunction.from_interior([-1.4]))
 
 print("expected saddle: x(1) = -0.2, y(1) = -0.6, value 0.2\n")
-for name, cand in [
-    ("extragradient", extragradient(spec, u, z0, cfg)),
-    ("newton", newton(spec, u, z0, cfg)),
-    ("nested", nested_minimax(spec, u, z0[1], cfg)),
-]:
-    print(f"{name:>13}: x(1)={cand.x(1):+.12f}  y(1)={cand.y(1):+.12f}  "
+cands = {}
+for method in METHODS:
+    cand = cands[method] = solve(spec, u, *z0, SolverConfig(method=method, tol=1e-12))
+    print(f"{method:>13}: x(1)={cand.x(1):+.12f}  y(1)={cand.y(1):+.12f}  "
           f"value={cand.value:.12f}  iters={cand.iterations}")
 
 # both nesting orders give the same value: the minimax equality at the solution
-maxmin = nested_minimax(spec, u, z0[1], cfg)
-minmax = nested_minimax(spec, u, z0[0], cfg, outer="x")
+maxmin, minmax = cands["nested"], cands["nested-xfirst"]
 print(f"\nmax-min value {maxmin.value:.15f}")
 print(f"min-max value {minmax.value:.15f}")
 print(f"gap {abs(maxmin.value - minmax.value):.2e}")

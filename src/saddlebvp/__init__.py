@@ -11,17 +11,15 @@ from .hypotheses import (BallRadii, GrowthCertificate, ball_radii, check_concavi
                          check_convexity_x, fit_growth_certificate, verify_growth)
 from .problem import (ParameterFunction, ProblemSpec, SaddleCandidate, action, grad,
                       load_problem, residual)
-from .solvers import (SaddleSet, SolverConfig, extragradient, nested_minimax, newton,
-                      product_distance, saddle_set, verify_saddle)
+from .solvers import SaddleSet, SolverConfig, product_distance, saddle_set, solve, verify_saddle
 
 __all__ = [
     "BallRadii", "DependenceReport", "DirichletLaplacian", "GridFunction", "GrowthCertificate",
     "ParameterFunction", "ParameterSequence", "ProblemSpec", "SaddleCandidate", "SaddleSet",
     "ScalarField", "SolverConfig",
     "action", "ball_radii", "check_concavity_y", "check_convexity_x", "compile_trees", "delta",
-    "differentiate", "embedding_constant", "embedding_estimate", "evaluate", "extragradient",
-    "fit_growth_certificate", "grad", "h_norm", "laplacian", "load_problem",
-    "nested_minimax", "newton", "parse", "product_distance", "residual", "run_sequence",
-    "saddle_set", "to_string", "uniform_gap", "upper_limit_check", "verify_growth",
-    "verify_saddle",
+    "differentiate", "embedding_constant", "embedding_estimate", "evaluate",
+    "fit_growth_certificate", "grad", "h_norm", "laplacian", "load_problem", "parse",
+    "product_distance", "residual", "run_sequence", "saddle_set", "solve", "to_string",
+    "uniform_gap", "upper_limit_check", "verify_growth", "verify_saddle",
 ]

@@ -298,7 +298,7 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
         p.add_argument("--out", default=None, help="output file prefix (default: problem stem)")
         if with_solver:
-            p.add_argument("--method", default="newton",
+            p.add_argument("--method", default=SolverConfig.method,
                            choices=["extragradient", "newton", "nested"])
             p.add_argument("--tol", type=float, default=SolverConfig.tol,
                            help="gradient and residual tolerance")

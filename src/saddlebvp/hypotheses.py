@@ -22,6 +22,7 @@ slot.
 """
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .grid import GridFunction, embedding_constant, h_norm
 from .problem import real_numbers, rows_apart
 
 DEFAULT_TOL = 1e-9  # a growth or curvature margin below -DEFAULT_TOL fails the check
-_NODE_BLOCK_VALUES = 2 ** 14  # samples per kernel call of the growth checks, one node at least
+_NODE_BLOCK_VALUES = 2 ** 14  # samples per kernel call of a node block, one node at least
 
 
 class HypothesisError(ValueError):
@@ -172,13 +173,11 @@ def _grid_points(density):
 
 
 def _check_curvature(spec, u, fixed, box, density, convex):
-    """The curvature check, on the ``(density, T)`` grid in blocks of nodes.
+    """The curvature check, on the ``(T, density)`` grid in blocks of nodes (:func:`_node_blocks`).
 
-    A block holds as many nodes as keep its samples within
-    ``_NODE_BLOCK_VALUES``, and one node at least; the kernel gives a block's
-    ``(density, nodes)`` values, each node's column the one the whole grid
-    gives.  A domain error is the first that the blocks meet in node order,
-    the whole grid's when it fits one block.
+    The kernel gives a block's ``(nodes, density)`` values, each node's row
+    the one the whole grid gives, and the domain error raised is the first
+    that a loop over the nodes meets.
     """
     node, free, other = ((spec.field.fxx, "x", "y") if convex
                          else (spec.field.fyy, "y", "x"))
@@ -191,18 +190,18 @@ def _check_curvature(spec, u, fixed, box, density, convex):
     idx = np.empty(spec.T, dtype=int)
     low = np.empty(spec.T)
     pad = np.zeros(spec.T)
-    size = max(1, _NODE_BLOCK_VALUES // s.size)
-    for start in range(0, spec.T, size):
-        nodes = slice(start, min(start + size, spec.T))
-        env = {"k": spec.nodes()[nodes], "u": u.values[nodes], free: s[:, None],
-               other: anchored[nodes]}
-        (curv,) = kernel(**env)
+
+    def curvature(nodes):
+        return kernel(**{"k": spec.nodes()[nodes, None], "u": u.values[nodes, None],
+                         free: s[None, :], other: anchored[nodes, None]})
+
+    for part, (curv,) in _node_blocks(((s.size,),), curvature, np.arange(spec.T)):
         if not convex:
             curv = -curv  # -(-L + diag(F_yy)) = L + diag(-F_yy)
-        idx[nodes] = np.argmin(curv, axis=0)
-        low[nodes] = curv[idx[nodes], np.arange(nodes.stop - start)]
+        idx[part] = np.argmin(curv, axis=1)
+        low[part] = curv[np.arange(len(curv)), idx[part]]
         if not exact:
-            pad[nodes] = 0.5 * np.max(np.abs(np.diff(curv, n=2, axis=0)), axis=0)
+            pad[part] = 0.5 * np.max(np.abs(np.diff(curv, n=2, axis=1)), axis=1)
     margin = spec.lap.smallest_eigenvalue_shifted(low - pad)
     if margin >= -DEFAULT_TOL:
         return ConvexityReport(passed=True, exact=exact, worst_margin=margin)
@@ -276,7 +275,7 @@ def verify_growth(spec, cert: GrowthCertificate, grid_density=201) -> GrowthRepo
             bound = (-alpha if lower else alpha) * free ** 2 + beta * free + _column(gamma[nodes])
             return (F - bound if lower else bound - F,)
 
-        for part, (margin,) in grid.blocks((anchor,), margins, first):
+        for part, (margin,) in _node_blocks((grid.shape(anchor),), margins, first):
             low = margin.min(axis=(1, 2, 3))
             j = int(np.argmin(np.where(np.isnan(low), np.inf, low)))
             if low[j] < worst:
@@ -357,26 +356,29 @@ class _GrowthGrid:
                                             self.us[None, None, :, None])
         return F
 
-    def blocks(self, anchors, compute, nodes):
-        """``(part, compute(nodes[part]))`` for consecutive slices ``part`` of the node array ``nodes``.
+    def shape(self, anchor):
+        """The ``(n, n_u, n_other)`` samples of one node, the other slot fixed by ``anchor``."""
+        return self.s.size, self.us.size, 1 if anchor is not None else self.other.size
 
-        ``compute`` returns one array per side, the other slot of each fixed
-        by its entry of ``anchors``.  A slice holds as many nodes as keep
-        these samples within ``_NODE_BLOCK_VALUES``, and one node at least.
-        Its nodes are the rows of :func:`~saddlebvp.problem.rows_apart`, so
-        the error raised is the first that a loop over ``nodes`` meets.
-        """
-        shapes = tuple((self.s.size, self.us.size, 1 if a is not None else self.other.size)
-                       for a in anchors)
-        size = max(1, _NODE_BLOCK_VALUES // max(n * n_u * n_o for n, n_u, n_o in shapes))
-        for start in range(0, nodes.size, size):
-            part = slice(start, min(start + size, nodes.size))
-            at = nodes[part]
-            out, errors = rows_apart(lambda i: compute(at[i] if isinstance(i, slice) else at[i:i + 1]),
-                                     at.size, shapes)
-            if errors:
-                raise errors[min(errors)]
-            yield part, out
+
+def _node_blocks(shapes, compute, nodes):
+    """``(part, compute(nodes[part]))`` for consecutive slices ``part`` of the node array ``nodes``.
+
+    ``compute`` returns one array per entry of ``shapes``, the shape of one
+    node's samples, behind the node axis.  A slice holds as many nodes as
+    keep these samples within ``_NODE_BLOCK_VALUES``, and one node at least.
+    Its nodes are the rows of :func:`~saddlebvp.problem.rows_apart`, so the
+    error raised is the first that a loop over ``nodes`` meets.
+    """
+    size = max(1, _NODE_BLOCK_VALUES // max(math.prod(shape) for shape in shapes))
+    for start in range(0, nodes.size, size):
+        part = slice(start, min(start + size, nodes.size))
+        at = nodes[part]
+        out, errors = rows_apart(lambda i: compute(at[i] if isinstance(i, slice) else at[i:i + 1]),
+                                 at.size, shapes)
+        if errors:
+            raise errors[min(errors)]
+        yield part, out
 
 
 @dataclass(frozen=True)
@@ -486,7 +488,8 @@ def fit_growth_certificate(spec, box_radius, alpha1=None, alpha2=None,
     first, cls = _node_classes(spec, anchor_y, anchor_x)
     gamma1 = np.empty(first.size)
     gamma2 = np.empty(first.size)
-    for part, (lower, upper) in grid.blocks((anchor_y, anchor_x), sides, first):
+    for part, (lower, upper) in _node_blocks((grid.shape(anchor_y), grid.shape(anchor_x)),
+                                             sides, first):
         gamma1[part] = lower.min(axis=(1, 2, 3)) - _grid_gap_pad(lower) - slack
         gamma2[part] = upper.max(axis=(1, 2, 3)) + _grid_gap_pad(upper) + slack
     return GrowthCertificate(alpha1=alpha1, beta1=0.0, gamma1=gamma1[cls],

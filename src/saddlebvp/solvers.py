@@ -1,23 +1,27 @@
 """Saddle-point solvers and a posteriori verification.
 
-Three routes to a saddle point of the action:
+Three routes to a saddle point of the action, the methods of
+:data:`METHODS`, chosen by ``SolverConfig.method``:
 
-* ``extragradient`` -- the two-step scheme for the monotone operator
+* ``"extragradient"`` -- the two-step scheme for the monotone operator
   ``(grad_x J, -grad_y J)`` with a locally backtracked step; needs only
   first derivatives.
-* ``newton`` -- damped Newton on the first-order system; quadratic
+* ``"newton"`` -- damped Newton on the first-order system; quadratic
   convergence near a solution.
-* ``nested`` -- the constructive route of the existence argument: an exact
-  minimization in ``x`` at fixed ``y``, then Newton steps on the gradient of
-  the concave reduced function of ``y``.
+* ``"nested"`` and ``"nested-xfirst"`` -- the constructive route of the
+  existence argument: ``"nested"`` minimizes exactly in ``x`` at fixed
+  ``y``, then takes Newton steps on the gradient of the concave reduced
+  function of ``y`` (max-min); ``"nested-xfirst"`` mirrors it (min-max).
+  Both orders make the minimax equality checkable.
 
-``newton`` and both levels of ``nested`` share one damped-Newton loop
-(:func:`_damped_newton`), which backtracks until the Euclidean norm of its
-residual falls by the Armijo fraction.  The loop works on a block of rows,
-one run per row.
+``newton`` and both levels of the nested methods share one damped-Newton
+loop (:func:`_damped_newton`), which backtracks until the Euclidean norm of
+its residual falls by the Armijo fraction.  The loop works on a block of
+rows, one run per row.
 
 :func:`runs`, the one driver, runs the block function of ``cfg.method`` in
-:data:`METHODS` on many starts in lockstep.  Every method keeps each
+:data:`METHODS` on many starts in lockstep, and :func:`solve` is its
+one-row case, the run from one start.  Every method keeps each
 iterate as one stacked row ``z = (x, y)`` of a ``(B, 2T)`` block (nested
 steps one half of it on each level) and reaches the field only through
 :func:`~saddlebvp.problem.operator_i`, the operator
@@ -29,8 +33,7 @@ newton's and nested's steps.  The candidates of a block
 come from one operator and one action call.  The problem layer and the band
 solve treat a block row by row bit for bit as alone, and every block goes
 through :func:`~saddlebvp.problem.rows_apart`, so each start ends exactly
-where its own run ends and only the rows that leave the domain fail.  The
-one-start solvers are the one-row case of :func:`runs`.
+where its own run ends and only the rows that leave the domain fail.
 
 With ``record_trace`` every start of a block records its trace
 (:class:`_Traces`): each iteration keeps its arrays, and the residuals and
@@ -43,7 +46,7 @@ sampled saddle inequalities, and the second-order test that ``x -> J(x, y*)``
 is locally convex and ``y -> J(x*, y)`` locally concave.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +84,8 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValueError(f"unknown method {self.method!r}; "
+                             f"expected one of {', '.join(sorted(METHODS))}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
@@ -189,7 +193,7 @@ def _finish(spec, u, method, Z, iterations, converged, errors, traces):
     return [errors[r] if r in errors else next(cands) for r in range(len(Z))]
 
 
-def extragradient(spec, u, z0, cfg: SolverConfig):
+def _extragradient_block(spec, u, Z, cfg, traces):
     """Extragradient on ``G = (grad_x J, -grad_y J)`` with a local step rule.
 
     The step ``gamma`` starts at ``1 / |L|_inf`` and is halved until the
@@ -197,19 +201,14 @@ def extragradient(spec, u, z0, cfg: SolverConfig):
     ``|G(z_hat) - G(z)| <= EG_NU |G(z)|``, i.e.
     ``gamma |G(z_hat) - G(z)| <= EG_NU |z_hat - z|``; a predictor outside the
     integrand's domain is rejected.  The corrector is ``z - gamma G(z_hat)``,
-    after which ``gamma`` grows by ``EG_GROWTH``.  Stops when the Euclidean
-    norm of ``G`` drops below ``tol``.  ``EG_PATIENCE`` iterations
+    after which ``gamma`` grows by ``EG_GROWTH``.  A run stops when the
+    Euclidean norm of ``G`` drops below ``tol``.  ``EG_PATIENCE`` iterations
     without a new smallest norm (iterates that run away, or a norm stuck at
     its rounding level), a step below ``EG_MIN_STEP`` and iteration
-    exhaustion return the best iterate flagged as not converged.  An iterate
-    or best iterate outside the domain raises its ``ExprError``.
-
-    This is the one-start case of :func:`runs` with ``method="extragradient"``.
+    exhaustion end it at its best iterate, flagged as not converged.  An
+    iterate or best iterate outside the domain ends it with its
+    ``ExprError``.
     """
-    return _one(spec, u, *z0, replace(cfg, method="extragradient"))
-
-
-def _lockstep(spec, u, Z, cfg, traces):
     # Row r of the (B, 2T) blocks below is the run from start rows[r], its
     # iterate z = (x, y), and G is the operator at it.  Every row has its own
     # step, best iterate and stop; a row that stops leaves the blocks, so the
@@ -371,23 +370,17 @@ def _damped_newton(residual, direction, V, tol, max_iter, on_iterate=None, condi
     return end, iterations, converged, ended
 
 
-def newton(spec, u, z0, cfg: SolverConfig):
+def _newton_block(spec, u, Z0, cfg, traces):
     """Damped Newton on the first-order system ``(L x + F_x, L y - F_y)``.
 
     Runs :func:`_damped_newton` on the residual ``(grad_x J, -grad_y J)``,
     whose Jacobian ``[[L + F_xx, F_xy], [-F_xy, L - F_yy]]`` is solved as a
-    band (:meth:`~saddlebvp.grid.DirichletLaplacian.solve_coupled`); stops
-    when the max-norm defect falls below ``tol``.  Raises
-    :class:`SolverError` on a singular Jacobian (with a condition estimate)
-    and the ``ExprError`` of a start that leaves the integrand's domain;
-    stalls return the iterate flagged.
-
-    This is the one-start case of :func:`runs` with ``method="newton"``.
+    band (:meth:`~saddlebvp.grid.DirichletLaplacian.solve_coupled`); a run
+    stops when the max-norm defect falls below ``tol``.  A singular Jacobian
+    ends a run with :class:`SolverError` (with a condition estimate), and a
+    start that leaves the integrand's domain with its ``ExprError``; a
+    stalled line search ends it flagged as not converged.
     """
-    return _one(spec, u, *z0, replace(cfg, method="newton"))
-
-
-def _newton_block(spec, u, Z0, cfg, traces):
     T = spec.T
 
     def step(rows, Z, G):
@@ -409,37 +402,27 @@ def _newton_block(spec, u, Z0, cfg, traces):
                           cfg.max_iter, None if traces is None else record, condition)
 
 
-def nested_minimax(spec, u, y0, cfg: SolverConfig, outer="y"):
+def _nested_block(spec, u, Z0, cfg, traces):
     """Nested solve: Newton steps on the gradient of the reduced function.
 
-    With ``outer="y"`` (the default) the inner problem finds the minimum of
-    the convex ``x``-section exactly and the outer loop finds the stationary
-    point of the concave reduced function ``y -> min_x J(x, y)``, realizing
-    ``max_y min_x``; ``outer="x"`` mirrors the construction and realizes
-    ``min_x max_y`` (pass the starting ``x`` as ``y0``).  With ``w`` the
-    outer half of ``z = (x, y)`` and ``v`` the other, both levels run
-    :func:`_damped_newton` on a half of ``G``: the inner one on ``G_v`` at
-    fixed ``w`` with the tridiagonal Hessian (``L + F_xx`` or ``L - F_yy``)
-    to ``INNER_TOL_FACTOR * tol``, from 0 and then warm from the last
-    accepted inner point; the outer one on the reduced gradient
+    With ``"nested"`` the inner problem finds the minimum of the convex
+    ``x``-section exactly and the outer loop finds the stationary point of
+    the concave reduced function ``y -> min_x J(x, y)``, realizing
+    ``max_y min_x``; ``"nested-xfirst"`` mirrors the construction and
+    realizes ``min_x max_y``.  With ``w`` the outer half of ``z = (x, y)``
+    (``y`` for ``"nested"``, ``x`` for ``"nested-xfirst"``) and ``v`` the
+    other, a run starts from the ``w`` half of its row of ``Z0`` alone, and
+    both levels run :func:`_damped_newton` on a half of ``G``: the inner one
+    on ``G_v`` at fixed ``w`` with the tridiagonal Hessian (``L + F_xx`` or
+    ``L - F_yy``) to ``INNER_TOL_FACTOR * tol``, from 0 and then warm from
+    the last accepted inner point; the outer one on the reduced gradient
     ``G_w(w, v*(w))`` with the Schur complement direction, the ``w`` half of
     one solve of the whole Jacobian band, to ``tol``.  Only trace rows
-    evaluate the action.  Raises the ``ExprError`` of a start that leaves
-    the integrand's domain and :class:`SolverError` on a singular Hessian of
-    either level, inner ones at trial points included.
-
-    This is the one-start case of :func:`runs` with ``method="nested"``
-    (``outer="y"``) or ``"nested-xfirst"`` (``outer="x"``).
+    evaluate the action.  A start that leaves the integrand's domain ends
+    its run with its ``ExprError``, and a singular Hessian of either level,
+    inner ones at trial points included, with :class:`SolverError`.
     """
-    if outer not in ("y", "x"):
-        raise ValueError(f"outer must be 'y' or 'x', got {outer!r}")
-    method = "nested" if outer == "y" else "nested-xfirst"
-    return _one(spec, u, y0, y0, replace(cfg, method=method))
-
-
-def _nested_block(spec, u, Z0, cfg, traces):
-    # "nested" ascends in w = y over min_x, "nested-xfirst" descends in w = x
-    # over max_y; v is the other half of z = (x, y), and outer its index
+    # v is the other half of z = (x, y), and outer the index of w
     T = spec.T
     outer = 0 if cfg.method == "nested-xfirst" else 1
     halves = (slice(None, T), slice(T, None))
@@ -496,7 +479,7 @@ def _nested_block(spec, u, Z0, cfg, traces):
 
 # block(spec, u, Z0, cfg, traces) -> (Z, iterations, converged, {row: exception}), on
 # (B, 2T) rows z = (x, y), traces a _Traces or None
-METHODS = {"extragradient": _lockstep, "newton": _newton_block,
+METHODS = {"extragradient": _extragradient_block, "newton": _newton_block,
            "nested": _nested_block, "nested-xfirst": _nested_block}
 
 
@@ -520,8 +503,16 @@ def runs(spec, u, Z0, cfg: SolverConfig):
     return ends
 
 
-def _one(spec, u, x0, y0, cfg):
-    """The run of :func:`runs` from the start ``(x0, y0)``; an exception that ends it raises."""
+def solve(spec, u, x0, y0, cfg: SolverConfig):
+    """The run of ``cfg.method`` from the start ``(x0, y0)``, two grid functions.
+
+    This is the one-row case of :func:`runs`: it returns the run's
+    :class:`~saddlebvp.problem.SaddleCandidate`, bit for bit the one
+    :func:`runs` gives for that row, and raises the :class:`SolverError` or
+    ``ExprError`` that ends the run.  The nested methods read only the outer
+    half of the start, ``y0`` for ``"nested"`` and ``x0`` for
+    ``"nested-xfirst"``; their inner solves start at 0.
+    """
     (end,) = runs(spec, u, np.concatenate((x0.interior, y0.interior))[None], cfg)
     if isinstance(end, Exception):
         raise end

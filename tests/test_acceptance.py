@@ -20,8 +20,7 @@ from saddlebvp.cli import main
 from saddlebvp.expressions import (Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
                                    differentiate, evaluate, parse, to_string)
 from saddlebvp.hypotheses import GrowthCertificate
-from saddlebvp.solvers import (extragradient, nested_minimax, newton, saddle_set,
-                               verify_saddle)
+from saddlebvp.solvers import saddle_set, solve, verify_saddle
 
 TIGHT = SolverConfig(tol=1e-12)
 
@@ -93,7 +92,7 @@ def test_criterion_3_critical_point_equivalence():
         spec, u = nonlinear_instance(rng, T)
         z0 = (GridFunction.from_interior(rng.standard_normal(T)),
               GridFunction.from_interior(rng.standard_normal(T)))
-        cand = newton(spec, u, z0, SolverConfig(tol=1e-13))
+        cand = solve(spec, u, *z0, SolverConfig(tol=1e-13))
         report = verify_saddle(spec, u, cand, probes=32, seed=trial)
         bound = 1e-8 * (1.0 + spec.lap.norm_inf)
         if report.passed and cand.residual_norm > bound:
@@ -113,12 +112,8 @@ def test_criterion_4_closed_form_instance():
     spec = ProblemSpec.create(1, 2.0, "x*y + u*(x - y)")
     u = ParameterFunction.constant(1.0, 1, 2.0)
     z0 = (GridFunction.from_interior([0.7]), GridFunction.from_interior([-1.2]))
-    outputs = {
-        "extragradient": extragradient(spec, u, z0, TIGHT),
-        "newton": newton(spec, u, z0, TIGHT),
-        "nested": nested_minimax(spec, u, z0[1], TIGHT),
-    }
-    for name, cand in outputs.items():
+    for name in ("extragradient", "newton", "nested"):
+        cand = solve(spec, u, *z0, SolverConfig(method=name, tol=1e-12))
         if abs(cand.x(1) + 0.2) > 1e-8 or abs(cand.y(1) + 0.6) > 1e-8:
             failures.append(f"{name} point ({cand.x(1)}, {cand.y(1)})")
         if abs(cand.value - 0.2) > 1e-10:
@@ -144,17 +139,17 @@ def test_criterion_5_linear_quadratic_oracle():
 
         z0 = (GridFunction.from_interior(rng.standard_normal(T)),
               GridFunction.from_interior(rng.standard_normal(T)))
-        nt = newton(spec, u, z0, TIGHT)
+        nt = solve(spec, u, *z0, TIGHT)
         err_nt = np.hypot(h_norm(nt.x - ref_x), h_norm(nt.y - ref_y))
         if err_nt > 1e-8:
             failures.append(f"trial {trial}: newton {err_nt:.2e} > 1e-8")
 
-        eg = extragradient(spec, u, z0, SolverConfig(tol=1e-9, max_iter=200000))
+        eg = solve(spec, u, *z0, SolverConfig(method="extragradient", tol=1e-9, max_iter=200000))
         err_eg = np.hypot(h_norm(eg.x - ref_x), h_norm(eg.y - ref_y))
         if err_eg > 1e-6:
             failures.append(f"trial {trial}: extragradient {err_eg:.2e} > 1e-6")
 
-        ne = nested_minimax(spec, u, z0[1], TIGHT)
+        ne = solve(spec, u, *z0, SolverConfig(method="nested", tol=1e-12))
         err_ne = np.hypot(h_norm(ne.x - ref_x), h_norm(ne.y - ref_y))
         if err_ne > 1e-6:
             failures.append(f"trial {trial}: nested {err_ne:.2e} > 1e-6")
@@ -171,8 +166,8 @@ def test_criterion_6_minimax_equality():
         else:
             spec, u = nonlinear_instance(rng, T)
         w0 = GridFunction.from_interior(rng.standard_normal(T))
-        maxmin = nested_minimax(spec, u, w0, TIGHT)
-        minmax = nested_minimax(spec, u, w0, TIGHT, outer="x")
+        maxmin = solve(spec, u, w0, w0, SolverConfig(method="nested", tol=1e-12))
+        minmax = solve(spec, u, w0, w0, SolverConfig(method="nested-xfirst", tol=1e-12))
         gap = abs(maxmin.value - minmax.value)
         if not (maxmin.converged and minmax.converged):
             failures.append(f"trial {trial}: nested order failed to converge")
@@ -210,7 +205,7 @@ def test_criterion_7_ball_containment():
                                       anchor_y=GridFunction.zeros(1),
                                       anchor_x=GridFunction.zeros(1))
     radii = ball_radii(cert, 0.5, 1)
-    cand = newton(spec, u, (GridFunction.zeros(1), GridFunction.zeros(1)), TIGHT)
+    cand = solve(spec, u, GridFunction.zeros(1), GridFunction.zeros(1), TIGHT)
     if not radii.contains(cand.x, cand.y, slack=1e-6):
         failures.append("bilinear saddle escapes its hand-derived balls")
     _report(7, "ball containment", failures)

@@ -388,6 +388,17 @@ def test_node_blocked_growth_raises_the_node_loop_domain_error():
             check()
 
 
+@pytest.mark.parametrize("density", [201, 8192])
+def test_node_blocked_curvature_raises_the_node_loop_domain_error(density):
+    # as above, in the curvature of the free slot: at density 201 all five
+    # nodes share one block, at 8192 the blocks hold two nodes each
+    u = ParameterFunction.constant(0.0, 5, 1.0)
+    for check, F in ((check_convexity_x, "x^2*(log(3 - k) + 1/(k - 1)) - y^2"),
+                     (check_concavity_y, "x^2 - y^2*(log(3 - k) + 1/(k - 1))")):
+        with pytest.raises(ExprError, match="division by zero"):
+            check(ProblemSpec.create(5, 1.0, F), u, GridFunction.zeros(5), 2.0, density)
+
+
 def test_node_classes_are_keyed_by_bits_and_by_k_when_f_uses_it():
     # 0.0 and -0.0 are told apart; gammas and anchors key together, None adds nothing
     gamma = np.array([1.0, 1.0, 2.0, 1.0, 1.0])

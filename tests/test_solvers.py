@@ -17,11 +17,12 @@ from saddlebvp.hypotheses import ball_radii, certificate_from_dict
 from saddlebvp.expressions import ExprError
 from saddlebvp.grid import DirichletLaplacian, random_interior, random_interior_rows
 from saddlebvp.problem import action_i, block_rows, make_candidates_i, residual_from_grad
-from saddlebvp.solvers import (SolverError, extragradient, nested_minimax, newton, radii_pair,
-                               saddle_set, verify_saddle)
+from saddlebvp.solvers import SolverError, radii_pair, saddle_set, solve, verify_saddle
 from test_golden import regenerate as golden_regenerate
 
 TIGHT = SolverConfig(tol=1e-12)
+EG_TIGHT = SolverConfig(method="extragradient", tol=1e-12)
+NESTED_TIGHT = SolverConfig(method="nested", tol=1e-12)
 EXP_T5 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "demos", "problems", "exp_t5.json")
 
@@ -53,7 +54,7 @@ def test_extragradient_zero_field():
     spec, u = zero_problem()
     rng = np.random.default_rng(16)
     z0 = start(rng.standard_normal(3), rng.standard_normal(3))
-    cand = extragradient(spec, u, z0, TIGHT)
+    cand = solve(spec, u, *z0, EG_TIGHT)
     assert cand.converged
     assert cand.residual_norm <= 1e-10
     assert h_norm(cand.x) <= 1e-10 and h_norm(cand.y) <= 1e-10
@@ -61,7 +62,7 @@ def test_extragradient_zero_field():
 
 def test_extragradient_closed_form():
     spec, u = bilinear_spec(1.0)
-    cand = extragradient(spec, u, start(0.8, -1.1), TIGHT)
+    cand = solve(spec, u, *start(0.8, -1.1), EG_TIGHT)
     assert cand.x(1) == pytest.approx(-0.2, abs=1e-8)
     assert cand.y(1) == pytest.approx(-0.6, abs=1e-8)
     assert cand.value == pytest.approx(0.2, abs=1e-10)
@@ -70,7 +71,7 @@ def test_extragradient_closed_form():
 def test_extragradient_linear_solve_example():
     # 2x + y + u = 0, x - 2y - u = 0 at u = 0.5 -> (-0.1, -0.3)
     spec, u = bilinear_spec(0.5)
-    cand = extragradient(spec, u, start(0.0, 0.0), TIGHT)
+    cand = solve(spec, u, *start(0.0, 0.0), EG_TIGHT)
     assert cand.x(1) == pytest.approx(-0.1, abs=1e-8)
     assert cand.y(1) == pytest.approx(-0.3, abs=1e-8)
 
@@ -78,7 +79,7 @@ def test_extragradient_linear_solve_example():
 def test_extragradient_nonconvergence_flagged():
     spec, u = bilinear_spec(1.0)
     cfg = SolverConfig(method="extragradient", max_iter=3, tol=1e-14)
-    cand = extragradient(spec, u, start(0.8, -1.1), cfg)
+    cand = solve(spec, u, *start(0.8, -1.1), cfg)
     assert not cand.converged
 
 
@@ -87,7 +88,7 @@ def test_extragradient_divergence_detector():
     spec = ProblemSpec.create(1, 1.0, "-3*x^2 + 3*y^2")
     u = ParameterFunction.constant(0.0, 1, 1.0)
     cfg = SolverConfig(method="extragradient", max_iter=5000, tol=1e-12)
-    cand = extragradient(spec, u, start(0.5, 0.5), cfg)
+    cand = solve(spec, u, *start(0.5, 0.5), cfg)
     assert not cand.converged
     assert cand.iterations < 5000 - 1  # stopped early, not exhausted
 
@@ -97,7 +98,7 @@ def test_extragradient_stops_at_rounding_floor():
     # so no new best norm appears for EG_PATIENCE iterations
     spec, u = bilinear_spec(1.0)
     cfg = SolverConfig(method="extragradient", tol=1e-16, max_iter=100000)
-    cand = extragradient(spec, u, start(0.8, -1.1), cfg)
+    cand = solve(spec, u, *start(0.8, -1.1), cfg)
     assert not cand.converged
     assert cand.iterations < 500
     assert cand.grad_norm < 1e-14
@@ -108,7 +109,7 @@ def test_extragradient_step_floor_on_domain_edge():
     # floor lands at x < 0, outside the domain of sqrt
     spec = ProblemSpec.create(1, 1.0, "x*y + sqrt(x) - y^2")
     u = ParameterFunction.constant(0.0, 1, 1.0)
-    cand = extragradient(spec, u, start(1e-30, 0.0), SolverConfig(method="extragradient"))
+    cand = solve(spec, u, *start(1e-30, 0.0), SolverConfig(method="extragradient"))
     assert not cand.converged and cand.iterations == 0
 
 
@@ -134,7 +135,8 @@ def test_every_method_finds_the_exp_t5_saddle():
         assert {c.method for c in sset.points} == {method}
         values.append(sset.points[0].value)
     assert max(values) - min(values) <= 1e-10
-    with pytest.raises(ValueError, match="unknown method 'solve'"):
+    with pytest.raises(ValueError, match="unknown method 'solve'; expected one of "
+                                         "extragradient, nested, nested-xfirst, newton$"):
         SolverConfig(method="solve")
 
 
@@ -147,7 +149,7 @@ def test_extragradient_memory_is_linear():
     z0 = start(np.full(T, 0.1), np.full(T, -0.2))
     tracemalloc.start()
     try:
-        extragradient(spec, u, z0, SolverConfig(max_iter=2))
+        solve(spec, u, *z0, SolverConfig(method="extragradient", max_iter=2))
         peak_one = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         sset = saddle_set(spec, u, SolverConfig(method="extragradient", max_iter=2,
@@ -177,9 +179,9 @@ def _block(starts):
     return np.array([np.concatenate((x.interior, y.interior)) for x, y in starts])
 
 
-def _solo(run, spec, u, z0, cfg):
+def _solo(spec, u, z0, cfg):
     try:
-        return run(spec, u, z0, cfg)
+        return solve(spec, u, *z0, cfg)
     except (ExprError, SolverError) as exc:
         return exc
 
@@ -419,6 +421,23 @@ def test_runs_keep_their_bits(method, case):
     assert _ends_digest(ends) == METHOD_DIGESTS[case][method]
 
 
+@pytest.mark.parametrize("case", list(METHOD_DIGESTS))
+@pytest.mark.parametrize("method", list(solvers.METHODS))
+def test_solve_is_the_one_row_case_of_runs(method, case):
+    # solve from each row's start returns the candidate runs gives that row,
+    # bit for bit, or raises the exception runs gives it
+    spec, u, Z0 = _digest_case(case)
+    cfg = SolverConfig(method=method, record_trace=True)
+    ends = solvers.runs(spec, u, Z0, cfg)
+    for run, z0 in zip(ends, Z0):
+        alone = _solo(spec, u, (GridFunction.from_interior(z0[:spec.T]),
+                                GridFunction.from_interior(z0[spec.T:])), cfg)
+        _assert_same_run(run, alone)
+        _assert_same_candidate(run, alone)
+    if (method, case) == ("extragradient", "log"):
+        assert any(isinstance(end, ExprError) for end in ends)
+
+
 def _step_floor_batch():
     # the step-floor start of test_extragradient_step_floor_on_domain_edge among
     # starts that leave the domain of sqrt at once or on their way (this F has
@@ -445,7 +464,7 @@ def test_lockstep_runs_equal_solo_runs(case):
     else:
         spec, u, starts, floor = _step_floor_batch()
     runs = solvers.runs(spec, u, _block(starts), cfg)
-    solos = [_solo(extragradient, spec, u, z0, cfg) for z0 in starts]
+    solos = [_solo(spec, u, z0, cfg) for z0 in starts]
     for lockstep, solo in zip(runs, solos):
         _assert_same_run(lockstep, solo)
     for lockstep, (x0, y0) in zip(runs, starts):
@@ -515,7 +534,7 @@ def test_newton_lockstep_runs_equal_solo_runs(case):
     outside = []
     _on_gradient_error(spec, lambda x, exc: outside.append(x.ndim))
     runs = solvers.runs(spec, u, _block(starts), cfg)
-    solos = [_solo(newton, spec, u, z0, cfg) for z0 in starts]
+    solos = [_solo(spec, u, z0, cfg) for z0 in starts]
     for lockstep, solo in zip(runs, solos):
         _assert_same_run(lockstep, solo)
     ends = [r for r in runs if not isinstance(r, Exception)]
@@ -580,7 +599,7 @@ def test_one_row_block_outside_the_domain_is_evaluated_once():
     raised = []
     _on_gradient_error(spec, lambda x, exc: raised.append(exc))
     with pytest.raises(ExprError) as info:
-        newton(spec, u, start([-3.0, 0.5, 0.5], [0.0, 0.0, 0.0]), SolverConfig(method="newton"))
+        solve(spec, u, *start([-3.0, 0.5, 0.5], [0.0, 0.0, 0.0]), SolverConfig(method="newton"))
     assert raised == [info.value]
 
 
@@ -645,7 +664,7 @@ def test_extragradient_gradient_norm_monotone_after_warmup():
     u = ParameterFunction.constant(0.0, 4, 1.0)
     cfg = SolverConfig(method="extragradient", tol=1e-11, record_trace=True)
     z0 = start([1.0, 2.0, -1.0, 0.5], [-2.0, 1.0, 1.0, -0.5])
-    cand = extragradient(spec, u, z0, cfg)
+    cand = solve(spec, u, *z0, cfg)
     norms = [row[1] for row in cand.trace]
     assert cand.converged
     for i in range(11, len(norms)):
@@ -655,8 +674,8 @@ def test_extragradient_gradient_norm_monotone_after_warmup():
 def test_extragradient_deterministic_iterates():
     spec, u = bilinear_spec(1.0)
     cfg = SolverConfig(method="extragradient", record_trace=True, seed=4)
-    a = extragradient(spec, u, start(0.3, 0.4), cfg)
-    b = extragradient(spec, u, start(0.3, 0.4), cfg)
+    a = solve(spec, u, *start(0.3, 0.4), cfg)
+    b = solve(spec, u, *start(0.3, 0.4), cfg)
     assert a.trace == b.trace
     assert np.array_equal(a.x.values, b.x.values)
 
@@ -665,7 +684,7 @@ def test_extragradient_deterministic_iterates():
 
 def test_newton_zero_field_one_step():
     spec, u = zero_problem()
-    cand = newton(spec, u, start([1.0, -2.0, 0.7], [0.1, 0.2, 0.3]), TIGHT)
+    cand = solve(spec, u, *start([1.0, -2.0, 0.7], [0.1, 0.2, 0.3]), TIGHT)
     assert cand.converged and cand.iterations == 1
     assert h_norm(cand.x) <= 1e-12 and h_norm(cand.y) <= 1e-12
 
@@ -676,7 +695,7 @@ def test_newton_one_step_on_quadratics():
         T = int(rng.integers(1, 9))
         spec, u, coeffs = quadratic_instance(rng, T)
         z0 = start(rng.standard_normal(T) * 3, rng.standard_normal(T) * 3)
-        cand = newton(spec, u, z0, TIGHT)
+        cand = solve(spec, u, *z0, TIGHT)
         assert cand.converged and cand.iterations == 1
         x_ref, y_ref = direct_quadratic_solve(T, u, coeffs)
         assert np.allclose(cand.x.interior, x_ref, atol=1e-10)
@@ -686,12 +705,12 @@ def test_newton_one_step_on_quadratics():
 def test_newton_exponential_instance():
     spec = ProblemSpec.create(1, 1.0, "x*y + exp(x) - exp(y)")
     u = ParameterFunction.constant(0.0, 1, 1.0)
-    cand = newton(spec, u, start(0.5, -0.5), TIGHT)
+    cand = solve(spec, u, *start(0.5, -0.5), TIGHT)
     assert cand.converged
     assert cand.residual_norm <= 1e-12
     assert cand.iterations <= 20
-    other = extragradient(spec, u, start(0.5, -0.5),
-                          SolverConfig(tol=1e-11, max_iter=100000))
+    other = solve(spec, u, *start(0.5, -0.5),
+                  SolverConfig(method="extragradient", tol=1e-11, max_iter=100000))
     assert product_distance(cand, other) <= 1e-8
 
 
@@ -699,7 +718,7 @@ def test_newton_singular_jacobian_reports_condition():
     spec = ProblemSpec.create(1, 1.0, "-x^2")
     u = ParameterFunction.constant(0.0, 1, 1.0)
     with pytest.raises(SolverError) as err:
-        newton(spec, u, start(1.0, 1.0), SolverConfig())
+        solve(spec, u, *start(1.0, 1.0), SolverConfig())
     assert "cond" in str(err.value)
 
 
@@ -707,7 +726,8 @@ def test_newton_singular_jacobian_reports_condition():
 
 def test_nested_zero_field():
     spec, u = zero_problem()
-    cand = nested_minimax(spec, u, GridFunction.from_interior([0.4, -0.2, 0.9]), TIGHT)
+    cand = solve(spec, u, GridFunction.zeros(3), GridFunction.from_interior([0.4, -0.2, 0.9]),
+                 NESTED_TIGHT)
     assert cand.converged
     assert h_norm(cand.x) <= 1e-10 and h_norm(cand.y) <= 1e-10
 
@@ -716,7 +736,7 @@ def test_nested_one_variable_calculus_oracle():
     # reduced function -(y+1)^2/4 - y^2 - y peaks at y = -3/5 with x = -(y+1)/2
     spec = ProblemSpec.create(1, 2.0, "x*y + x - y")
     u = ParameterFunction.constant(0.0, 1, 2.0)
-    cand = nested_minimax(spec, u, GridFunction.from_interior([1.5]), TIGHT)
+    cand = solve(spec, u, *start(0.0, 1.5), NESTED_TIGHT)
     assert cand.y(1) == pytest.approx(-0.6, abs=1e-10)
     assert cand.x(1) == pytest.approx(-0.2, abs=1e-10)
     assert cand.value == pytest.approx(0.2, abs=1e-12)
@@ -728,9 +748,9 @@ def test_nested_agrees_with_extragradient():
         T = int(rng.integers(1, 7))
         spec, u, _ = quadratic_instance(rng, T)
         y0 = GridFunction.from_interior(rng.standard_normal(T))
-        nested = nested_minimax(spec, u, y0, TIGHT)
-        eg = extragradient(spec, u, (GridFunction.zeros(T), y0),
-                           SolverConfig(tol=1e-11, max_iter=200000))
+        nested = solve(spec, u, GridFunction.zeros(T), y0, NESTED_TIGHT)
+        eg = solve(spec, u, GridFunction.zeros(T), y0,
+                   SolverConfig(method="extragradient", tol=1e-11, max_iter=200000))
         assert nested.converged and eg.converged
         assert abs(nested.value - eg.value) <= 1e-8
 
@@ -738,17 +758,17 @@ def test_nested_agrees_with_extragradient():
 def test_nested_both_orders_match():
     spec = ProblemSpec.create(3, 1.0, "x*y + exp(x/2) - exp(y/2) + u*x")
     u = ParameterFunction.constant(0.4, 3, 1.0)
-    y0 = GridFunction.from_interior([0.3, -0.1, 0.2])
-    maxmin = nested_minimax(spec, u, y0, TIGHT)
-    minmax = nested_minimax(spec, u, y0, TIGHT, outer="x")
+    w0 = GridFunction.from_interior([0.3, -0.1, 0.2])
+    maxmin = solve(spec, u, w0, w0, NESTED_TIGHT)
+    minmax = solve(spec, u, w0, w0, SolverConfig(method="nested-xfirst", tol=1e-12))
     assert maxmin.converged and minmax.converged
     assert abs(maxmin.value - minmax.value) <= 1e-10
     assert product_distance(maxmin, minmax) <= 1e-8
 
 
 @pytest.mark.parametrize("T", [1, 3, 17])
-@pytest.mark.parametrize("outer", ["y", "x"])
-def test_nested_outer_step_is_exact_on_quadratics(T, outer):
+@pytest.mark.parametrize("method", ["nested", "nested-xfirst"], ids=["y", "x"])  # the outer half
+def test_nested_outer_step_is_exact_on_quadratics(T, method):
     # G is affine, so the inner solve is exact and the reduced gradient is
     # affine in w with the Schur complement for its Jacobian: the outer step
     # lands on the saddle from any start
@@ -757,7 +777,7 @@ def test_nested_outer_step_is_exact_on_quadratics(T, outer):
     rng = np.random.default_rng(T)
     for _ in range(4):
         w0 = GridFunction.from_interior(rng.uniform(-5.0, 5.0, T))
-        cand = nested_minimax(spec, u, w0, SolverConfig(), outer=outer)
+        cand = solve(spec, u, w0, w0, SolverConfig(method=method))
         assert cand.converged and cand.iterations == 1
 
 
@@ -788,8 +808,8 @@ def test_nested_lockstep_runs_equal_solo_runs(case, monkeypatch):
     W0 = Z0[:, :spec.T] if outer == "x" else Z0[:, spec.T:]
     runs = solvers.runs(spec, u, Z0, cfg)
     failed, raised_alone = sum(isinstance(r, ExprError) for r in runs), outside.count(1)
-    solos = [_solo(lambda spec, u, w0, cfg: nested_minimax(spec, u, w0, cfg, outer), spec, u,
-                   GridFunction.from_interior(w0), cfg) for w0 in W0]
+    # nested reads the outer half of a start alone: the solo starts' inner halves differ
+    solos = [_solo(spec, u, (GridFunction.from_interior(w0),) * 2, cfg) for w0 in W0]
     for lockstep, solo in zip(runs, solos):
         _assert_same_run(lockstep, solo)
     ends = [r for r in runs if not isinstance(r, Exception)]
@@ -878,7 +898,7 @@ def test_nested_start_that_leaves_the_domain_counts_as_failed():
         random_interior(3, 4.0, rng)  # the start's x draw, which nested does not use
         y0 = GridFunction.from_interior(random_interior(3, 4.0, rng))
         try:
-            nested_minimax(spec, u, y0, cfg)
+            solve(spec, u, GridFunction.zeros(3), y0, cfg)
         except ExprError:
             errors += 1
     assert errors == 1
@@ -978,8 +998,8 @@ def test_saddle_set_independent_of_trace():
         assert np.array_equal(a.x.values, b.x.values)
         assert np.array_equal(a.y.values, b.y.values)
     # trace rows outside the domain hold nan instead of failing the start
-    far = newton(spec, u, start([-1.6, -1.6, -1.6], [0.0, 0.0, 0.0]),
-                 SolverConfig(record_trace=True))
+    far = solve(spec, u, *start([-1.6, -1.6, -1.6], [0.0, 0.0, 0.0]),
+                SolverConfig(record_trace=True))
     assert far.converged and np.isnan(far.trace[0][3])
     assert far.trace[-1][3] == far.value
 
@@ -1051,9 +1071,9 @@ def test_all_three_methods_agree_pairwise():
         spec, u = nonlinear_instance(rng, T)
         z0 = start(rng.standard_normal(T), rng.standard_normal(T))
         cands = [
-            newton(spec, u, z0, TIGHT),
-            extragradient(spec, u, z0, SolverConfig(tol=1e-10, max_iter=200000)),
-            nested_minimax(spec, u, z0[1], TIGHT),
+            solve(spec, u, *z0, TIGHT),
+            solve(spec, u, *z0, SolverConfig(method="extragradient", tol=1e-10, max_iter=200000)),
+            solve(spec, u, *z0, NESTED_TIGHT),
         ]
         for i, a in enumerate(cands):
             assert a.converged
@@ -1076,23 +1096,22 @@ def test_saddle_set_domain_error_counts_as_failed_start():
 def test_exhausted_runs_report_max_iter_iterations():
     spec, u = log_problem()
     z0 = (GridFunction.zeros(3), GridFunction.zeros(3))
-    eg = extragradient(spec, u, z0, SolverConfig(max_iter=3))
+    eg = solve(spec, u, *z0, SolverConfig(method="extragradient", max_iter=3))
     assert not eg.converged and eg.iterations == 3
-    nt = newton(spec, u, z0, SolverConfig(max_iter=1))
+    nt = solve(spec, u, *z0, SolverConfig(max_iter=1))
     assert not nt.converged and nt.iterations == 1
-    for outer in ("y", "x"):
+    for method in ("nested", "nested-xfirst"):
         w0 = GridFunction.from_interior([0.5, -0.3, 0.2])
-        ns = nested_minimax(spec, u, w0, SolverConfig(max_iter=1), outer=outer)
+        ns = solve(spec, u, w0, w0, SolverConfig(method=method, max_iter=1))
         assert not ns.converged and ns.iterations == 1
 
 
 def test_last_trace_row_matches_candidate():
     spec = ProblemSpec.create(3, 1.0, "x*y + exp(x/2) - exp(y/2) + u*x")
     u = ParameterFunction.constant(0.4, 3, 1.0)
-    cfg = SolverConfig(tol=1e-11, record_trace=True)
     z0 = start([0.3, -0.1, 0.2], [0.1, 0.4, -0.2])
-    for cand in (extragradient(spec, u, z0, cfg), newton(spec, u, z0, cfg),
-                 nested_minimax(spec, u, z0[1], cfg)):
+    for method in ("extragradient", "newton", "nested"):
+        cand = solve(spec, u, *z0, SolverConfig(method=method, tol=1e-11, record_trace=True))
         assert cand.converged
         it, _, res, value = cand.trace[-1]
         assert it == cand.iterations
@@ -1119,8 +1138,7 @@ def test_candidate_value_consistency_invariant():
     # value of every solver output equals the recomputed action
     from saddlebvp import action
     spec, u = bilinear_spec(1.0)
-    for cand in (newton(spec, u, start(1.0, 1.0), TIGHT),
-                 extragradient(spec, u, start(1.0, 1.0), TIGHT),
-                 nested_minimax(spec, u, GridFunction.from_interior([1.0]), TIGHT)):
+    for cfg in (TIGHT, EG_TIGHT, NESTED_TIGHT):
+        cand = solve(spec, u, *start(1.0, 1.0), cfg)
         recomputed = action(spec, u, cand.x, cand.y)
         assert abs(cand.value - recomputed) <= 1e-10 * (1 + abs(recomputed))
