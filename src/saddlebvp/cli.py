@@ -303,7 +303,9 @@ def build_parser():
             p.add_argument("--tol", type=float, default=SolverConfig.tol,
                            help="gradient and residual tolerance")
             p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-            p.add_argument("--multistart", type=int, default=SolverConfig.multistart)
+            p.add_argument("--multistart", type=int, default=SolverConfig.multistart,
+                           help="random starts of a saddle-set search; in sweep, of the "
+                                "limit's search alone")
 
     p_solve = sub.add_parser("solve", help="compute and verify the saddle set")
     p_solve.add_argument("problem")

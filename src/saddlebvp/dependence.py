@@ -7,6 +7,12 @@ the saddle set of the limit problem.  This module measures both effects:
 the confining product ball, ``run_sequence`` solves along the sequence and
 records values and set distances, and ``upper_limit_check`` tests that the
 accumulation points re-verify as saddles of the limit problem.
+
+``run_sequence`` follows the saddle set by continuation (Allgower & Georg,
+*Introduction to Numerical Continuation Methods*, ch. 2): the limit's set
+is solved cold, and every term starts from the limit's representatives,
+where its saddle points accumulate, plus ``SWEEP_FRESH_STARTS`` fresh ball
+draws that keep new branches findable.
 """
 
 import json
@@ -15,13 +21,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .expressions import ExprError
-from .grid import h_norm_i
+from .grid import h_norm_i, random_interior_rows
 from .problem import (ParameterFunction, ball_pair_blocks, integrand_sum_i, make_candidates_i,
                       parameter_values, real_numbers, row_values)
 from .solvers import (DEFAULT_RADII, SolverError, product_distance, radii_pair,
                       saddle_set, verify_saddle)
 
 GAP_SAMPLES = 128  # ball pairs of the sampled gap of each sweep term
+SWEEP_FRESH_STARTS = 2  # ball draws of each sweep term next to the limit's representatives
 
 
 class DependenceError(ValueError):
@@ -218,6 +225,11 @@ def _set_value(saddles):
     return best.value
 
 
+def _stacked_rows(points):
+    """The ``(len(points), 2T)`` block of the candidates' rows ``z = (x, y)``."""
+    return np.array([np.concatenate((c.x.interior, c.y.interior)) for c in points])
+
+
 def _set_distance(saddles, baseline):
     return max((min(product_distance(c, rep) for rep in baseline.points)
                 for c in saddles.points), default=np.inf)
@@ -225,6 +237,14 @@ def _set_distance(saddles, baseline):
 
 def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4) -> DependenceReport:
     """Solve the limit problem and every scheduled term of the sequence.
+
+    The limit's saddle set comes from ``cfg.multistart`` cold starts, as
+    ``saddle_set`` draws them.  Each term is one ``saddle_set`` call on
+    given starts: the limit's representatives as stacked ``(x, y)`` rows,
+    then ``SWEEP_FRESH_STARTS`` draws from the product ball.  The fresh draws
+    of all terms come from one generator, the ``SeedSequence`` child of
+    ``cfg.seed`` after the limit's starts, so they are independent of those
+    starts and of the gap draws.
 
     Records per ``n`` the saddle value, the one-sided set distance to the
     limit's saddle set, and the sampled functional gap; solver failures at
@@ -239,12 +259,16 @@ def run_sequence(spec, seq: ParameterSequence, cfg, radii=None, tol_dep=1e-4) ->
         raise SolverError("no saddle found for the limit parameter")
     a0 = _set_value(baseline)
     box = radii_pair(radii, DEFAULT_RADII)
+    warm = _stacked_rows(baseline.points)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(cfg.multistart,)))
 
     entries = []
     partial = False
     for n in seq.schedule():
         u_n, clamped = seq.term(n)
-        sads = saddle_set(spec, u_n, cfg, radii=radii)
+        fresh = random_interior_rows(spec.T, [(r, rng) for _ in range(SWEEP_FRESH_STARTS)
+                                              for r in box])
+        sads = saddle_set(spec, u_n, cfg, starts=np.vstack((warm, fresh.reshape(-1, 2 * spec.T))))
         if sads.all_failed:
             partial = True
             entries.append(SequenceEntry(n=n, u=u_n, saddles=None, value=np.nan,
@@ -304,12 +328,12 @@ def upper_limit_check(report: DependenceReport, tol) -> LimitCheck:
     violations = []
     limits = []
     T = spec.T
-    Z = np.array([np.concatenate((c.x.interior, c.y.interior)) for c in last.saddles.points])
+    Z = _stacked_rows(last.saddles.points)
     if prev is not None and prev.saddles.points and prev.n != last.n:
         partners = [min(prev.saddles.points, key=lambda c: product_distance(c, cand))
                     for cand in last.saddles.points]
         n2, n1 = last.n, prev.n
-        P = np.array([np.concatenate((p.x.interior, p.y.interior)) for p in partners])
+        P = _stacked_rows(partners)
         Z = (n2 * Z - n1 * P) / (n2 - n1)
     made = make_candidates_i(spec, u0, Z, "extrapolated-limit", [0] * len(Z),
                              [True] * len(Z), [None] * len(Z))

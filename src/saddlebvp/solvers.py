@@ -432,7 +432,10 @@ def _nested_block(spec, u, Z0, cfg, traces):
     def inner_min(Z):
         # from the v half of each row of Z, at its w half
         def at(rows, V):
-            Z_rows = Z[rows]
+            # only the w halves are copied from Z; rows are valid indices, and
+            # mode="clip" lets take write into out without a buffer
+            Z_rows = np.empty((len(rows), 2 * T))
+            np.take(Z[:, w], rows, axis=0, out=Z_rows[:, w], mode="clip")
             Z_rows[:, v] = V
             return Z_rows
 
@@ -608,25 +611,31 @@ class SaddleSet:
         return not self.points
 
 
-def saddle_set(spec, u, cfg: SolverConfig, radii=None):
+def saddle_set(spec, u, cfg: SolverConfig, radii=None, starts=None):
     """Multistart solve and clustering of the distinct saddle points found.
 
-    Starts are uniform in the product ball (radii from a certificate when
-    available); converged candidates closer than ``CLUSTER_RADIUS`` in the
-    product norm collapse to the best-resolved representative.  A start that
-    raises :class:`SolverError` or leaves the expression domain (``ExprError``)
+    Starts are ``cfg.multistart`` draws uniform in the product ball (radii
+    from a certificate when available), each from its own generator spawned
+    from ``cfg.seed``, or the rows ``z = (x, y)`` of the ``(S, 2T)`` block
+    ``starts``, run as given; ``attempts`` is the number of starts.
+    Converged candidates closer than ``CLUSTER_RADIUS`` in the product norm
+    collapse to the best-resolved representative.  A start that raises
+    :class:`SolverError` or leaves the expression domain (``ExprError``)
     counts as failed.  Results are deterministic for a fixed seed.
 
     The starts run in one :func:`runs` call, in lockstep; each ends exactly
     as it does alone, so the set does not depend on how the starts are
     grouped.
     """
-    rx, ry = radii_pair(radii, DEFAULT_RADII)
-    # Each start's own rng draws its x and then its y, the two halves of its row.
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(cfg.multistart)]
-    Z0 = random_interior_rows(spec.T, [(r, rng) for rng in rngs for r in (rx, ry)])
+    if starts is None:
+        rx, ry = radii_pair(radii, DEFAULT_RADII)
+        # Each start's own rng draws its x and then its y, the two halves of its row.
+        rngs = [np.random.default_rng(c)
+                for c in np.random.SeedSequence(cfg.seed).spawn(cfg.multistart)]
+        starts = random_interior_rows(spec.T, [(r, rng) for rng in rngs for r in (rx, ry)])
+        starts = starts.reshape(-1, 2 * spec.T)
 
-    results = runs(spec, u, Z0.reshape(-1, 2 * spec.T), cfg)
+    results = runs(spec, u, starts, cfg)
     converged = [c for c in results if isinstance(c, SaddleCandidate) and c.converged]
     failures = len(results) - len(converged)
     reps = []
@@ -635,4 +644,4 @@ def saddle_set(spec, u, cfg: SolverConfig, radii=None):
             reps.append(cand)
     reps.sort(key=lambda c: (c.value, tuple(c.x.interior)))
     return SaddleSet(points=tuple(reps), cluster_radius=CLUSTER_RADIUS,
-                     attempts=cfg.multistart, failures=failures)
+                     attempts=len(starts), failures=failures)

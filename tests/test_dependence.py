@@ -1,17 +1,24 @@
 import dataclasses
+import json
+import os
+import random
 
 import numpy as np
 import pytest
 
 from conftest import dirichlet_matrix, nonlinear_instance, per_pair_gap
 from saddlebvp import (GridFunction, ParameterFunction, ParameterSequence,
-                       ProblemSpec, SolverConfig, action, h_norm, run_sequence, uniform_gap,
-                       upper_limit_check)
-from saddlebvp.dependence import (GAP_SAMPLES, DependenceError, DependenceReport,
-                                  SequenceEntry, geometric_schedule, sequence_from_dict)
+                       ProblemSpec, SolverConfig, action, embedding_constant, h_norm,
+                       run_sequence, uniform_gap, upper_limit_check)
+from saddlebvp import dependence, solvers
+from saddlebvp.dependence import (GAP_SAMPLES, SWEEP_FRESH_STARTS, DependenceError,
+                                  DependenceReport, SequenceEntry, geometric_schedule,
+                                  sequence_from_dict)
 from saddlebvp.grid import random_interior
-from saddlebvp.problem import ProblemError, make_candidates_i
-from saddlebvp.solvers import SaddleSet, SolverError, saddle_set
+from saddlebvp.hypotheses import ball_radii, certificate_from_dict
+from saddlebvp.problem import ProblemError, ball_pair_blocks, make_candidates_i, problem_from_dict
+from saddlebvp.solvers import (CLUSTER_RADIUS, DEFAULT_RADII, SaddleSet, SolverError,
+                               product_distance, saddle_set, verify_saddle)
 
 CFG = SolverConfig(method="newton", tol=1e-12, multistart=4)
 
@@ -351,17 +358,20 @@ def test_upper_limit_check_limit_outside_the_domain():
 
 
 def test_run_sequence_partial_on_failing_term():
-    # u = -1 makes the x-curvature matrix exactly singular for this field
-    spec = ProblemSpec.create(1, 1.0, "u*x^2")
+    # u = -1 makes the x-curvature matrix exactly singular for this field,
+    # and G_x = 2 there, so no start converges, the limit's saddle included
+    spec = ProblemSpec.create(1, 1.0, "u*x^2 + (1 - u)*x")
     u0 = ParameterFunction.constant(0.0, 1, 1.0)
     terms = [ParameterFunction.constant(-1.0, 1, 1.0),
              ParameterFunction.constant(0.5, 1, 1.0)]
     seq = ParameterSequence.from_terms(u0, terms)
-    report = run_sequence(spec, seq, CFG, radii=(2.0, 2.0))
-    assert report.partial
-    assert report.entries[0].error == "every start failed"
-    assert report.entries[1].error is None
-    assert not report.all_nonempty
+    for method in ("newton", "extragradient", "nested"):
+        report = run_sequence(spec, seq, dataclasses.replace(CFG, method=method),
+                              radii=(2.0, 2.0))
+        assert report.partial, method
+        assert report.entries[0].error == "every start failed", method
+        assert report.entries[1].error is None, method
+        assert not report.all_nonempty, method
 
 
 def test_run_sequence_raises_when_baseline_fails():
@@ -382,3 +392,144 @@ def test_nonlinear_family_distance_trend():
     assert dists[-1] <= 1e-4
     assert dists[-1] <= dists[0] / 16  # roughly O(1/n)
     assert upper_limit_check(report, tol=1e-4).passed
+
+
+# --- continuation ----------------------------------------------------------------------
+
+DEMO_PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "demos", "problems")
+
+
+def _cold_report(report):
+    """``report`` with every term solved cold, from ``cfg.multistart`` ball draws."""
+    entries = []
+    for entry in report.entries:
+        cold = saddle_set(report.spec, entry.u, report.cfg, radii=report.radii)
+        entries.append(dataclasses.replace(
+            entry, saddles=cold, value=dependence._set_value(cold),
+            dist=dependence._set_distance(cold, report.baseline)))
+    return dataclasses.replace(report, entries=tuple(entries))
+
+
+def _assert_agrees_with_cold_terms(report):
+    cold = _cold_report(report)
+    assert not report.partial
+    for warm_entry, cold_entry in zip(report.entries, cold.entries):
+        assert abs(warm_entry.value - cold_entry.value) <= report.tol_dep, warm_entry.n
+        assert abs(warm_entry.dist - cold_entry.dist) <= report.tol_dep, warm_entry.n
+    assert (upper_limit_check(report, report.tol_dep).passed
+            == upper_limit_check(cold, report.tol_dep).passed)
+
+
+def _radii(data, T):
+    if "certificate" not in data:
+        return None
+    return ball_radii(certificate_from_dict(data["certificate"], T), embedding_constant(2, T), T)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(DEMO_PROBLEMS)))
+@pytest.mark.parametrize("method", ["newton", "extragradient", "nested"])
+def test_sweep_agrees_with_cold_terms_on_the_demo_problems(name, method):
+    with open(os.path.join(DEMO_PROBLEMS, name), encoding="utf-8") as handle:
+        data = json.load(handle)
+    spec, u = problem_from_dict(data)
+    seq = sequence_from_dict(data.get("sequence", {"direction": "0.5", "N": 16}), u)
+    report = run_sequence(spec, seq, SolverConfig(method=method), radii=_radii(data, spec.T))
+    _assert_agrees_with_cold_terms(report)
+
+
+def study_instance(index):
+    """Instance ``index`` of the benchmark's ``study`` workload at seed 601: problem and CLI seed."""
+    rng = random.Random(f"study:601:{index}")
+    seed = rng.randrange(2 ** 31)
+    T, a, p = 100, 0.4, 0.25
+    data = {
+        "T": T, "D": 1.0, "u": [rng.uniform(-0.5, 0.5) for _ in range(T)],
+        "F": f"{a}*x^2 - {a}*y^2 + 0.2*x*y + {p}*sin(x) + {p}*cos(y) + u*(x - y)",
+        "certificate": {
+            "alpha1": 0.0, "beta1": 0.0, "gamma1": -(p + 1.0) ** 2 / (4 * a) - p,
+            "alpha2": 0.0, "beta2": 0.0, "gamma2": 1.0 / (4 * a) + p,
+            "box": 6.0, "anchor_y": [0.0] * T, "anchor_x": [0.0] * T},
+        "sequence": {"direction": "0.5*cos(k)", "N": 64},
+    }
+    return data, seed
+
+
+@pytest.mark.parametrize("index", range(20))
+def test_sweep_agrees_with_cold_terms_on_study_instances(index):
+    data, seed = study_instance(index)
+    spec, u = problem_from_dict(data)
+    seq = sequence_from_dict(data["sequence"], u)
+    cfg = SolverConfig(method="newton", multistart=16, seed=seed)
+    report = run_sequence(spec, seq, cfg, radii=_radii(data, spec.T))
+    assert upper_limit_check(report, report.tol_dep).passed
+    _assert_agrees_with_cold_terms(report)
+
+
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("method", ["newton", "extragradient", "nested"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sweep_continues_every_verified_limit_branch(T, method, seed):
+    # A double well in x: at T = 1 the x-equation x^3 - x + u = 0 has three
+    # roots for |u| < 2 / sqrt(27), so with u_n = 0.25/n every branch of the
+    # limit exists at every term.  Each verified limit representative must
+    # be the nearest limit representative of some point of every term's set,
+    # and in the tail every verified point of a cold search must be found.
+    spec = ProblemSpec.create(T, 1.0, "-1.5*x^2 + 0.25*x^4 - y^2 + u*(x - y)")
+    u0 = ParameterFunction.constant(0.0, T, 1.0)
+    seq = ParameterSequence.rule(u0, np.full(T, 0.25), N=16)
+    cfg = SolverConfig(method=method, seed=seed)
+    report = run_sequence(spec, seq, cfg)
+
+    def verified(u, points):
+        return [c for c in points
+                if verify_saddle(spec, u, c, radii=DEFAULT_RADII, seed=seed).passed]
+
+    limit = report.baseline.points
+    branches = [i for i, b in enumerate(limit) if verified(u0, [b])]
+    for entry in report.entries:
+        continued = {int(np.argmin([product_distance(c, b) for b in limit]))
+                     for c in entry.saddles.points}
+        assert set(branches) <= continued, entry.n
+        if entry.n >= seq.N / 2:
+            for cand in verified(entry.u, saddle_set(spec, entry.u, cfg).points):
+                assert min(product_distance(cand, c) for c in entry.saddles.points) \
+                    <= CLUSTER_RADIUS, entry.n
+
+
+def test_every_sweep_start_goes_through_saddle_set(monkeypatch):
+    # sqrt(y + 1) is undefined on part of the ball, so some starts fail; they count too
+    T = 3
+    spec = ProblemSpec.create(T, 1.0, "x^2 - y^2 + sqrt(y + 1) + u*(x - y)")
+    u0 = ParameterFunction.constant(0.2, T, 1.0)
+    seq = ParameterSequence.rule(u0, np.full(T, 0.5), N=16)
+    cfg = SolverConfig(method="newton", multistart=8, seed=3)
+    sets, blocks = [], []
+
+    def counted(*args, **kwargs):
+        sets.append(saddle_set(*args, **kwargs))
+        return sets[-1]
+
+    def recorded(spec, u, Z0, cfg):
+        blocks.append(Z0)
+        return run_blocks(spec, u, Z0, cfg)
+
+    run_blocks = solvers.runs
+    monkeypatch.setattr(dependence, "saddle_set", counted)
+    monkeypatch.setattr(solvers, "runs", recorded)
+    report = run_sequence(spec, seq, cfg)
+
+    reps = len(report.baseline.points)
+    starts = cfg.multistart + len(report.schedule) * (reps + SWEEP_FRESH_STARTS)
+    assert len(sets) == len(blocks) == 1 + len(report.schedule)
+    assert sum(s.attempts for s in sets) == sum(len(Z) for Z in blocks) == starts
+    assert sum(s.failures for s in sets) > 0
+    warm = np.array([np.concatenate((c.x.interior, c.y.interior)) for c in report.baseline.points])
+    for Z in blocks[1:]:
+        assert np.array_equal(Z[:reps], warm)
+    fresh = np.vstack([Z[reps:] for Z in blocks[1:]])
+    # the fresh rows are neither the gap pass's first draws nor the limit's starts
+    X, Y = next(ball_pair_blocks(T, GAP_SAMPLES, DEFAULT_RADII, np.random.default_rng(cfg.seed)))
+    drawn = np.vstack((np.hstack((X, Y)), blocks[0]))
+    assert not (fresh[:, None, :] == drawn[None, :, :]).all(axis=2).any()
+    assert len(np.unique(fresh, axis=0)) == len(fresh)

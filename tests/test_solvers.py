@@ -1063,6 +1063,29 @@ def test_saddle_set_representatives_well_separated():
             assert product_distance(a, b) > sset.cluster_radius
 
 
+@pytest.mark.parametrize("case", list(METHOD_DIGESTS))
+@pytest.mark.parametrize("method", list(solvers.METHODS))
+def test_saddle_set_on_given_starts_is_the_per_row_solves(method, case):
+    # every representative is the solve of one row, bit for bit, and every
+    # converged row ends in the cluster of a representative
+    spec, u, Z0 = _digest_case(case)
+    cfg = SolverConfig(method=method)
+    sset = saddle_set(spec, u, cfg, starts=Z0)
+    alone = [_solo(spec, u, (GridFunction.from_interior(z0[:spec.T]),
+                             GridFunction.from_interior(z0[spec.T:])), cfg) for z0 in Z0]
+    converged = [c for c in alone if isinstance(c, SaddleCandidate) and c.converged]
+    assert sset.attempts == len(Z0)
+    assert sset.failures == len(Z0) - len(converged)
+    for rep in sset.points:
+        same = next(c for c in converged if c.x.values.tobytes() == rep.x.values.tobytes()
+                    and c.y.values.tobytes() == rep.y.values.tobytes())
+        _assert_same_candidate(rep, same)
+    for cand in converged:
+        assert min(product_distance(cand, rep) for rep in sset.points) <= sset.cluster_radius
+    if (method, case) == ("extragradient", "log"):
+        assert sset.failures > 0
+
+
 def test_all_three_methods_agree_pairwise():
     # certified smooth instances: positions within 1e-6, values within 1e-8
     rng = np.random.default_rng(23)
